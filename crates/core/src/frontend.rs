@@ -381,11 +381,14 @@ impl Frontend {
     ///
     /// Scheduling is earliest-deadline-first with the flush sequence as the
     /// deterministic tie-break; `workers` threads pull from that order via
-    /// work stealing. Models are resolved from `registry` *sequentially in
-    /// schedule order* before any worker starts, so LRU eviction and cold
-    /// loads never depend on thread timing. Each micro-batch is served on
-    /// its worker thread through [`BatchServer::serve_seeded`] under the
-    /// flush's derived seed — panics, divergence and admission failures
+    /// work stealing. The calling thread is one of them: it spawns
+    /// `min(workers, n) - 1` scoped threads for `n` ready micro-batches and
+    /// runs the same claim loop itself, so a one-batch round spawns none.
+    /// Models are resolved from `registry` *sequentially in schedule order*
+    /// before any worker starts, so LRU eviction and cold loads never
+    /// depend on thread timing. Each micro-batch is served on its worker
+    /// thread through [`BatchServer::serve_seeded`] under the flush's
+    /// derived seed — panics, divergence and admission failures
     /// stay confined to that micro-batch, and its waiters all receive the
     /// same typed error while sibling tenants' batches finish untouched.
     ///
@@ -413,29 +416,30 @@ impl Frontend {
         let n = run.len();
         let slots: Mutex<Vec<Option<ServedFlush>>> = Mutex::new((0..n).map(|_| None).collect());
         let next = AtomicUsize::new(0);
-        let scope_result = crossbeam::thread::scope(|s| {
-            for _ in 0..workers.max(1).min(n) {
-                s.spawn(|_| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(mb) = run.get(idx) else { break };
-                    let served = match resolved.get(idx) {
-                        Some(Ok(model)) => serve_micro_batch(mb, model.as_ref(), policy),
-                        Some(Err(e)) => (failed_flush(mb, e.clone()), None),
-                        None => (
-                            failed_flush(
-                                mb,
-                                OsrError::Internal(
-                                    "micro-batch had no resolved model slot".to_string(),
-                                ),
-                            ),
-                            None,
-                        ),
-                    };
-                    if let Some(slot) = slots.lock().get_mut(idx) {
-                        *slot = Some(served);
-                    }
-                });
+        let claim_and_serve = || loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(mb) = run.get(idx) else { break };
+            let served = match resolved.get(idx) {
+                Some(Ok(model)) => serve_micro_batch(mb, model.as_ref(), policy),
+                Some(Err(e)) => (failed_flush(mb, e.clone()), None),
+                None => (
+                    failed_flush(
+                        mb,
+                        OsrError::Internal("micro-batch had no resolved model slot".to_string()),
+                    ),
+                    None,
+                ),
+            };
+            if let Some(slot) = slots.lock().get_mut(idx) {
+                *slot = Some(served);
             }
+        };
+        // The calling thread is the first worker.
+        let scope_result = crossbeam::thread::scope(|s| {
+            for _ in 1..workers.max(1).min(n) {
+                s.spawn(|_| claim_and_serve());
+            }
+            claim_and_serve();
         });
         if scope_result.is_err() {
             // Unreachable with the per-micro-batch catch_unwind below, but
@@ -506,17 +510,29 @@ fn serve_micro_batch(
     let served = catch_unwind(AssertUnwindSafe(|| {
         with_frontend_fault_context(flush_seq, || {
             #[cfg(feature = "fault-inject")]
-            match osr_stats::faults::hit(osr_stats::faults::sites::FRONTEND_FLUSH) {
+            let fault = osr_stats::faults::hit(osr_stats::faults::sites::FRONTEND_FLUSH);
+            #[cfg(feature = "fault-inject")]
+            match &fault {
                 Some(osr_stats::faults::Fault::Panic { message }) => {
                     // osr-lint: allow(panic-path, injected fault — the per-micro-batch catch_unwind below is the system under test)
                     panic!("{message}");
                 }
                 Some(osr_stats::faults::Fault::DelayMs(ms)) => {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
+                    std::thread::sleep(std::time::Duration::from_millis(*ms));
                 }
                 _ => {}
             }
-            BatchServer::with_workers(model, 1).with_policy(*policy).serve_seeded(&points, mb.seed)
+            let served = BatchServer::with_workers(model, 1)
+                .with_policy(*policy)
+                .serve_seeded(&points, mb.seed);
+            // An injected `Diverge` leaves the thread poisoned after an
+            // answered serve: the leak the scrub below must catch before
+            // this thread claims its next micro-batch.
+            #[cfg(feature = "fault-inject")]
+            if fault == Some(osr_stats::faults::Fault::Diverge) {
+                osr_stats::divergence::poison("injected: frontend flush divergence");
+            }
+            served
         })
     }));
     osr_stats::divergence::clear();

@@ -204,7 +204,8 @@ mod tests {
 
     #[test]
     fn cold_load_materializes_from_the_snapshot_store() {
-        let dir = std::env::temp_dir().join("osr_registry_cold_load_test");
+        let dir = std::env::temp_dir()
+            .join(format!("osr_registry_cold_load_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let model = tiny_model(3);

@@ -348,9 +348,19 @@ mod tests {
     use osr_dataset::protocol::TrainSet;
     use osr_stats::sampling;
 
+    /// A store in its own per-test directory, so concurrent tests never
+    /// share one.
     fn temp_store(name: &str) -> SnapshotStore {
-        let dir = std::env::temp_dir().join(format!("osr_core_snap_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("osr_core_snap_{}_{name}", std::process::id()));
         SnapshotStore::new(dir.join(format!("{name}.bin")))
+    }
+
+    /// Remove a [`temp_store`]'s directory and everything in it.
+    fn remove_temp_store(store: &SnapshotStore) {
+        if let Some(dir) = store.path().parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     fn blob(rng: &mut StdRng, cx: f64, cy: f64, n: usize, std: f64) -> Vec<Vec<f64>> {
@@ -446,7 +456,7 @@ mod tests {
         // reloaded report exists but carries no sweeps.
         let report = reloaded.fit_report().unwrap();
         assert!(report.trace.is_empty());
-        let _ = std::fs::remove_file(store.path());
+        remove_temp_store(&store);
     }
 
     #[test]
@@ -483,7 +493,7 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x10;
         assert!(decode_model(&flipped).is_err());
-        let _ = std::fs::remove_file(store.path());
+        remove_temp_store(&store);
     }
 
     #[test]

@@ -127,8 +127,9 @@ pub mod sites {
     pub const FRONTEND_ENQUEUE: &str = "frontend::enqueue";
     /// Inside a front-end dispatch worker, before a flushed micro-batch is
     /// handed to the batch server (a `Panic` here exercises per-micro-batch
-    /// isolation, a `DelayMs` stalls one flush). The context pair is
-    /// `(flush_seq as usize, 0)`.
+    /// isolation, a `DelayMs` stalls one flush, a `Diverge` leaves the
+    /// thread's divergence flag poisoned once the batch server has
+    /// answered). The context pair is `(flush_seq as usize, 0)`.
     pub const FRONTEND_FLUSH: &str = "frontend::flush";
 }
 

@@ -141,8 +141,12 @@ pub type SnapResult<T> = std::result::Result<T, SnapshotError>;
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic bytewise
+/// table, and `CRC_TABLES[k][b]` is the CRC state after feeding byte `b`
+/// followed by `k` zero bytes, so eight table lookups fold eight input bytes
+/// at once while producing exactly the bytewise checksum.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -151,13 +155,23 @@ const fn crc32_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE) of `bytes` — the checksum stamped on every section.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -167,11 +181,26 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// CRC-32 over the concatenation of `parts` without materializing it —
 /// used to stamp a section's id and length together with its payload, so a
 /// bit-flip in the section framing is caught exactly like one in the data.
+/// Each part is folded eight bytes at a time, then bytewise for its tail;
+/// the CRC state streams across part boundaries either way.
 fn crc32_parts(parts: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
     for part in parts {
-        for &b in *part {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        let mut chunks = part.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][c[4] as usize]
+                ^ t[2][c[5] as usize]
+                ^ t[1][c[6] as usize]
+                ^ t[0][c[7] as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
         }
     }
     !crc
@@ -557,11 +586,45 @@ impl<'a> SnapshotFile<'a> {
 mod tests {
     use super::*;
 
+    /// The bytewise reference loop the sliced kernel must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_reference() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..300)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 56) as u8
+            })
+            .collect();
+        for len in 0..=buf.len() {
+            let bytes = &buf[..len];
+            assert_eq!(crc32(bytes), crc32_bytewise(bytes), "length {len}");
+        }
+        // Every two-way split, most of them off the 8-byte grid: the CRC
+        // state must stream across part boundaries.
+        let whole = crc32_bytewise(&buf);
+        for split in 0..=buf.len() {
+            let (head, tail) = buf.split_at(split);
+            assert_eq!(crc32_parts(&[head, tail]), whole, "split at {split}");
+        }
     }
 
     fn sample_container() -> Vec<u8> {

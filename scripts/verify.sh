@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
-# Full verification gate: release build, the complete test suite, and a
-# warnings-as-errors clippy pass over every workspace crate (including the
-# vendored dependency shims) — then the same test + clippy gate again with
-# the deterministic fault-injection harness compiled in, which unlocks the
-# serving stack's robustness acceptance suite (tests/fault_injection.rs).
+# Full verification gate: release build, every test suite in the workspace,
+# and a warnings-as-errors clippy pass over every workspace crate (including
+# the vendored dependency shims) — then the same test + clippy gate again
+# with the deterministic fault-injection harness compiled in, which unlocks
+# the serving stack's robustness acceptance suite (tests/fault_injection.rs).
 #
-# On top of the blanket suites, the observability layer gets targeted runs
-# (golden traces + diagnostics under both feature sets) and an end-to-end
-# determinism check: the trace_dump binary is run twice with one seed and
-# the JSONL streams must be byte-identical.
+# On top of the two workspace passes come the byte-diff gates: the
+# coalescing golden, an end-to-end determinism check (the trace_dump binary
+# is run twice with one seed and the JSONL streams must be byte-identical),
+# and the replica fleet's snapshot and stream identity.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Workspace invariant linter: determinism, panic-freedom on serving paths,
 # unsafe hygiene, atomic orderings, fault-site registration. The JSON
@@ -26,50 +26,14 @@ if ! cargo run --release -q -p osr-lint -- --format json > results/lint_report.j
     exit 1
 fi
 
-# Observability lock-in: golden traces, convergence diagnostics, and the
-# metrics registry, under the default features...
-cargo test -q --test trace_determinism
-cargo test -q -p osr-stats --test observability
-
+# The same gate with the deterministic fault-injection harness compiled in.
+# The root `Cargo.toml` sets `default-members` to every crate, so each of
+# the two `cargo test -q` passes runs every suite in the workspace: the
+# golden traces and observability suites, the bank-equivalence parity
+# properties, the method-agnostic serving parity, the snapshot durability
+# and front-end suites, and every crate's unit tests.
 cargo test -q --features fault-inject
 cargo clippy --workspace --all-targets --features fault-inject -- -D warnings
-
-# ...and again with fault injection compiled in (the watchdog hooks sit on
-# the traced sweep path, so the stream must not change shape).
-cargo test -q --features fault-inject --test trace_determinism
-cargo test -q -p osr-stats --features fault-inject --test observability
-
-# Kernel parity: the struct-of-arrays dish bank must replay the legacy
-# per-dish arithmetic (bit-exact one-vs-all, tolerance-checked block ratio)
-# under both feature sets — the property suite that guards the SoA layout.
-cargo test -q -p osr-stats --test bank_equivalence
-cargo test -q -p osr-stats --features fault-inject --test bank_equivalence
-
-# Method-agnostic serving: CD-OSR through `&dyn CollectiveModel` must be
-# bit-identical to the direct path, and every baseline must serve through
-# the production BatchServer — under both feature sets, since the fault
-# hooks sit on the trait seam.
-cargo test -q --test collective_parity
-cargo test -q --features fault-inject --test collective_parity
-cargo test -q -p osr-baselines
-cargo test -q -p osr-baselines --features fault-inject
-cargo test -q -p osr-eval
-
-# Durable snapshots: round-trip byte identity, the corruption taxonomy
-# (truncation / bit flips / version skew → typed errors, never a panic),
-# and the replica-fleet byte-identity suite — under both feature sets,
-# since the snapshot fault sites sit on the save/load path.
-cargo test -q --test snapshot_persistence
-cargo test -q --features fault-inject --test snapshot_persistence
-
-# Multi-tenant front-end: the coalescing invariants (exactly-once answers,
-# no cross-tenant mixing, size/deadline flush conditions) and the golden
-# coalescing stream at 1/2/8 workers — under both feature sets, since the
-# frontend fault sites sit on the enqueue/flush path.
-cargo test -q --test frontend_invariants
-cargo test -q --features fault-inject --test frontend_invariants
-cargo test -q --test frontend_golden
-cargo test -q --features fault-inject --test frontend_golden
 
 # Bench-schema staleness: the committed serving benchmark report must carry
 # the kernel-invocation counters the SoA refactor added (PR 6) and the

@@ -519,14 +519,22 @@ fn falsified_checksum_is_reported_as_a_checksum_mismatch() {
 // ---------------------------------------------------------------------------
 // Front-end faults: a panicking micro-batch flush must be isolated to that
 // micro-batch (typed errors to every waiter, sibling tenants bit-identical),
-// and an enqueue fault must shed typed instead of blocking.
+// also when the dispatching thread serves both micro-batches itself, and an
+// enqueue fault must shed typed instead of blocking.
 // ---------------------------------------------------------------------------
 
-use hdp_osr::core::{FlushOutcome, FlushTrigger, Frontend, FrontendConfig, ModelRegistry};
+use hdp_osr::core::{
+    FlushOutcome, FlushTrace, FlushTrigger, Frontend, FrontendConfig, ModelRegistry, TraceSink,
+};
 
 /// Two tenants sharing one warm CD-OSR model; each submits a full
-/// micro-batch, so dispatch serves flush seq 0 (`acme`) and 1 (`beta`).
-fn coalesce_two_tenants(model: &Arc<HdpOsr>) -> Vec<FlushOutcome> {
+/// micro-batch, so dispatch serves flush seq 0 (`acme`) and 1 (`beta`) on
+/// `workers` threads. Returns the outcomes and the emitted flush traces,
+/// both in flush-sequence order.
+fn coalesce_two_tenants(
+    model: &Arc<HdpOsr>,
+    workers: usize,
+) -> (Vec<FlushOutcome>, Vec<FlushTrace>) {
     let registry = ModelRegistry::new(2);
     registry.insert("acme", Arc::clone(model) as Arc<dyn CollectiveModel>);
     registry.insert("beta", Arc::clone(model) as Arc<dyn CollectiveModel>);
@@ -546,7 +554,24 @@ fn coalesce_two_tenants(model: &Arc<HdpOsr>) -> Vec<FlushOutcome> {
         frontend.enqueue("beta", point, 5).expect("admitted");
     }
     assert_eq!(frontend.ready_batches(), 2, "both tenants size-flushed");
-    frontend.dispatch(&registry, 2, &ServePolicy::default(), None)
+    let sink = Arc::new(RingSink::new(8));
+    let trace_sink: Arc<dyn TraceSink> = sink.clone();
+    let outcomes =
+        frontend.dispatch(&registry, workers, &ServePolicy::default(), Some(&trace_sink));
+    let traces = sink
+        .records()
+        .into_iter()
+        .map(|record| match record {
+            TraceRecord::Flush(trace) => trace,
+            other => panic!("dispatch must emit Flush records only, got {other:?}"),
+        })
+        .collect();
+    (outcomes, traces)
+}
+
+/// The answers every waiter of a healthy micro-batch received.
+fn answers(flush: &FlushOutcome) -> Vec<Prediction> {
+    flush.responses.iter().map(|r| *r.result.as_ref().unwrap()).collect()
 }
 
 #[test]
@@ -554,7 +579,7 @@ fn panicking_flush_is_isolated_to_its_micro_batch() {
     let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (model, _) = warm_model_and_batches();
     let model = Arc::new(model);
-    let baseline = coalesce_two_tenants(&model);
+    let (baseline, _) = coalesce_two_tenants(&model, 2);
 
     // Flush seq 0 is `acme`'s micro-batch: its serve panics outright.
     let _plan = install(FaultPlan::new().inject(
@@ -563,7 +588,7 @@ fn panicking_flush_is_isolated_to_its_micro_batch() {
         None,
         Fault::Panic { message: "injected flush panic".into() },
     ));
-    let faulted = coalesce_two_tenants(&model);
+    let (faulted, _) = coalesce_two_tenants(&model, 2);
     assert_eq!(faulted.len(), 2);
 
     // Every waiter of the failed micro-batch gets the typed error — no
@@ -596,15 +621,80 @@ fn panicking_flush_is_isolated_to_its_micro_batch() {
         baseline[1].outcome.as_ref().unwrap(),
         "sibling tenant of a panicked micro-batch",
     );
-    assert_eq!(
-        beta.responses.iter().map(|r| *r.result.as_ref().unwrap()).collect::<Vec<_>>(),
-        baseline[1]
-            .responses
-            .iter()
-            .map(|r| *r.result.as_ref().unwrap())
-            .collect::<Vec<_>>(),
-        "sibling waiters' answers drifted"
+    assert_eq!(answers(beta), answers(&baseline[1]), "sibling waiters' answers drifted");
+}
+
+#[test]
+fn panicking_flush_on_the_dispatching_thread_spares_the_next_flush() {
+    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (model, _) = warm_model_and_batches();
+    let model = Arc::new(model);
+    let (baseline, _) = coalesce_two_tenants(&model, 2);
+
+    // One worker: the dispatching thread serves flush 0 and then flush 1
+    // itself, so the panic unwinds on the very thread that serves next.
+    let _plan = install(FaultPlan::new().inject(
+        sites::FRONTEND_FLUSH,
+        Some(0),
+        None,
+        Fault::Panic { message: "injected flush panic".into() },
+    ));
+    let (faulted, traces) = coalesce_two_tenants(&model, 1);
+    assert_eq!(faulted.len(), 2);
+
+    let acme = &faulted[0];
+    assert_eq!(acme.responses.len(), 4, "all four waiters are answered");
+    for response in &acme.responses {
+        match response.result.as_ref().unwrap_err() {
+            OsrError::Internal(msg) => {
+                assert!(msg.contains("injected flush panic"), "message was: {msg}");
+            }
+            other => panic!("waiter must see the typed flush error, got {other:?}"),
+        }
+    }
+
+    let beta = &faulted[1];
+    assert_bit_identical(
+        beta.outcome.as_ref().unwrap(),
+        baseline[1].outcome.as_ref().unwrap(),
+        "flush served after a panicked flush on the same thread",
     );
+    assert_eq!(answers(beta), answers(&baseline[1]), "next flush's answers drifted");
+    // A panicked flush emits no trace; flush 1's trace is the only one.
+    assert_eq!(traces.len(), 1);
+    assert_eq!(traces[0].batch.batch, 1);
+    assert!(!traces[0].batch.inherited_poison, "flush 1 inherited poison");
+}
+
+#[test]
+fn diverging_flush_on_the_dispatching_thread_leaves_no_poison_for_the_next() {
+    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (model, _) = warm_model_and_batches();
+    let model = Arc::new(model);
+    let (baseline, _) = coalesce_two_tenants(&model, 2);
+
+    // Flush 0 answers but leaves the dispatching thread poisoned; that
+    // thread then serves flush 1, which must start clean.
+    let _plan = install(FaultPlan::new().inject(
+        sites::FRONTEND_FLUSH,
+        Some(0),
+        None,
+        Fault::Diverge,
+    ));
+    let (faulted, traces) = coalesce_two_tenants(&model, 1);
+    assert_eq!(faulted.len(), 2);
+    assert_eq!(traces.len(), 2, "both flushes answer and trace");
+    for idx in [0usize, 1] {
+        assert_bit_identical(
+            faulted[idx].outcome.as_ref().unwrap(),
+            baseline[idx].outcome.as_ref().unwrap(),
+            &format!("flush {idx} on the dispatching thread"),
+        );
+        assert_eq!(answers(&faulted[idx]), answers(&baseline[idx]), "flush {idx} drifted");
+    }
+    assert!(!traces[0].batch.inherited_poison, "flush 0 started poisoned");
+    assert_eq!(traces[1].batch.batch, 1);
+    assert!(!traces[1].batch.inherited_poison, "flush 1 inherited flush 0's poison");
 }
 
 #[test]

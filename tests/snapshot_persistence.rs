@@ -73,9 +73,19 @@ fn model_and_batches() -> (HdpOsr, Vec<Vec<Vec<f64>>>) {
     (model, batches)
 }
 
+/// A store in its own per-test directory: tests run concurrently, and a
+/// shared directory would let one test's directory scan see another test's
+/// in-flight temp file.
 fn temp_store(name: &str) -> SnapshotStore {
-    let dir = std::env::temp_dir().join(format!("osr_snap_persist_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("osr_snap_persist_{}_{name}", std::process::id()));
     SnapshotStore::new(dir.join(format!("{name}.bin")))
+}
+
+/// Remove a [`temp_store`]'s directory and everything in it.
+fn remove_temp_store(store: &SnapshotStore) {
+    if let Some(dir) = store.path().parent() {
+        let _ = fs::remove_dir_all(dir);
+    }
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -136,8 +146,8 @@ fn save_load_resave_round_trip_is_byte_identical() {
     // merely 2-periodic).
     let reloaded2 = store2.load().expect("clean second load");
     assert_eq!(encode_model(&reloaded2).unwrap(), first);
-    let _ = fs::remove_file(store.path());
-    let _ = fs::remove_file(store2.path());
+    remove_temp_store(&store);
+    remove_temp_store(&store2);
 }
 
 #[test]
@@ -225,7 +235,7 @@ fn save_is_atomic_and_leaves_no_temp_residue() {
     .expect("cold fit");
     assert!(matches!(store.save(&cold), Err(OsrError::Snapshot(_))));
     assert_eq!(store.load_bytes().unwrap(), before, "failed save touched last-good");
-    let _ = fs::remove_file(store.path());
+    remove_temp_store(&store);
 }
 
 #[test]
@@ -253,7 +263,7 @@ fn replica_fleet_loading_one_snapshot_serves_byte_identical_streams() {
     assert_eq!(streams[0], writer_stream, "replica diverged from the writer model");
 
     check_golden("replica_stream.jsonl", &streams[0]);
-    let _ = fs::remove_file(store.path());
+    remove_temp_store(&store);
 }
 
 #[test]
@@ -287,7 +297,7 @@ fn partitioned_traffic_across_replicas_matches_one_replica_serving_all() {
         assert_eq!(solo_outcome.gamma.to_bits(), full_outcome.gamma.to_bits(), "batch {j}");
         assert_eq!(solo_outcome.alpha.to_bits(), full_outcome.alpha.to_bits(), "batch {j}");
     }
-    let _ = fs::remove_file(store.path());
+    remove_temp_store(&store);
 }
 
 #[test]
@@ -300,5 +310,5 @@ fn snapshot_info_inspection_is_cheap_and_accurate() {
     assert_eq!(inspected.dim, 2);
     assert!(inspected.n_sections >= 6, "config + five posterior sections");
     assert_eq!(inspected.bytes, store.load_bytes().unwrap().len());
-    let _ = fs::remove_file(store.path());
+    remove_temp_store(&store);
 }
