@@ -52,13 +52,10 @@ fn main() {
     let one = delta.counter(osr_stats::counters::PREDICTIVE_ONE_VS_ALL);
     let blk = delta.counter(osr_stats::counters::PREDICTIVE_BATCH_VS_ONE);
     let evals = delta.counter(osr_stats::counters::PREDICTIVE_LOGPDF_CALLS);
-    let hist = delta.histogram(osr_stats::counters::PREDICTIVE_NS);
     println!(
-        "kernels/batch: {:.0} one-vs-all, {:.0} batch-vs-one, {:.0} point evals, \
-         ~{:.3} ms in kernels",
+        "kernels/batch: {:.0} one-vs-all, {:.0} batch-vs-one, {:.0} point evals",
         one as f64 / REPS as f64,
         blk as f64 / REPS as f64,
         evals as f64 / REPS as f64,
-        hist.count as f64 * hist.mean() / REPS as f64 / 1e6,
     );
 }

@@ -156,7 +156,7 @@ impl ServingStats {
     /// ```text
     /// [label] served N batch(es) in S s (B batches/sec), C predictive-logpdf calls, R retries, D degraded
     /// [label] sampler: W sweeps, M seat-moves, sweep time p50≈X µs p99≈Y µs (mean Z µs)
-    /// [label] kernels: A one-vs-all, B batch-vs-one, kernel time p50≈X µs p99≈Y µs (mean Z µs)
+    /// [label] kernels: A one-vs-all, B batch-vs-one
     /// ```
     ///
     /// The fault-tolerance deltas make a run that silently fell back to
@@ -188,14 +188,7 @@ impl ServingStats {
         );
         let one_vs_all = delta.counter(osr_stats::counters::PREDICTIVE_ONE_VS_ALL);
         let batch_vs_one = delta.counter(osr_stats::counters::PREDICTIVE_BATCH_VS_ONE);
-        let kernel_times = delta.histogram(osr_stats::counters::PREDICTIVE_NS);
-        eprintln!(
-            "[{label}] kernels: {one_vs_all} one-vs-all, {batch_vs_one} batch-vs-one, \
-             kernel time p50≈{:.1} µs p99≈{:.1} µs (mean {:.1} µs)",
-            kernel_times.quantile(0.5) as f64 / 1e3,
-            kernel_times.quantile(0.99) as f64 / 1e3,
-            kernel_times.mean() / 1e3,
-        );
+        eprintln!("[{label}] kernels: {one_vs_all} one-vs-all, {batch_vs_one} batch-vs-one");
     }
 }
 

@@ -116,7 +116,7 @@ impl FrozenModel {
             let post = posteriors
                 .entry(dominant)
                 .or_insert_with(|| NiwPosterior::from_prior(params));
-            for p in class_points {
+            for p in class_points.iter() {
                 post.add(p);
             }
             for &(dish, count, _) in &group.subclasses {

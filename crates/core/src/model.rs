@@ -119,12 +119,14 @@ impl HdpOsrConfig {
 /// Under [`ServingMode::WarmStart`] (the default) fitting also runs the
 /// training-only Gibbs burn-in once and checkpoints the converged posterior
 /// behind an [`Arc`], so clones of the model and concurrent batch servers
-/// share a single copy of the warm state.
+/// share a single copy of the warm state. The training groups are held
+/// behind `Arc`s too; a warm model shares them with its checkpoint, so the
+/// training points exist once per model, fitted or loaded from a snapshot.
 #[derive(Debug, Clone)]
 pub struct HdpOsr {
     config: HdpOsrConfig,
     params: NiwParams,
-    classes: Vec<Vec<Vec<f64>>>,
+    classes: Vec<Arc<Vec<Vec<f64>>>>,
     dim: usize,
     warm: Option<Arc<WarmState>>,
 }
@@ -163,12 +165,14 @@ impl HdpOsr {
 
         let nu = dim as f64 + config.nu_offset;
         let params = build_niw_with_jitter(mu0, config.beta, nu, pooled)?;
-        let mut model =
-            Self { config: *config, params, classes: train.classes.clone(), dim, warm: None };
-        if config.serving == ServingMode::WarmStart {
-            model.warm = Some(Arc::new(WarmState::build(&model)?));
-        }
-        Ok(model)
+        let (classes, warm) = match config.serving {
+            ServingMode::WarmStart => {
+                let warm = WarmState::build(&params, config, train.classes.clone())?;
+                (warm.snapshot.shared_groups().to_vec(), Some(Arc::new(warm)))
+            }
+            ServingMode::ColdStart => (train.classes.iter().cloned().map(Arc::new).collect(), None),
+        };
+        Ok(Self { config: *config, params, classes, dim, warm })
     }
 
     /// Feature dimension the model expects.
@@ -187,8 +191,10 @@ impl HdpOsr {
     }
 
     /// The stored per-class training points (needed by the inductive
-    /// [`crate::inductive::FrozenModel`] to rebuild dish posteriors).
-    pub fn classes(&self) -> &[Vec<Vec<f64>>] {
+    /// [`crate::inductive::FrozenModel`] to rebuild dish posteriors). A warm
+    /// model's groups are the checkpoint's own
+    /// ([`PosteriorSnapshot::shared_groups`]), not copies.
+    pub fn classes(&self) -> &[Arc<Vec<Vec<f64>>>] {
         &self.classes
     }
 
@@ -215,16 +221,13 @@ impl HdpOsr {
     }
 
     /// Reassemble a fitted model from durable-snapshot parts: the decoded
-    /// configuration, the training groups recovered from the checkpoint,
-    /// and the rebuilt warm state. Used only by [`crate::SnapshotStore`] —
+    /// configuration and the rebuilt warm state, whose checkpoint's training
+    /// groups the model shares. Used only by [`crate::SnapshotStore`] —
     /// every invariant was revalidated by the snapshot decode path.
-    pub(crate) fn from_snapshot_parts(
-        config: HdpOsrConfig,
-        classes: Vec<Vec<Vec<f64>>>,
-        warm: WarmState,
-    ) -> Self {
+    pub(crate) fn from_snapshot_parts(config: HdpOsrConfig, warm: WarmState) -> Self {
         let params = warm.snapshot.params().clone();
         let dim = params.dim();
+        let classes = warm.snapshot.shared_groups().to_vec();
         Self { config, params, classes, dim, warm: Some(Arc::new(warm)) }
     }
 

@@ -59,6 +59,7 @@ use serde::{Deserialize, Serialize};
 
 use osr_dataset::protocol::TrainSet;
 use osr_hdp::{DishId, GroupSummary, Hdp, PosteriorSnapshot, SweepTrace};
+use osr_stats::NiwParams;
 
 use crate::admission;
 use crate::collective::{
@@ -66,7 +67,7 @@ use crate::collective::{
 };
 use crate::decision::{Associations, ClassifyOutcome, DegradeReason, Prediction, ServedVia};
 use crate::discovery::{estimate_unknown_classes, GroupSubclasses, SubclassReport};
-use crate::model::HdpOsr;
+use crate::model::{HdpOsr, HdpOsrConfig};
 use crate::observability::{batch_trace_id, BatchTrace, FitReport, TraceRecord, TraceSink};
 use crate::{OsrError, Result};
 
@@ -145,21 +146,24 @@ impl WarmState {
     /// checkpoint the converged state, tracing every sweep so the fit ships
     /// with convergence diagnostics. The traced loop consumes the exact RNG
     /// stream of `Hdp::run`, so checkpoints are unchanged by tracing.
-    pub fn build(model: &HdpOsr) -> Result<Self> {
-        let mut hdp = Hdp::new(
-            model.params().clone(),
-            model.config().hdp_config(),
-            model.classes().to_vec(),
-        )?;
-        let mut rng = StdRng::seed_from_u64(model.config().train_seed);
-        let mut trace = Vec::with_capacity(model.config().iterations);
-        for _ in 0..model.config().iterations {
+    /// The checkpoint takes ownership of `classes`; the fitted model then
+    /// shares them through [`PosteriorSnapshot::shared_groups`].
+    pub fn build(
+        params: &NiwParams,
+        config: &HdpOsrConfig,
+        classes: Vec<Vec<Vec<f64>>>,
+    ) -> Result<Self> {
+        let n_classes = classes.len();
+        let mut hdp = Hdp::new(params.clone(), config.hdp_config(), classes)?;
+        let mut rng = StdRng::seed_from_u64(config.train_seed);
+        let mut trace = Vec::with_capacity(config.iterations);
+        for _ in 0..config.iterations {
             trace.push(hdp.sweep_traced(&mut rng));
         }
-        let fit_report = FitReport::from_trace(model.config().train_seed, trace);
+        let fit_report = FitReport::from_trace(config.train_seed, trace);
         let snapshot = hdp.snapshot();
         let (assoc, known_reports) =
-            associate(model.config().varrho, model.n_classes(), |c| snapshot.group_summary(c));
+            associate(config.varrho, n_classes, |c| snapshot.group_summary(c));
         Ok(Self { snapshot, assoc, known_reports, fit_report })
     }
 }
@@ -417,7 +421,7 @@ pub(crate) struct ColdAttempt<'m> {
 
 impl<'m> ColdAttempt<'m> {
     fn start(model: &'m HdpOsr, test: &[Vec<f64>]) -> std::result::Result<Self, AttemptError> {
-        let mut groups = model.classes().to_vec();
+        let mut groups: Vec<Vec<Vec<f64>>> = model.classes().iter().map(|c| c.to_vec()).collect();
         groups.push(test.to_vec());
         let test_group = groups.len() - 1;
         let hdp = Hdp::new(model.params().clone(), model.config().hdp_config(), groups)

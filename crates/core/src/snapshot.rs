@@ -278,14 +278,12 @@ pub fn decode_model(bytes: &[u8]) -> SnapResult<HdpOsr> {
         ));
     }
 
-    let classes: Vec<Vec<Vec<f64>>> =
-        (0..snap.n_groups()).map(|j| snap.group_points(j).to_vec()).collect();
-    if classes.is_empty() {
+    let n_classes = snap.n_groups();
+    if n_classes == 0 {
         return Err(SnapshotError::Malformed(
             "checkpoint holds no training groups".to_string(),
         ));
     }
-    let n_classes = classes.len();
     let (assoc, known_reports) =
         serving::associate(config.varrho, n_classes, |c| snap.group_summary(c));
     // The fit-time sweep trace is observability, not serving state; a
@@ -293,7 +291,7 @@ pub fn decode_model(bytes: &[u8]) -> SnapResult<HdpOsr> {
     // defined on empty traces) while serving bit-identically.
     let fit_report = FitReport::from_trace(config.train_seed, Vec::new());
     let warm = WarmState { snapshot: snap, assoc, known_reports, fit_report };
-    Ok(HdpOsr::from_snapshot_parts(config, classes, warm))
+    Ok(HdpOsr::from_snapshot_parts(config, warm))
 }
 
 fn encode_config(config: &HdpOsrConfig, enc: &mut Enc) {
@@ -443,6 +441,17 @@ mod tests {
         // Re-saving the reloaded model reproduces the file byte-for-byte.
         let original = store.load_bytes().unwrap();
         assert_eq!(encode_model(&reloaded).unwrap(), original);
+
+        // Fitted and loaded models alike hold their training points once:
+        // each class is the checkpoint's own group, not a copy of it.
+        for (name, m) in [("fitted", &model), ("loaded", &reloaded)] {
+            let groups = m.snapshot().unwrap().shared_groups();
+            assert_eq!(m.classes().len(), groups.len());
+            for (j, (class, group)) in m.classes().iter().zip(groups).enumerate() {
+                assert!(std::sync::Arc::ptr_eq(class, group), "{name} class {j} is a copy");
+            }
+        }
+        assert_eq!(reloaded.classes(), model.classes());
 
         // And the reloaded model serves bit-identically to the original.
         let a = model.classify_detailed(&test, &mut StdRng::seed_from_u64(5)).unwrap();

@@ -97,14 +97,12 @@ impl PosteriorSnapshot {
         self.state.dish_of(group, item)
     }
 
-    /// The observations of training group `group` (one row per item) — lets
-    /// a consumer reconstruct its per-class training data from a durable
-    /// checkpoint alone.
-    ///
-    /// # Panics
-    /// Panics when `group` is out of range.
-    pub fn group_points(&self, group: usize) -> &[Vec<f64>] {
-        &self.state.groups[group]
+    /// The observations of every training group (one row per item), behind
+    /// the `Arc`s the checkpoint itself holds — lets a consumer share its
+    /// per-class training data with the checkpoint instead of copying it,
+    /// including after a durable load.
+    pub fn shared_groups(&self) -> &[Arc<Vec<Vec<f64>>>] {
+        &self.state.groups
     }
 
     /// Per-dish item counts within one group, sorted by descending count.

@@ -1,5 +1,5 @@
 //! `predictive-no-alloc`: keep the dish bank's fused predictive kernels
-//! allocation-free.
+//! allocation-free and clock-free.
 //!
 //! The whole point of the struct-of-arrays posterior layout is that the hot
 //! kernels — `score_all`/`score_prior` (one observation vs. every dish),
@@ -12,13 +12,19 @@
 //! function bodies (and only there — slower convenience wrappers in the same
 //! file may allocate freely).
 //!
-//! A genuinely justified allocation (none is expected) takes the standard
-//! `// osr-lint: allow(predictive-no-alloc, reason)` pragma.
+//! The same scan flags clock reads (`Instant::now`, `SystemTime::now`): a
+//! per-call timestamp pair costs a measurable share of a short sweep, so
+//! kernel time is measured by `benches/predictive.rs` and sweep time by the
+//! sampler's `SweepTrace.wall_ns`, never inside a kernel.
+//!
+//! A genuinely justified allocation or clock read (none is expected) takes
+//! the standard `// osr-lint: allow(predictive-no-alloc, reason)` pragma.
 //!
 //! Detection: brace-depth tracking from each `fn <kernel>` line to its
 //! closing brace, over scanner-blanked code (strings and comments never
-//! false-positive). Allocation tokens are matched with identifier-boundary
-//! checks so e.g. `non_vec_fn()` or `reclone_id` never trip it.
+//! false-positive). Tokens are matched with identifier-boundary checks so
+//! e.g. `non_vec_fn()` or `reclone_id` never trip it; a clock read counts
+//! under any path prefix (`std::time::Instant::now()` included).
 
 use crate::diagnostics::Diagnostic;
 use crate::scanner::ScannedFile;
@@ -50,7 +56,12 @@ const ALLOC_TOKENS: &[(&str, bool)] = &[
     ("collect", true),
 ];
 
-/// Flag allocation tokens inside the predictive kernel bodies of `path`.
+/// Clock reads banned inside the kernels, matched after any `::` path
+/// prefix.
+const CLOCK_TOKENS: &[&str] = &["Instant::now", "SystemTime::now"];
+
+/// Flag allocation tokens and clock reads inside the predictive kernel
+/// bodies of `path`.
 pub fn check(path: &str, file: &ScannedFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut depth_into_kernel: Option<i32> = None;
@@ -67,16 +78,27 @@ pub fn check(path: &str, file: &ScannedFile) -> Vec<Diagnostic> {
             depth_into_kernel = Some(depth);
         }
         if depth_into_kernel.is_some() {
-            if let Some(tok) = first_alloc_token(code) {
+            let message = if let Some(tok) = first_alloc_token(code) {
+                Some(format!(
+                    "`{tok}` allocates inside a fused predictive kernel; use the \
+                     caller-provided scratch / bank-owned buffers, or document why \
+                     with an allow pragma"
+                ))
+            } else {
+                first_clock_token(code).map(|tok| {
+                    format!(
+                        "`{tok}` reads the clock inside a fused predictive kernel; time \
+                         kernels in benches/predictive.rs and sweeps via \
+                         SweepTrace.wall_ns, or document why with an allow pragma"
+                    )
+                })
+            };
+            if let Some(message) = message {
                 out.push(Diagnostic {
                     rule: "predictive-no-alloc".to_string(),
                     file: path.to_string(),
                     line: idx + 1,
-                    message: format!(
-                        "`{tok}` allocates inside a fused predictive kernel; use the \
-                         caller-provided scratch / bank-owned buffers, or document why \
-                         with an allow pragma"
-                    ),
+                    message,
                 });
             }
         }
@@ -155,6 +177,21 @@ fn first_alloc_token(code: &str) -> Option<&'static str> {
     None
 }
 
+/// First banned clock read on the line, if any: the token must not extend
+/// an identifier on either side (`MyInstant::now` and `Instant::nowish` are
+/// other functions), but may follow a `::` path prefix.
+fn first_clock_token(code: &str) -> Option<&'static str> {
+    let bytes = code.as_bytes();
+    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    CLOCK_TOKENS.iter().copied().find(|needle| {
+        code.match_indices(needle).any(|(start, _)| {
+            let end = start + needle.len();
+            (start == 0 || !is_ident(bytes[start - 1]))
+                && bytes.get(end).is_none_or(|&b| !is_ident(b))
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +224,34 @@ impl DishBank {
             );
             assert_eq!(lint(&src).len(), 1, "should flag `{tok}`");
         }
+    }
+
+    #[test]
+    fn flags_clock_reads_in_kernel_bodies() {
+        for read in [
+            "std::time::Instant::now()",
+            "Instant::now()",
+            "std::time::SystemTime::now()",
+            "SystemTime::now()",
+        ] {
+            let src = format!("fn score_prior() {{\n    let t = {read};\n}}\n");
+            let d = lint(&src);
+            assert_eq!(d.len(), 1, "should flag `{read}`");
+            assert_eq!(d[0].line, 2);
+            assert!(d[0].message.contains("reads the clock"), "{}", d[0].message);
+        }
+        let near_misses = "\
+fn block_predictive_stats() {
+    let a = MyInstant::now();
+    let b = Instant::nowish();
+    let _ = (a, b);
+}
+fn timed_wrapper() {
+    let t = std::time::Instant::now();
+    let _ = t;
+}
+";
+        assert!(lint(near_misses).is_empty(), "near-miss names and non-kernels are clean");
     }
 
     #[test]

@@ -718,7 +718,6 @@ impl DishBank {
     /// Panics when `x` does not have length `d` or `scratch` does not have
     /// length `slots.len() × d`.
     pub fn score_all(&self, slots: &[Slot], x: &[f64], scratch: &mut [f64], out: &mut Vec<f64>) {
-        let started = std::time::Instant::now();
         let d = self.d;
         assert_eq!(x.len(), d, "DishBank::score_all: dimension mismatch");
         assert_eq!(
@@ -750,10 +749,7 @@ impl DishBank {
             let df = self.df[slot];
             out.push(self.base[slot] - self.half_df_dd[slot] * (1.0 + maha / df).ln());
         }
-        crate::counters::record_predictive_one_vs_all(
-            slots.len() as u64,
-            started.elapsed().as_nanos() as u64,
-        );
+        crate::counters::record_predictive_one_vs_all(slots.len() as u64);
     }
 
     /// Predictive log-density of `x` under the **base measure** (a dish that
@@ -765,13 +761,12 @@ impl DishBank {
     /// # Panics
     /// Panics when `x` or `scratch` do not have length `d`.
     pub fn score_prior(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
-        let started = std::time::Instant::now();
         assert_eq!(x.len(), self.d, "DishBank::score_prior: dimension mismatch");
         assert_eq!(scratch.len(), self.d, "DishBank::score_prior: scratch length mismatch");
         fused_solve_lower_cols(&self.prior_chol, x, &self.prior_mu, scratch);
         let maha = vector::dot(scratch, scratch) / self.prior_exp_ls;
         let lp = self.prior_base - self.prior_half_df_dd * (1.0 + maha / self.prior_df).ln();
-        crate::counters::record_predictive_one_vs_all(1, started.elapsed().as_nanos() as u64);
+        crate::counters::record_predictive_one_vs_all(1);
         lp
     }
 
@@ -823,12 +818,8 @@ impl DishBank {
     /// scale fails to factor, which only non-finite posterior state can
     /// cause.
     pub fn block_predictive_stats(&mut self, slot: Slot, stats: &BlockStats) -> f64 {
-        let started = std::time::Instant::now();
         if stats.m == 0 {
-            crate::counters::record_predictive_batch_vs_one(
-                0,
-                started.elapsed().as_nanos() as u64,
-            );
+            crate::counters::record_predictive_batch_vs_one(0);
             return 0.0;
         }
         let d = self.d;
@@ -847,10 +838,7 @@ impl DishBank {
             &mut self.scratch_dir,
             &mut self.scratch_a,
         );
-        crate::counters::record_predictive_batch_vs_one(
-            stats.m as u64,
-            started.elapsed().as_nanos() as u64,
-        );
+        crate::counters::record_predictive_batch_vs_one(stats.m as u64);
         lp
     }
 
@@ -859,12 +847,8 @@ impl DishBank {
     /// [`block_predictive_stats`](Self::block_predictive_stats) on a dish
     /// that absorbed nothing, without materializing one.
     pub fn block_predictive_prior(&mut self, stats: &BlockStats) -> f64 {
-        let started = std::time::Instant::now();
         if stats.m == 0 {
-            crate::counters::record_predictive_batch_vs_one(
-                0,
-                started.elapsed().as_nanos() as u64,
-            );
+            crate::counters::record_predictive_batch_vs_one(0);
             return 0.0;
         }
         self.ensure_ln_gamma_nu(stats.m + self.d);
@@ -881,10 +865,7 @@ impl DishBank {
             &mut self.scratch_dir,
             &mut self.scratch_a,
         );
-        crate::counters::record_predictive_batch_vs_one(
-            stats.m as u64,
-            started.elapsed().as_nanos() as u64,
-        );
+        crate::counters::record_predictive_batch_vs_one(stats.m as u64);
         lp
     }
 

@@ -20,7 +20,7 @@
 
 use std::sync::OnceLock;
 
-use crate::metrics::{global, Counter, Gauge, Histogram};
+use crate::metrics::{global, Counter, Gauge};
 
 /// Registry name of the posterior-predictive evaluation counter.
 pub const PREDICTIVE_LOGPDF_CALLS: &str = "stats.predictive_logpdf_calls";
@@ -30,9 +30,6 @@ pub const PREDICTIVE_ONE_VS_ALL: &str = "stats.predictive_one_vs_all";
 /// Registry name of the batched-observations-vs-one-dish kernel counter
 /// (block predictives in the table dish-resampling step).
 pub const PREDICTIVE_BATCH_VS_ONE: &str = "stats.predictive_batch_vs_one";
-/// Registry name of the predictive-kernel latency histogram (nanoseconds
-/// per fused kernel invocation, both kernel shapes pooled).
-pub const PREDICTIVE_NS: &str = "stats.predictive_ns";
 /// Registry name of the serve-retry counter.
 pub const SERVE_RETRIES: &str = "serving.retries";
 /// Registry name of the degraded-batch counter.
@@ -88,11 +85,6 @@ fn one_vs_all_handle() -> &'static Counter {
 fn batch_vs_one_handle() -> &'static Counter {
     static CELL: OnceLock<Counter> = OnceLock::new();
     handle(&CELL, PREDICTIVE_BATCH_VS_ONE)
-}
-
-fn predictive_ns_handle() -> &'static Histogram {
-    static CELL: OnceLock<Histogram> = OnceLock::new();
-    CELL.get_or_init(|| global().histogram(PREDICTIVE_NS))
 }
 
 fn retries_handle() -> &'static Counter {
@@ -171,24 +163,24 @@ pub fn predictive_logpdf_calls() -> u64 {
 }
 
 /// Record one one-vs-all kernel invocation that scored `dishes` dishes:
-/// bumps the kernel counter, folds the per-dish evaluations into the legacy
-/// predictive-call total (so the machine-independent unit of work stays
-/// comparable across layouts), and files the kernel wall time.
+/// bumps the kernel counter and folds the per-dish evaluations into the
+/// legacy predictive-call total (so the machine-independent unit of work
+/// stays comparable across layouts). No clock is read: kernel time is
+/// measured by the `predictive` bench, sweep time by the sampler's sweep
+/// trace.
 #[inline]
-pub(crate) fn record_predictive_one_vs_all(dishes: u64, elapsed_ns: u64) {
+pub(crate) fn record_predictive_one_vs_all(dishes: u64) {
     one_vs_all_handle().inc();
     predictive_handle().add(dishes);
-    predictive_ns_handle().record(elapsed_ns);
 }
 
 /// Record one batch-vs-one kernel invocation that evaluated `points`
 /// observations against a single dish (see
 /// [`record_predictive_one_vs_all`] for the accounting contract).
 #[inline]
-pub(crate) fn record_predictive_batch_vs_one(points: u64, elapsed_ns: u64) {
+pub(crate) fn record_predictive_batch_vs_one(points: u64) {
     batch_vs_one_handle().inc();
     predictive_handle().add(points);
-    predictive_ns_handle().record(elapsed_ns);
 }
 
 /// Total one-vs-all kernel invocations since process start.
@@ -392,13 +384,12 @@ mod tests {
     #[test]
     fn kernel_records_split_by_shape_and_feed_the_legacy_total() {
         let before = global().snapshot();
-        record_predictive_one_vs_all(7, 1_500);
-        record_predictive_batch_vs_one(3, 900);
+        record_predictive_one_vs_all(7);
+        record_predictive_batch_vs_one(3);
         let delta = global().snapshot().delta_since(&before);
         assert!(delta.counter(PREDICTIVE_ONE_VS_ALL) >= 1);
         assert!(delta.counter(PREDICTIVE_BATCH_VS_ONE) >= 1);
         // Per-evaluation units flow into the legacy machine-independent total.
         assert!(delta.counter(PREDICTIVE_LOGPDF_CALLS) >= 10);
-        assert!(delta.histogram(PREDICTIVE_NS).count >= 2);
     }
 }
