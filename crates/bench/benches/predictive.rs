@@ -7,7 +7,11 @@
 //! * **one-vs-all** — score a single observation under every live dish
 //!   (the collective-decision scoring loop);
 //! * **batch-vs-one** — the chain-rule joint predictive of a block under one
-//!   dish (the Eq. 8 table-dish resampling factor).
+//!   dish (the Eq. 8 table-dish resampling factor), at block sizes 1, 2, 4
+//!   and 8. Most Eq. 8 tables hold four points or fewer, which the bank
+//!   scores through the determinant lemma on the dish's maintained factor
+//!   (up to 4 points at `d = 16`, 11 at `d = 39`); larger blocks take a fresh
+//!   factorization of the updated scale.
 //!
 //! Per-iteration medians and the banked/scalar speedups are written to
 //! `BENCH_predictive.json` at the repository root.
@@ -28,8 +32,8 @@ use std::hint::black_box;
 const DISHES: usize = 12;
 /// Observations absorbed per dish before measuring.
 const OBS_PER_DISH: usize = 30;
-/// Block size for the batch-vs-one kernel (a typical table occupancy).
-const BLOCK: usize = 8;
+/// Block sizes for the batch-vs-one kernel (table occupancies).
+const BLOCKS: [usize; 4] = [1, 2, 4, 8];
 const SAMPLES: usize = 2_000;
 const SEED: u64 = 42;
 
@@ -41,14 +45,20 @@ struct KernelStats {
     samples: usize,
 }
 
+/// The batch-vs-one kernel at one block size.
+#[derive(Serialize)]
+struct BlockReport {
+    block: usize,
+    kernel: KernelStats,
+}
+
 #[derive(Serialize)]
 struct DimReport {
     dim: usize,
     dishes: usize,
     obs_per_dish: usize,
-    block: usize,
     one_vs_all: KernelStats,
-    batch_vs_one: KernelStats,
+    batch_vs_one_by_block: Vec<BlockReport>,
 }
 
 #[derive(Serialize)]
@@ -102,26 +112,14 @@ fn bench_dim(dim: usize) -> DimReport {
         legacy.push(post);
     }
     let probe = vec![0.3; dim];
-    let block: Vec<Vec<f64>> = (0..BLOCK)
-        .map(|_| (0..dim).map(|_| sampling::standard_normal(&mut rng)).collect())
-        .collect();
-    let refs: Vec<&[f64]> = block.iter().map(Vec::as_slice).collect();
 
-    // Sanity: the one-vs-all kernel agrees with the scalars bit-for-bit;
-    // the block kernel (marginal-likelihood ratio, see DESIGN.md) agrees
-    // with the chain rule to rounding.
+    // Sanity: the one-vs-all kernel agrees with the scalars bit-for-bit.
     let mut scratch = vec![0.0; DISHES * dim];
     let mut scores = Vec::with_capacity(DISHES);
     bank.score_all(&slots, &probe, &mut scratch, &mut scores);
     for (got, post) in scores.iter().zip(&legacy) {
         assert_eq!(got.to_bits(), post.predictive_logpdf(&probe).to_bits());
     }
-    let banked_lp = bank.block_predictive(slots[0], &refs);
-    let chain_lp = legacy[0].clone().block_predictive_logpdf(&refs);
-    assert!(
-        (banked_lp - chain_lp).abs() <= 1e-9 * chain_lp.abs().max(1.0),
-        "ratio kernel {banked_lp} strayed from chain rule {chain_lp}"
-    );
 
     let scalar_all = measure(SAMPLES, |b| {
         b.iter(|| {
@@ -140,20 +138,37 @@ fn bench_dim(dim: usize) -> DimReport {
         })
     });
 
-    let scalar_block = measure(SAMPLES, |b| {
-        b.iter(|| legacy[0].clone().block_predictive_logpdf(black_box(&refs)))
-    });
-    let banked_block = measure(SAMPLES, |b| {
-        b.iter(|| bank.block_predictive(black_box(slots[0]), black_box(&refs)))
-    });
+    let batch_vs_one_by_block = BLOCKS
+        .iter()
+        .map(|&size| {
+            let block: Vec<Vec<f64>> = (0..size)
+                .map(|_| (0..dim).map(|_| sampling::standard_normal(&mut rng)).collect())
+                .collect();
+            let refs: Vec<&[f64]> = block.iter().map(Vec::as_slice).collect();
+            // Sanity: the block kernel (marginal-likelihood ratio, see
+            // DESIGN.md) agrees with the chain rule to rounding.
+            let banked_lp = bank.block_predictive(slots[0], &refs);
+            let chain_lp = legacy[0].clone().block_predictive_logpdf(&refs);
+            assert!(
+                (banked_lp - chain_lp).abs() <= 1e-9 * chain_lp.abs().max(1.0),
+                "block {size}: ratio kernel {banked_lp} strayed from chain rule {chain_lp}"
+            );
+            let scalar = measure(SAMPLES, |b| {
+                b.iter(|| legacy[0].clone().block_predictive_logpdf(black_box(&refs)))
+            });
+            let banked = measure(SAMPLES, |b| {
+                b.iter(|| bank.block_predictive(black_box(slots[0]), black_box(&refs)))
+            });
+            BlockReport { block: size, kernel: kernel_stats(scalar, banked) }
+        })
+        .collect();
 
     DimReport {
         dim,
         dishes: DISHES,
         obs_per_dish: OBS_PER_DISH,
-        block: BLOCK,
         one_vs_all: kernel_stats(scalar_all, banked_all),
-        batch_vs_one: kernel_stats(scalar_block, banked_block),
+        batch_vs_one_by_block,
     }
 }
 
@@ -161,16 +176,19 @@ fn main() {
     let report = Report { seed: SEED, dims: [16, 39].into_iter().map(bench_dim).collect() };
     for d in &report.dims {
         eprintln!(
-            "d={:>2}: one-vs-all {:>8.0} ns -> {:>8.0} ns ({:.2}x), \
-             batch-vs-one {:>8.0} ns -> {:>8.0} ns ({:.2}x)",
+            "d={:>2}: one-vs-all {:>8.0} ns -> {:>8.0} ns ({:.2}x)",
             d.dim,
             d.one_vs_all.scalar_median_ns,
             d.one_vs_all.banked_median_ns,
             d.one_vs_all.speedup_median,
-            d.batch_vs_one.scalar_median_ns,
-            d.batch_vs_one.banked_median_ns,
-            d.batch_vs_one.speedup_median,
         );
+        for b in &d.batch_vs_one_by_block {
+            let k = &b.kernel;
+            eprintln!(
+                "      batch-vs-one m={}: {:>8.0} ns -> {:>8.0} ns ({:.2}x)",
+                b.block, k.scalar_median_ns, k.banked_median_ns, k.speedup_median,
+            );
+        }
     }
     let json = serde_json::to_string_pretty(&report).expect("serializable report");
     println!("{json}");

@@ -260,7 +260,7 @@ impl HdpState {
     /// Joint log marginal likelihood of all data given the current seating
     /// (sum of per-dish closed-form marginals) — a convergence diagnostic.
     pub fn joint_log_likelihood(&self) -> f64 {
-        self.live_dishes().map(|(_, d)| self.bank.log_marginal(d.slot, &self.params)).sum()
+        self.live_dishes().map(|(_, d)| self.bank.log_marginal(d.slot)).sum()
     }
 
     /// Exhaustive O(n) consistency audit; used by tests after every sweep.

@@ -3,9 +3,10 @@
 //!
 //! The whole point of the struct-of-arrays posterior layout is that the hot
 //! kernels — `score_all`/`score_prior` (one observation vs. every dish),
-//! the `block_predictive*` family (a batch vs. one dish), and the rank-m
-//! `attach_block`/`detach_block` state updates — run on caller-provided or
-//! bank-owned scratch. A stray `Vec::new()`, `vec![...]`, `.clone()`,
+//! the `block_predictive*` family (a batch vs. one dish) with its
+//! determinant-lemma helpers `lowrank_log_det`/`fill_helmert`, and the
+//! rank-m `attach_block`/`detach_block` state updates — run on
+//! caller-provided or bank-owned scratch. A stray `Vec::new()`, `vec![...]`, `.clone()`,
 //! `.to_vec()` or `.collect()` inside either kernel silently reintroduces
 //! the per-evaluation heap traffic the refactor removed, and nothing in the
 //! type system would catch it. This rule bans those tokens inside the kernel
@@ -30,14 +31,18 @@ use crate::diagnostics::Diagnostic;
 use crate::scanner::ScannedFile;
 
 /// The hot kernel functions that must stay allocation-free: the two fused
-/// predictive shapes (plus their shared-stats and prior entry points) and
-/// the rank-m block attach/detach that the table-dish move runs per sweep.
+/// predictive shapes (plus their shared-stats and prior entry points), the
+/// block kernel's determinant-lemma helpers (the low-rank log-determinant
+/// and the Helmert columns it consumes), and the rank-m block
+/// attach/detach that the table-dish move runs per sweep.
 const KERNEL_FNS: &[&str] = &[
     "score_all",
     "score_prior",
     "block_predictive",
     "block_predictive_stats",
     "block_predictive_prior",
+    "lowrank_log_det",
+    "fill_helmert",
     "attach_block",
     "detach_block",
     "compute_block_stats",

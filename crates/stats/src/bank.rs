@@ -31,7 +31,7 @@
 //! ([`CountConstants`]); scoring reduces to the fused solve, a sequential
 //! squared norm, and a single `ln`.
 //!
-//! # The two kernels and their numerics contracts
+//! # The kernels and their numerics contracts
 //!
 //! **One observation vs. all dishes** ([`score_all`](DishBank::score_all),
 //! plus the base-measure companion [`score_prior`](DishBank::score_prior)):
@@ -70,6 +70,33 @@
 //! note). Determinism is preserved: the result is a pure function of the
 //! posterior state and the block, with fixed accumulation order everywhere.
 //!
+//! **Small blocks through the determinant lemma.** Most Eq. 8 tables hold
+//! a handful of points, and for those the fresh `d × d` factorization of
+//! `Ψ_{n+m}` is most of a candidate's cost. Writing `S` as a sum of
+//! Helmert outer products `Σ h_k h_k'` (`h_k = √(k/(k+1))·(mean(x₁..x_k) −
+//! x_{k+1})`, one Welford step each) makes the update low-rank,
+//! `Ψ_{n+m} = Ψₙ + UU'` with `U = [√c·δ, h₁ … h_{m−1}]`, and the lemma
+//!
+//! ```text
+//! ln |Ψₙ + UU'| = ln |Ψₙ| + ln |I_m + W'W|,   W = Lₙ⁻¹ U
+//! ```
+//!
+//! reads it off the factor `Lₙ` the bank already maintains: `m` forward
+//! solves (interleaved like `score_all`), an `m × m` Gram and its Cholesky.
+//! [`compute_block_stats`](DishBank::compute_block_stats) fills the Helmert
+//! columns once per block when `m(d²/2 + d) + m²d/2 + m³/6 < d³/6 + d²`
+//! (`m ≤ 4` at `d = 16`, `m ≤ 11` at `d = 39`, never at `d = 1`), and every
+//! candidate plus the prior shares them; larger blocks keep the fresh
+//! factorization above. The two paths compute the same real number from
+//! different state (the maintained factor vs. the maintained `Ψₙ`), so
+//! they agree to rounding — within 1e-10 relative across `d ∈ {2, 5, 16,
+//! 39}` and `m` up to one past the rule, unit-tested here — and
+//! neither is bit-identical to the other. Only the low bits of Eq. 8
+//! scores move: the rank-m attach/detach and every other state update are
+//! untouched, so a draw that lands as before leaves bit-identical dish
+//! states, log-likelihoods and snapshot bytes (the committed goldens did
+//! not move).
+//!
 //! Slots are dense and reused through a free-list; the sampler's stable,
 //! monotone `DishId`s live one layer up (`osr-hdp`) and map onto slots, so
 //! retirement never moves another dish's data.
@@ -104,6 +131,12 @@ pub struct BlockStats {
     pub scatter: Vec<f64>,
     /// Internal centering scratch, length `d`.
     dev: Vec<f64>,
+    /// Helmert columns `h_k = √(k/(k+1))·(mean(x₁..x_k) − x_{k+1})`,
+    /// `k = 1..m−1`, as `m − 1` contiguous `d`-lanes (`S = Σ h_k h_k'`).
+    /// Filled only for blocks small enough for the determinant-lemma path.
+    helmert: Vec<f64>,
+    /// The block size `helmert` was filled for; 0 when it was not filled.
+    helmert_m: usize,
 }
 
 impl BlockStats {
@@ -114,8 +147,21 @@ impl BlockStats {
             xbar: vec![0.0; d],
             scatter: vec![0.0; d * (d + 1) / 2],
             dev: vec![0.0; d],
+            helmert: vec![0.0; lemma_max_m(d).saturating_sub(1) * d],
+            helmert_m: 0,
         }
     }
+}
+
+/// Largest block size whose Eq. 8 scoring takes the determinant-lemma path:
+/// the largest `m` with `m(d²/2 + d) + m²d/2 + m³/6 < d³/6 + d²` — `m`
+/// forward solves, the `m × m` Gram and its Cholesky against one fresh
+/// factorization of the updated scale — evaluated exactly in integers (both
+/// sides × 6). It is 4 at `d = 16`, 11 at `d = 39` and 0 at `d = 1`.
+fn lemma_max_m(d: usize) -> usize {
+    let lemma = |m: usize| m * (3 * d * d + 6 * d) + 3 * m * m * d + m * m * m;
+    let fresh = d * d * d + 6 * d * d;
+    (1..).take_while(|&m| lemma(m) < fresh).last().unwrap_or(0)
 }
 
 /// Struct-of-arrays storage for every live dish's NIW posterior plus the
@@ -140,6 +186,13 @@ pub struct DishBank {
     prior_half_df_dd: f64,
     prior_exp_ls: f64,
     prior_base: f64,
+    // Prior terms of the closed-form log marginal likelihood.
+    /// `ln Γ_d(ν₀/2)`.
+    prior_ln_multigamma: f64,
+    /// `(ν₀/2) ln |Ψ₀|`.
+    prior_half_nu_log_det: f64,
+    /// `ln κ₀`.
+    prior_ln_kappa: f64,
 
     // Per-slot posterior state (SoA).
     n: Vec<usize>,
@@ -188,6 +241,13 @@ pub struct DishBank {
     scratch_w: Vec<f64>,
     /// Rank-m updated scale `Ψ_{n+m}` workspace for the block kernel.
     scratch_a: Vec<f64>,
+    /// Largest block the block kernel scores by the determinant lemma
+    /// ([`lemma_max_m`] of `d`).
+    lemma_m: usize,
+    /// `W = Lₙ⁻¹U` lanes of the determinant-lemma path, `lemma_m × d`.
+    scratch_lw: Vec<f64>,
+    /// Packed `I + W'W` Gram of the determinant-lemma path.
+    scratch_gram: Vec<f64>,
     /// Factorization workspace for the rank-m attach/detach state updates.
     scratch_f: Vec<f64>,
     /// Block-stats workspace backing the allocation-free
@@ -220,6 +280,8 @@ struct CountConstants {
     els: f64,
     /// `exp(ln c)`.
     exp_ls: f64,
+    /// `ln Γ_d(ν/2)`, the log marginal likelihood's posterior term.
+    ln_multigamma_nu: f64,
 }
 
 impl CountConstants {
@@ -232,6 +294,7 @@ impl CountConstants {
         ln_pi_df: 0.0,
         els: 0.0,
         exp_ls: 0.0,
+        ln_multigamma_nu: 0.0,
     };
 }
 
@@ -272,6 +335,7 @@ impl DishBank {
             - ln_gamma(df / 2.0)
             - 0.5 * dd * (df * std::f64::consts::PI).ln()
             - 0.5 * log_det;
+        let lemma_m = lemma_max_m(d);
         Self {
             d,
             tri,
@@ -285,6 +349,9 @@ impl DishBank {
             prior_half_df_dd: 0.5 * (df + dd),
             prior_exp_ls: els.exp(),
             prior_base,
+            prior_ln_multigamma: ln_multigamma(d, params.nu0 / 2.0),
+            prior_half_nu_log_det: (params.nu0 / 2.0) * params.log_det_psi0(),
+            prior_ln_kappa: params.kappa0.ln(),
             n: Vec::new(),
             kappa: Vec::new(),
             nu: Vec::new(),
@@ -304,6 +371,9 @@ impl DishBank {
             scratch_mu: vec![0.0; d],
             scratch_w: vec![0.0; d],
             scratch_a: vec![0.0; tri],
+            lemma_m,
+            scratch_lw: vec![0.0; lemma_m * d],
+            scratch_gram: vec![0.0; lemma_m * (lemma_m + 1) / 2],
             scratch_f: vec![0.0; tri],
             scratch_stats: BlockStats::new(d),
         }
@@ -677,6 +747,7 @@ impl DishBank {
                 ln_pi_df: (df * std::f64::consts::PI).ln(),
                 els,
                 exp_ls: els.exp(),
+                ln_multigamma_nu: ln_multigamma(d, nu / 2.0),
             };
         }
         let consts = self.count_cache[n];
@@ -771,10 +842,11 @@ impl DishBank {
     }
 
     /// Reduce a block of observations to the dish-independent sufficient
-    /// statistics `(m, x̄, S)` the batch-vs-one kernel consumes. O(m·d²),
-    /// paid **once per block** no matter how many candidate dishes are then
-    /// scored against it. Reuses the buffers inside `stats` (growing them on
-    /// first use).
+    /// statistics `(m, x̄, S)` the batch-vs-one kernel consumes — plus, for
+    /// blocks within the determinant-lemma rule (module docs), the Helmert
+    /// columns of `S`. O(m·d²), paid **once per block** no matter how many
+    /// candidate dishes are then scored against it. Reuses the buffers
+    /// inside `stats` (growing them on first use).
     ///
     /// # Panics
     /// Panics when any point's dimension mismatches the bank's.
@@ -787,6 +859,7 @@ impl DishBank {
         stats.scatter.resize(self.tri, 0.0);
         stats.dev.clear();
         stats.dev.resize(d, 0.0);
+        stats.helmert_m = 0;
         if points.is_empty() {
             return;
         }
@@ -806,13 +879,23 @@ impl DishBank {
             }
             packed_syr(&mut stats.scatter, d, 1.0, &stats.dev);
         }
+        if points.len() <= self.lemma_m {
+            let len = (points.len() - 1) * d;
+            if stats.helmert.len() < len {
+                stats.helmert.resize(len, 0.0);
+            }
+            fill_helmert(points, &mut stats.dev, &mut stats.helmert[..len]);
+            stats.helmert_m = points.len();
+        }
     }
 
     /// **Hot kernel 2 — a batch of observations vs. one dish**: the joint
     /// predictive of the block summarized by `stats` under the dish at
-    /// `slot`, evaluated as a closed-form marginal-likelihood ratio (one
+    /// `slot`, evaluated as a closed-form marginal-likelihood ratio (the
+    /// determinant lemma on the slot's factor for small blocks, else one
     /// O(d³/3) Cholesky of the rank-m updated scale — see the module docs
-    /// for the formula and the numerics note). Leaves the slot untouched.
+    /// for the formula, the rule, and the numerics note). Leaves the slot
+    /// untouched.
     ///
     /// Returns `-inf` (and poisons the divergence flag) when the updated
     /// scale fails to factor, which only non-finite posterior state can
@@ -825,18 +908,24 @@ impl DishBank {
         let d = self.d;
         let n = self.n[slot];
         self.ensure_ln_gamma_nu(n + stats.m + d);
+        let post = Posterior {
+            psi: &self.psi[slot * self.tri..(slot + 1) * self.tri],
+            chol: &self.chol[slot * self.tri..(slot + 1) * self.tri],
+            mu: &self.mu[slot * d..(slot + 1) * d],
+            kappa: self.kappa[slot],
+            nu: self.nu[slot],
+            n,
+            log_det: self.log_det_chol[slot],
+        };
         let lp = block_ratio(
             d,
-            &self.psi[slot * self.tri..(slot + 1) * self.tri],
-            &self.mu[slot * d..(slot + 1) * d],
-            self.kappa[slot],
-            self.nu[slot],
-            n,
-            self.log_det_chol[slot],
+            post,
             stats,
             &self.ln_gamma_nu,
             &mut self.scratch_dir,
             &mut self.scratch_a,
+            &mut self.scratch_lw,
+            &mut self.scratch_gram,
         );
         crate::counters::record_predictive_batch_vs_one(stats.m as u64);
         lp
@@ -852,18 +941,24 @@ impl DishBank {
             return 0.0;
         }
         self.ensure_ln_gamma_nu(stats.m + self.d);
+        let post = Posterior {
+            psi: &self.prior_psi,
+            chol: &self.prior_chol,
+            mu: &self.prior_mu,
+            kappa: self.prior_kappa,
+            nu: self.prior_nu,
+            n: 0,
+            log_det: self.prior_log_det,
+        };
         let lp = block_ratio(
             self.d,
-            &self.prior_psi,
-            &self.prior_mu,
-            self.prior_kappa,
-            self.prior_nu,
-            0,
-            self.prior_log_det,
+            post,
             stats,
             &self.ln_gamma_nu,
             &mut self.scratch_dir,
             &mut self.scratch_a,
+            &mut self.scratch_lw,
+            &mut self.scratch_gram,
         );
         crate::counters::record_predictive_batch_vs_one(stats.m as u64);
         lp
@@ -1007,48 +1102,79 @@ impl DishBank {
     }
 
     /// Closed-form log marginal likelihood of the `n` points absorbed by
-    /// `slot` under the prior `params` — the banked
-    /// [`crate::NiwPosterior::log_marginal`].
-    pub fn log_marginal(&self, slot: Slot, params: &NiwParams) -> f64 {
+    /// `slot` under the bank's prior — the banked
+    /// [`crate::NiwPosterior::log_marginal`], bit for bit. The prior terms
+    /// are cached at construction and `ln Γ_d(νₙ/2)` in the count lattice
+    /// (recomputed when the entry's ν bits are not the slot's), so the
+    /// operation order, and with it every bit, is the legacy one.
+    pub fn log_marginal(&self, slot: Slot) -> f64 {
         let d = self.d;
         let dd = d as f64;
+        let nu = self.nu[slot];
+        let ln_multigamma_nu = match self.count_cache.get(self.n[slot]) {
+            Some(e) if e.valid && e.nu_bits == nu.to_bits() => e.ln_multigamma_nu,
+            _ => ln_multigamma(d, nu / 2.0),
+        };
         let n = self.n[slot] as f64;
         -(n * dd / 2.0) * std::f64::consts::PI.ln()
-            + ln_multigamma(d, self.nu[slot] / 2.0)
-            - ln_multigamma(d, params.nu0 / 2.0)
-            + (params.nu0 / 2.0) * params.log_det_psi0()
-            - (self.nu[slot] / 2.0) * self.log_det_chol[slot]
-            + (dd / 2.0) * (params.kappa0.ln() - self.kappa[slot].ln())
+            + ln_multigamma_nu
+            - self.prior_ln_multigamma
+            + self.prior_half_nu_log_det
+            - (nu / 2.0) * self.log_det_chol[slot]
+            + (dd / 2.0) * (self.prior_ln_kappa - self.kappa[slot].ln())
     }
 }
 
+/// The posterior a block is scored against: a live slot or the prior
+/// template. `psi`/`chol` are column-packed triangles of Ψₙ and its
+/// maintained factor, and `log_det` is `ln |Ψₙ|` of that factor.
+struct Posterior<'a> {
+    psi: &'a [f64],
+    chol: &'a [f64],
+    mu: &'a [f64],
+    kappa: f64,
+    nu: f64,
+    n: usize,
+    log_det: f64,
+}
+
 /// The marginal-likelihood-ratio block predictive (module docs formula) of
-/// the block `stats` under the posterior `(Ψₙ, μₙ, κₙ, νₙ, n)`. `delta` and
-/// `a` are `d`- and `tri`-length scratch; `lngamma` is the ν-lattice table
+/// the block `stats` under `post`. `ln |Ψ_{n+m}|` comes from the
+/// determinant lemma on the maintained factor when `stats` carries Helmert
+/// columns for its size, else from a fresh factorization. `delta` and `a`
+/// are `d`- and `tri`-length scratch, `w` and `gram` the lemma's (sized for
+/// the bank's largest lemma block); `lngamma` is the ν-lattice table
 /// (offset `d−1`), already grown to cover `n + m + d` entries.
 #[allow(clippy::too_many_arguments)]
 fn block_ratio(
     d: usize,
-    psi: &[f64],
-    mu: &[f64],
-    kappa_n: f64,
-    nu_n: f64,
-    n: usize,
-    log_det_n: f64,
+    post: Posterior<'_>,
     stats: &BlockStats,
     lngamma: &[f64],
     delta: &mut [f64],
     a: &mut [f64],
+    w: &mut [f64],
+    gram: &mut [f64],
 ) -> f64 {
     let dd = d as f64;
-    let mf = stats.m as f64;
-    for ((dst, &xb), &m) in delta.iter_mut().zip(&stats.xbar).zip(mu) {
-        *dst = xb - m;
+    let m = stats.m;
+    let mf = m as f64;
+    let kappa_n = post.kappa;
+    let nu_n = post.nu;
+    for ((dst, &xb), &mu) in delta.iter_mut().zip(&stats.xbar).zip(post.mu) {
+        *dst = xb - mu;
     }
     let c = kappa_n * mf / (kappa_n + mf);
-    // Ψ_{n+m} = Ψₙ + S + c δδ' (column-packed lower triangle).
-    build_rank_m_scale(d, psi, &stats.scatter, 1.0, c, delta, a);
-    let Some(log_det_a) = packed_cholesky_log_det(a, d) else {
+    let log_det_a = if stats.helmert_m == m {
+        // ln |Ψₙ + UU'| with U = [√c·δ, h₁ … h_{m−1}]: UU' = c δδ' + S.
+        let helmert = &stats.helmert[..(m - 1) * d];
+        lowrank_log_det(d, post.chol, post.log_det, c, delta, helmert, w, gram)
+    } else {
+        // Ψ_{n+m} = Ψₙ + S + c δδ' (column-packed lower triangle).
+        build_rank_m_scale(d, post.psi, &stats.scatter, 1.0, c, delta, a);
+        packed_cholesky_log_det(a, d)
+    };
+    let Some(log_det_a) = log_det_a else {
         crate::divergence::poison("block predictive: rank-m updated scale not SPD");
         return f64::NEG_INFINITY;
     };
@@ -1056,17 +1182,100 @@ fn block_ratio(
     // but m terms on each side of the ν lattice, so the difference is 2m
     // table reads (ascending, fixed accumulation order).
     let off_t = d - 1;
+    let n = post.n;
     let mut g_top = 0.0;
     let mut g_bot = 0.0;
-    for j in (n + 1)..=(n + stats.m) {
+    for j in (n + 1)..=(n + m) {
         g_top += lngamma[j + off_t];
         g_bot += lngamma[j - 1];
     }
     -(mf * dd / 2.0) * std::f64::consts::PI.ln()
         + (g_top - g_bot)
-        + 0.5 * nu_n * log_det_n
+        + 0.5 * nu_n * post.log_det
         - 0.5 * (nu_n + mf) * log_det_a
         + 0.5 * dd * (kappa_n.ln() - (kappa_n + mf).ln())
+}
+
+/// `ln |Ψₙ + UU'|` for `U = [√c·δ, h₁ … h_{m−1}]` (`helmert` holds the
+/// `m − 1` columns `h_k` as contiguous `d`-lanes) by the matrix determinant
+/// lemma on the maintained factor `Lₙ` (`ln |Ψₙ| = log_det_n`):
+///
+/// ```text
+/// ln |Ψₙ + UU'| = ln |Ψₙ| + ln |I_m + W'W|,   W = Lₙ⁻¹ U
+/// ```
+///
+/// The `m` forward solves advance column by column together (the
+/// interleaving of [`DishBank::score_all`]), then the packed `m × m` Gram
+/// goes through the same Cholesky as the fresh path: O(m·d²/2 + m²·d/2 +
+/// m³/6) instead of O(d³/6). `w` needs `m × d` entries and `gram`
+/// `m(m+1)/2`. `None` when the Gram fails to factor or the sum is not
+/// finite, which only non-finite factor state can cause.
+#[allow(clippy::too_many_arguments)]
+fn lowrank_log_det(
+    d: usize,
+    chol: &[f64],
+    log_det_n: f64,
+    c: f64,
+    delta: &[f64],
+    helmert: &[f64],
+    w: &mut [f64],
+    gram: &mut [f64],
+) -> Option<f64> {
+    let m = helmert.len() / d + 1;
+    let w = &mut w[..m * d];
+    let (first, rest) = w.split_at_mut(d);
+    let sqrt_c = c.sqrt();
+    for (dst, &v) in first.iter_mut().zip(delta) {
+        *dst = sqrt_c * v;
+    }
+    rest.copy_from_slice(helmert);
+    let mut off = 0;
+    for j in 0..d {
+        let col = &chol[off..off + (d - j)];
+        // The reciprocal keeps the division off each lane's serial chain.
+        let inv = 1.0 / col[0];
+        for lane in w.chunks_exact_mut(d) {
+            let (head, tail) = lane.split_at_mut(j + 1);
+            let yj = head[j] * inv;
+            head[j] = yj;
+            axpy4(-yj, &col[1..], tail);
+        }
+        off += d - j;
+    }
+    // I + W'W, column-packed lower triangle.
+    let gram = &mut gram[..m * (m + 1) / 2];
+    let mut g = 0;
+    for p in 0..m {
+        let wp = &w[p * d..(p + 1) * d];
+        gram[g] = 1.0 + vector::dot(wp, wp);
+        for q in p + 1..m {
+            gram[g + q - p] = vector::dot(&w[q * d..(q + 1) * d], wp);
+        }
+        g += m - p;
+    }
+    let log_det = log_det_n + packed_cholesky_log_det(gram, m)?;
+    log_det.is_finite().then_some(log_det)
+}
+
+/// Write the Helmert columns of a block,
+/// `h_k = √(k/(k+1))·(mean(x₁..x_k) − x_{k+1})` for `k = 1..m−1`, as `m − 1`
+/// contiguous `d`-lanes into `out`. Each is one step of Welford's scatter
+/// update, so their outer products sum to the centered scatter `S`. `mean`
+/// is `d`-length running-mean scratch.
+fn fill_helmert(points: &[&[f64]], mean: &mut [f64], out: &mut [f64]) {
+    let Some((first, rest)) = points.split_first() else {
+        return;
+    };
+    mean.copy_from_slice(first);
+    for (k, (p, h)) in rest.iter().zip(out.chunks_exact_mut(mean.len())).enumerate() {
+        let k1 = (k + 1) as f64;
+        let scale = (k1 / (k1 + 1.0)).sqrt();
+        for ((hi, mi), &xi) in h.iter_mut().zip(mean.iter_mut()).zip(*p) {
+            let diff = *mi - xi;
+            *hi = scale * diff;
+            *mi -= diff / (k1 + 1.0);
+        }
+    }
 }
 
 /// Build the rank-m-updated scale `A = Ψ + sign·S + c·δδ'` into `a`
@@ -1234,6 +1443,8 @@ fn pack_lower(l: &Matrix, packed: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::NiwPosterior;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn params2() -> NiwParams {
         NiwParams::new(
@@ -1388,7 +1599,7 @@ mod tests {
             bank.predictive_one(slot, &probe).to_bits(),
             legacy.predictive_logpdf(&probe).to_bits()
         );
-        assert_eq!(bank.log_marginal(slot, &p).to_bits(), legacy.log_marginal(&p).to_bits());
+        assert_eq!(bank.log_marginal(slot).to_bits(), legacy.log_marginal(&p).to_bits());
         for (a, b) in bank.mean(slot).iter().zip(legacy.mean()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1401,6 +1612,26 @@ mod tests {
             bank.predictive_one(slot, &probe).to_bits(),
             legacy.predictive_logpdf(&probe).to_bits()
         );
+    }
+
+    #[test]
+    fn log_marginal_recomputes_when_the_count_entry_is_another_slots() {
+        // Two slots at one count share a lattice entry. When their ν bits
+        // differ (a decoded snapshot may carry any finite ν), the entry
+        // holds the last refreshed slot's constants and the other slot's
+        // log marginal must not read them.
+        let p = params2();
+        let mut bank = DishBank::new(&p);
+        let (a, b) = (bank.alloc(), bank.alloc());
+        let mut legacy = NiwPosterior::from_prior(&p);
+        for x in &pts()[..3] {
+            bank.add_obs(a, x);
+            bank.add_obs(b, x);
+            legacy.add(x);
+        }
+        bank.nu[b] += 0.5;
+        bank.refresh_constants(b);
+        assert_eq!(bank.log_marginal(a).to_bits(), legacy.log_marginal(&p).to_bits());
     }
 
     #[test]
@@ -1450,16 +1681,22 @@ mod tests {
 
     #[test]
     fn block_predictive_prior_matches_a_fresh_slot_bit_for_bit() {
-        let p = params2();
-        let mut bank = DishBank::new(&p);
-        let data = pts();
-        let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        let mut stats = BlockStats::new(2);
-        bank.compute_block_stats(&refs, &mut stats);
-        let prior = bank.block_predictive_prior(&stats);
-        let slot = bank.alloc();
-        let fresh = bank.block_predictive_stats(slot, &stats);
-        assert_eq!(prior.to_bits(), fresh.to_bits());
+        // Every prefix of the block, so both the determinant-lemma path
+        // (up to 1 point at d = 2, 4 at d = 16) and the fresh path run.
+        let wide = gaussian_points(&mut StdRng::seed_from_u64(5), 5, 16, -0.5);
+        for (p, data) in [(params2(), pts()), (params_d(16), wide)] {
+            let d = p.dim();
+            let mut bank = DishBank::new(&p);
+            let slot = bank.alloc();
+            for m in 1..=data.len() {
+                let refs: Vec<&[f64]> = data[..m].iter().map(Vec::as_slice).collect();
+                let mut stats = BlockStats::new(d);
+                bank.compute_block_stats(&refs, &mut stats);
+                let prior = bank.block_predictive_prior(&stats);
+                let fresh = bank.block_predictive_stats(slot, &stats);
+                assert_eq!(prior.to_bits(), fresh.to_bits(), "d = {d}, m = {m}");
+            }
+        }
     }
 
     #[test]
@@ -1628,6 +1865,187 @@ mod tests {
             bank.predictive_one(slot, &probe).to_bits(),
             legacy.predictive_logpdf(&probe).to_bits()
         );
+    }
+
+    /// A `d`-dimensional prior with a correlated (tridiagonal) scale.
+    fn params_d(d: usize) -> NiwParams {
+        let mut psi0 = Matrix::scaled_identity(d, 2.0);
+        for i in 1..d {
+            psi0[(i, i - 1)] = 0.3;
+            psi0[(i - 1, i)] = 0.3;
+        }
+        NiwParams::new(vec![0.1; d], 0.5, d as f64 + 2.0, psi0).unwrap()
+    }
+
+    fn gaussian_points(rng: &mut StdRng, n: usize, d: usize, shift: f64) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|_| (0..d).map(|_| shift + crate::sampling::standard_normal(rng)).collect())
+            .collect()
+    }
+
+    /// Score `stats` under `slot` (or the prior) through `block_ratio` on
+    /// test-owned scratch large enough for any block, so the lemma path can
+    /// run past the bank's own rule.
+    fn ratio_on(bank: &mut DishBank, slot: Option<Slot>, stats: &BlockStats) -> f64 {
+        let (d, tri, m) = (bank.d, bank.tri, stats.m);
+        let n = slot.map_or(0, |s| bank.n[s]);
+        bank.ensure_ln_gamma_nu(n + m + d);
+        let post = match slot {
+            Some(s) => Posterior {
+                psi: &bank.psi[s * tri..(s + 1) * tri],
+                chol: &bank.chol[s * tri..(s + 1) * tri],
+                mu: &bank.mu[s * d..(s + 1) * d],
+                kappa: bank.kappa[s],
+                nu: bank.nu[s],
+                n,
+                log_det: bank.log_det_chol[s],
+            },
+            None => Posterior {
+                psi: &bank.prior_psi,
+                chol: &bank.prior_chol,
+                mu: &bank.prior_mu,
+                kappa: bank.prior_kappa,
+                nu: bank.prior_nu,
+                n: 0,
+                log_det: bank.prior_log_det,
+            },
+        };
+        let (mut delta, mut a) = (vec![0.0; d], vec![0.0; tri]);
+        let (mut w, mut gram) = (vec![0.0; m * d], vec![0.0; m * (m + 1) / 2]);
+        block_ratio(d, post, stats, &bank.ln_gamma_nu, &mut delta, &mut a, &mut w, &mut gram)
+    }
+
+    /// `stats` forced onto the lemma path (Helmert columns for any `m`) and
+    /// onto the fresh path.
+    fn both_paths(points: &[&[f64]], stats: &BlockStats) -> (BlockStats, BlockStats) {
+        let d = stats.xbar.len();
+        let mut lemma = stats.clone();
+        lemma.helmert = vec![0.0; (stats.m - 1) * d];
+        fill_helmert(points, &mut lemma.dev, &mut lemma.helmert);
+        lemma.helmert_m = stats.m;
+        let mut fresh = stats.clone();
+        fresh.helmert_m = 0;
+        (lemma, fresh)
+    }
+
+    #[test]
+    fn lemma_rule_admits_the_blocks_its_cost_model_says() {
+        assert_eq!(lemma_max_m(1), 0);
+        assert_eq!(lemma_max_m(2), 1);
+        assert_eq!(lemma_max_m(5), 1);
+        assert_eq!(lemma_max_m(16), 4);
+        assert_eq!(lemma_max_m(39), 11);
+        for d in 1..64usize {
+            let (df, max) = (d as f64, lemma_max_m(d));
+            let lemma = |m: f64| m * (df * df / 2.0 + df) + m * m * df / 2.0 + m * m * m / 6.0;
+            let fresh = df * df * df / 6.0 + df * df;
+            assert!(max == 0 || lemma(max as f64) < fresh, "d = {d}: m = {max} not cheaper");
+            assert!(lemma(max as f64 + 1.0) >= fresh, "d = {d}: m = {} also cheaper", max + 1);
+        }
+    }
+
+    #[test]
+    fn helmert_columns_reproduce_the_packed_scatter() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for d in [2, 5, 16, 39] {
+            let bank = DishBank::new(&params_d(d));
+            for m in 1..=12 {
+                let block = gaussian_points(&mut rng, m, d, 3.0);
+                let refs: Vec<&[f64]> = block.iter().map(Vec::as_slice).collect();
+                let mut stats = BlockStats::new(d);
+                bank.compute_block_stats(&refs, &mut stats);
+                let mut h = vec![0.0; (m - 1) * d];
+                fill_helmert(&refs, &mut vec![0.0; d], &mut h);
+                if m <= bank.lemma_m {
+                    assert_eq!(stats.helmert_m, m);
+                    assert_eq!(&stats.helmert[..h.len()], &h[..], "stats carry the same columns");
+                } else {
+                    assert_eq!(stats.helmert_m, 0, "d = {d}, m = {m} is past the rule");
+                }
+                let scale = stats.scatter.iter().fold(1.0_f64, |acc, v| acc.max(v.abs()));
+                let mut off = 0;
+                for j in 0..d {
+                    for i in j..d {
+                        let sum: f64 = h.chunks_exact(d).map(|col| col[i] * col[j]).sum();
+                        let want = stats.scatter[off + (i - j)];
+                        assert!(
+                            (sum - want).abs() <= 1e-12 * scale,
+                            "d = {d}, m = {m}, S[{i},{j}]: Helmert {sum} vs packed {want}"
+                        );
+                    }
+                    off += d - j;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lemma_and_fresh_paths_agree_past_the_crossover() {
+        let mut rng = StdRng::seed_from_u64(11);
+        crate::divergence::clear();
+        for d in [2, 5, 16, 39] {
+            let mut bank = DishBank::new(&params_d(d));
+            let mut targets: Vec<Option<Slot>> = Vec::new();
+            for (k, n) in [3, 20, 120].into_iter().enumerate() {
+                let slot = bank.alloc();
+                for x in gaussian_points(&mut rng, n, d, k as f64) {
+                    bank.add_obs(slot, &x);
+                }
+                targets.push(Some(slot));
+            }
+            targets.push(Some(bank.alloc()));
+            targets.push(None);
+            for m in 1..=bank.lemma_m + 1 {
+                let block = gaussian_points(&mut rng, m, d, 0.5);
+                let refs: Vec<&[f64]> = block.iter().map(Vec::as_slice).collect();
+                let mut stats = BlockStats::new(d);
+                bank.compute_block_stats(&refs, &mut stats);
+                let (lemma, fresh) = both_paths(&refs, &stats);
+                for &target in &targets {
+                    let a = ratio_on(&mut bank, target, &lemma);
+                    let b = ratio_on(&mut bank, target, &fresh);
+                    assert!(
+                        (a - b).abs() <= 1e-10 * b.abs(),
+                        "d = {d}, m = {m}, {target:?}: lemma {a} vs fresh {b}"
+                    );
+                    // The kernel entry points take the path the rule picks.
+                    let served = match target {
+                        Some(slot) => bank.block_predictive_stats(slot, &stats),
+                        None => bank.block_predictive_prior(&stats),
+                    };
+                    let want = if m <= bank.lemma_m { a } else { b };
+                    assert_eq!(served.to_bits(), want.to_bits(), "d = {d}, m = {m}, {target:?}");
+                }
+            }
+            assert!(!crate::divergence::is_poisoned());
+        }
+    }
+
+    #[test]
+    fn non_finite_factor_scores_neg_inf_and_poisons_on_both_paths() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let d = 16;
+        let tri = d * (d + 1) / 2;
+        let base = gaussian_points(&mut rng, 10, d, 0.0);
+        // NaN below the diagonal (finite ln |Ψ|), and an infinite diagonal.
+        let corruptions: [fn(&mut [f64]); 2] = [|f| f[1] = f64::NAN, |f| f[0] = f64::INFINITY];
+        for corrupt in corruptions {
+            let mut bank = DishBank::new(&params_d(d));
+            let slot = bank.alloc();
+            for x in &base {
+                bank.add_obs(slot, x);
+            }
+            corrupt(&mut bank.chol[slot * tri..(slot + 1) * tri]);
+            corrupt(&mut bank.psi[slot * tri..(slot + 1) * tri]);
+            bank.refresh_constants(slot);
+            for m in [1, bank.lemma_m, bank.lemma_m + 1] {
+                let block = gaussian_points(&mut rng, m, d, 0.0);
+                let refs: Vec<&[f64]> = block.iter().map(Vec::as_slice).collect();
+                crate::divergence::clear();
+                assert_eq!(bank.block_predictive(slot, &refs), f64::NEG_INFINITY, "m = {m}");
+                assert!(crate::divergence::take().is_some(), "m = {m} must poison");
+            }
+        }
     }
 
     #[test]

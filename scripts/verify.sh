@@ -49,6 +49,17 @@ for field in one_vs_all_kernels_per_batch batch_vs_one_kernels_per_batch \
     fi
 done
 
+# Same staleness gate for the predictive-kernel report: the batch-vs-one
+# kernel must be reported per block size (1, 2, 4, 8), so the small blocks
+# the determinant-lemma path scores stay visible next to the fresh path.
+for field in seed dims one_vs_all batch_vs_one_by_block; do
+    if ! grep -q "\"$field\"" BENCH_predictive.json; then
+        echo "verify: FAIL — BENCH_predictive.json lacks '$field'; the report is stale," >&2
+        echo "        regenerate with: cargo bench -p osr-bench --bench predictive" >&2
+        exit 1
+    fi
+done
+
 # Same staleness gate for the snapshot persistence report (save/load
 # latency and bytes-on-disk vs. posterior size).
 for field in schema n_dishes bytes_on_disk save_median_us load_median_us; do
