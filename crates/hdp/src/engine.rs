@@ -37,8 +37,14 @@ use crate::state::{HdpConfig, HdpState, Table};
 /// flag — the serving watchdog will abort the sweep — and fall back to the
 /// last candidate, which at every call site is the "open something new"
 /// option and therefore keeps the seating bookkeeping structurally valid.
-fn seat_choice<R: Rng + ?Sized>(rng: &mut R, lw: &[f64], what: &str) -> usize {
-    sampling::try_categorical_log(rng, lw).unwrap_or_else(|| {
+/// `weights` is the draw's scratch buffer.
+fn seat_choice<R: Rng + ?Sized>(
+    rng: &mut R,
+    lw: &[f64],
+    weights: &mut Vec<f64>,
+    what: &str,
+) -> usize {
+    sampling::try_categorical_log_scratch(rng, lw, weights).unwrap_or_else(|| {
         osr_stats::divergence::poison(&format!("non-finite seating weights ({what})"));
         lw.len() - 1
     })
@@ -70,28 +76,25 @@ impl HdpState {
         let mut sc = std::mem::take(&mut self.scratch);
 
         // Predictive of x under every live dish — one fused pass over the
-        // dish bank (ascending id order, so the downstream categorical draw
-        // consumes the RNG exactly as the per-dish loop did) — and under the
-        // prior.
-        sc.live.clear();
-        sc.live.extend(self.live_dishes().map(|(id, d)| (id, d.slot)));
-        sc.slots.clear();
-        sc.slots.extend(sc.live.iter().map(|&(_, slot)| slot));
+        // dish bank, straight off the menu's live slots (ascending id order,
+        // so the downstream categorical draw consumes the RNG exactly as the
+        // per-dish loop did) — and under the prior.
+        let slots = self.menu.live_slots();
         let d = self.bank.dim();
-        let lanes = (sc.slots.len() * d).max(d);
+        let lanes = (slots.len() * d).max(d);
         if sc.solve.len() < lanes {
             sc.solve.resize(lanes, 0.0);
         }
         sc.scores.clear();
-        self.bank.score_all(&sc.slots, x, &mut sc.solve[..sc.slots.len() * d], &mut sc.scores);
+        self.bank.score_all(slots, x, &mut sc.solve[..slots.len() * d], &mut sc.scores);
         let prior_pred = self.bank.score_prior(x, &mut sc.solve[..d]);
 
         // New-table marginal: Σ_k m_k/(M+γ) f_k + γ/(M+γ) f_0.
         let total_tables = self.total_tables() as f64;
         let gamma = self.gamma;
         sc.menu_lw.clear();
-        for (&(id, _), &lp) in sc.live.iter().zip(&sc.scores) {
-            sc.menu_lw.push((self.dish(id).n_tables as f64).ln() + lp);
+        for ((_, dish), &lp) in self.menu.live().zip(&sc.scores) {
+            sc.menu_lw.push((dish.n_tables as f64).ln() + lp);
         }
         sc.menu_lw.push(gamma.ln() + prior_pred);
         let new_table_marginal = log_sum_exp(&sc.menu_lw) - (total_tables + gamma).ln();
@@ -102,23 +105,18 @@ impl HdpState {
             // A table pointing at a retired dish is a seating-invariant
             // break: poison the sweep and give the table zero probability
             // mass instead of panicking mid-batch.
-            let pred = sc
-                .live
-                .iter()
-                .zip(&sc.scores)
-                .find(|&(&(id, _), _)| id == table.dish)
-                .map_or_else(
-                    || {
-                        osr_stats::divergence::poison("seat_item: table serves a retired dish");
-                        f64::NEG_INFINITY
-                    },
-                    |(_, &lp)| lp,
-                );
+            let pred = self.menu.position(table.dish).and_then(|p| sc.scores.get(p)).map_or_else(
+                || {
+                    osr_stats::divergence::poison("seat_item: table serves a retired dish");
+                    f64::NEG_INFINITY
+                },
+                |&lp| lp,
+            );
             sc.lw.push((table.members.len() as f64).ln() + pred);
         }
         sc.lw.push(self.alpha.ln() + new_table_marginal);
 
-        let choice = seat_choice(rng, &sc.lw, "table assignment");
+        let choice = seat_choice(rng, &sc.lw, &mut sc.weights, "table assignment");
         if choice < self.tables[j].len() {
             // Existing table.
             let dish = self.tables[j][choice].dish;
@@ -128,14 +126,13 @@ impl HdpState {
         } else {
             // New table: draw its dish from the menu posterior (same
             // mixture that formed the marginal above).
-            let menu_choice = seat_choice(rng, &sc.menu_lw, "menu draw");
-            let dish = if menu_choice < sc.live.len() {
-                sc.live[menu_choice].0
-            } else {
-                self.new_dish()
+            let menu_choice = seat_choice(rng, &sc.menu_lw, &mut sc.weights, "menu draw");
+            let dish = match self.menu.live_ids().get(menu_choice) {
+                Some(&id) => id,
+                None => self.new_dish(),
             };
             self.dish_add(dish, x);
-            self.dish_mut(dish).n_tables += 1;
+            *self.n_tables_mut(dish) += 1;
             self.tables[j].push(Table { dish, members: vec![i] });
             self.assignment[j][i] = self.tables[j].len() - 1;
         }
@@ -171,8 +168,7 @@ impl HdpState {
                     self.assignment[j][m] = ti;
                 }
             }
-            let d = self.dish_mut(dish);
-            d.n_tables -= 1;
+            *self.n_tables_mut(dish) -= 1;
             self.retire_if_empty(dish);
         }
     }
@@ -213,36 +209,27 @@ impl HdpState {
         {
             let slot = self.dish(old_dish).slot;
             self.bank.detach_block(slot, &sc.stats, &block_refs);
-            self.dish_mut(old_dish).n_tables -= 1;
+            *self.n_tables_mut(old_dish) -= 1;
         }
         self.retire_if_empty(old_dish);
 
         // Score every live dish plus a fresh one, off the same block stats.
-        sc.live_ids.clear();
-        sc.live_ids.extend(self.live_dishes().map(|(id, _)| id));
         sc.lw.clear();
-        for idx in 0..sc.live_ids.len() {
-            let id = sc.live_ids[idx];
-            let Some(dish) = self.dishes[id].as_ref() else {
-                // live_dishes() just yielded this id; a None here means the
-                // menu mutated under us. Zero mass + poison, not a panic.
-                osr_stats::divergence::poison("resample_table_dish: retired id on the live menu");
-                sc.lw.push(f64::NEG_INFINITY);
-                continue;
-            };
-            let (slot, n_tables) = (dish.slot, dish.n_tables);
-            let lp = self.bank.block_predictive_stats(slot, &sc.stats);
-            sc.lw.push((n_tables as f64).ln() + lp);
+        for (_, dish) in self.menu.live() {
+            let lp = self.bank.block_predictive_stats(dish.slot, &sc.stats);
+            sc.lw.push((dish.n_tables as f64).ln() + lp);
         }
         sc.lw.push(self.gamma.ln() + self.bank.block_predictive_prior(&sc.stats));
 
-        let choice = seat_choice(rng, &sc.lw, "dish reassignment");
-        let new_dish =
-            if choice < sc.live_ids.len() { sc.live_ids[choice] } else { self.new_dish() };
+        let choice = seat_choice(rng, &sc.lw, &mut sc.weights, "dish reassignment");
+        let new_dish = match self.menu.live_ids().get(choice) {
+            Some(&id) => id,
+            None => self.new_dish(),
+        };
         {
             let slot = self.dish(new_dish).slot;
             self.bank.attach_block(slot, &sc.stats, &block_refs);
-            self.dish_mut(new_dish).n_tables += 1;
+            *self.n_tables_mut(new_dish) += 1;
         }
         self.tables[j][ti].dish = new_dish;
         self.tables[j][ti].members = members;

@@ -6,9 +6,10 @@
 //! layouts for the franchise state. Everything serialized here is canonical
 //! observable state — seating, dish statistics, concentrations, the
 //! free-list replay order — while derived quantities (predictive constants,
-//! caches, scratch buffers) are rebuilt on load through the exact code paths
-//! a freshly trained sampler uses, which is what makes save → load →
-//! re-save byte-identical and a reloaded replica bit-equal to the original.
+//! caches, scratch buffers, the live-dish index) are rebuilt on load
+//! through the exact code paths a freshly trained sampler uses, which is
+//! what makes save → load → re-save byte-identical and a reloaded replica
+//! bit-equal to the original.
 //!
 //! Deliberately named `persist`, not `snapshot`: the workspace lint scopes
 //! its `snapshot-versioned` rule to `*/snapshot.rs` files, which are the
@@ -19,7 +20,7 @@ use std::sync::Arc;
 use osr_stats::snapshot::{Dec, Enc, SnapResult, SnapshotError, SnapshotFile, SnapshotWriter};
 use osr_stats::{DishBank, NiwParams, NiwPosterior};
 
-use crate::state::{Dish, HdpConfig, HdpState, Table};
+use crate::state::{DishMenu, HdpConfig, HdpState, Table};
 
 /// Section id of the base-measure hyperparameters (NIW prior).
 pub const SEC_PARAMS: u32 = 1;
@@ -140,14 +141,7 @@ fn encode_seating(state: &HdpState, enc: &mut Enc) {
             }
         }
     }
-    enc.put_usize(state.dishes.len());
-    for dish in &state.dishes {
-        enc.put_bool(dish.is_some());
-        if let Some(dish) = dish {
-            enc.put_usize(dish.slot);
-            enc.put_usize(dish.n_tables);
-        }
-    }
+    state.menu.encode_into(enc);
     enc.put_f64(state.gamma);
     enc.put_f64(state.alpha);
     enc.put_u64(state.seat_moves);
@@ -205,17 +199,7 @@ fn decode_seating(
         }
         tables.push(group_tables);
     }
-    let n_dish_ids = dec.count(1, "dish menu length")?;
-    let mut dishes = Vec::with_capacity(n_dish_ids);
-    for _ in 0..n_dish_ids {
-        if dec.bool("dish live flag")? {
-            let slot = dec.usize("dish slot")?;
-            let n_tables = dec.usize("dish table count")?;
-            dishes.push(Some(Dish { slot, n_tables }));
-        } else {
-            dishes.push(None);
-        }
-    }
+    let menu = DishMenu::decode_from(dec)?;
     let gamma = dec.f64("gamma")?;
     let alpha = dec.f64("alpha")?;
     let seat_moves = dec.u64("seat_moves")?;
@@ -230,7 +214,7 @@ fn decode_seating(
         groups,
         assignment,
         tables,
-        dishes,
+        menu,
         bank,
         gamma,
         alpha,
@@ -279,12 +263,12 @@ fn validate_seating(state: &HdpState) -> SnapResult<()> {
             }
         }
     }
-    let mut n_tables_by_dish = vec![0usize; state.dishes.len()];
+    let mut n_tables_by_dish = vec![0usize; state.menu.n_ids()];
     for (j, tables) in state.tables.iter().enumerate() {
         for (t, table) in tables.iter().enumerate() {
-            match state.dishes.get(table.dish) {
-                Some(Some(_)) => n_tables_by_dish[table.dish] += 1,
-                _ => {
+            match state.menu.get(table.dish) {
+                Some(_) => n_tables_by_dish[table.dish] += 1,
+                None => {
                     return malformed(format!(
                         "group {j} table {t} serves unknown dish {}",
                         table.dish
@@ -319,12 +303,11 @@ fn validate_seating(state: &HdpState) -> SnapResult<()> {
             ));
         }
     }
-    let n_live_dishes = state.live_dishes().count();
-    if state.bank.n_live() != n_live_dishes {
+    if state.bank.n_live() != state.n_dishes() {
         return malformed(format!(
             "bank has {} live slots for {} live dishes",
             state.bank.n_live(),
-            n_live_dishes
+            state.n_dishes()
         ));
     }
     Ok(())

@@ -86,7 +86,7 @@ impl Hdp {
                 groups: groups.into_iter().map(Arc::new).collect(),
                 assignment,
                 tables: vec![Vec::new(); n_groups],
-                dishes: Vec::new(),
+                menu: Default::default(),
                 bank,
                 gamma,
                 alpha,

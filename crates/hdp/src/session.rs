@@ -125,7 +125,7 @@ impl PosteriorSnapshot {
     /// degraded frozen inference to pool every MAP-novel point into a single
     /// stand-in "new" subclass.
     pub fn fresh_dish_id(&self) -> DishId {
-        self.state.dishes.len()
+        self.state.menu.n_ids()
     }
 
     /// MAP dish assignment of `x` under the frozen global mixture — the
@@ -138,10 +138,10 @@ impl PosteriorSnapshot {
     /// # Panics
     /// Panics when `x` does not match the base measure's dimension.
     pub fn map_dish(&self, x: &[f64]) -> Option<DishId> {
-        let (live, slots) = self.live_menu();
-        let mut scratch = vec![0.0; slots.len() * self.state.bank.dim()];
-        let mut scores = Vec::with_capacity(slots.len());
-        self.map_dish_banked(x, &live, &slots, &mut scratch, &mut scores)
+        let n_live = self.state.n_dishes();
+        let mut scratch = vec![0.0; n_live * self.state.bank.dim()];
+        let mut scores = Vec::with_capacity(n_live);
+        self.map_dish_banked(x, &mut scratch, &mut scores)
     }
 
     /// [`Self::map_dish`] over a whole batch: the live menu, the solve
@@ -152,31 +152,15 @@ impl PosteriorSnapshot {
     /// # Panics
     /// Panics when any point does not match the base measure's dimension.
     pub fn map_dishes(&self, points: &[Vec<f64>]) -> Vec<Option<DishId>> {
-        let (live, slots) = self.live_menu();
-        let mut scratch = vec![0.0; slots.len() * self.state.bank.dim()];
-        let mut scores = Vec::with_capacity(slots.len());
-        points
-            .iter()
-            .map(|x| self.map_dish_banked(x, &live, &slots, &mut scratch, &mut scores))
-            .collect()
-    }
-
-    /// Live menu as parallel `(dish id, m_·k)` rows and bank-slot list,
-    /// ascending id — the shape the one-vs-all kernel consumes.
-    #[allow(clippy::type_complexity)]
-    fn live_menu(&self) -> (Vec<(DishId, usize)>, Vec<osr_stats::Slot>) {
-        let live: Vec<(DishId, usize)> =
-            self.state.live_dishes().map(|(id, d)| (id, d.n_tables)).collect();
-        let slots: Vec<osr_stats::Slot> =
-            self.state.live_dishes().map(|(_, d)| d.slot).collect();
-        (live, slots)
+        let n_live = self.state.n_dishes();
+        let mut scratch = vec![0.0; n_live * self.state.bank.dim()];
+        let mut scores = Vec::with_capacity(n_live);
+        points.iter().map(|x| self.map_dish_banked(x, &mut scratch, &mut scores)).collect()
     }
 
     fn map_dish_banked(
         &self,
         x: &[f64],
-        live: &[(DishId, usize)],
-        slots: &[osr_stats::Slot],
         scratch: &mut [f64],
         scores: &mut Vec<f64>,
     ) -> Option<DishId> {
@@ -184,10 +168,10 @@ impl PosteriorSnapshot {
         scores.clear();
         // One fused pass over the bank replaces the per-dish predictive
         // loop; ties still resolve to the lowest dish id (strict `>`).
-        self.state.bank.score_all(slots, x, scratch, scores);
+        self.state.bank.score_all(self.state.menu.live_slots(), x, scratch, scores);
         let mut best: Option<(DishId, f64)> = None;
-        for (&(id, n_tables), &lp) in live.iter().zip(scores.iter()) {
-            let lw = (n_tables as f64).ln() + lp;
+        for ((id, dish), &lp) in self.state.live_dishes().zip(scores.iter()) {
+            let lw = (dish.n_tables as f64).ln() + lp;
             if best.is_none_or(|(_, b)| lw > b) {
                 best = Some((id, lw));
             }
@@ -502,6 +486,12 @@ mod tests {
         // The reloaded checkpoint is observationally bit-equal: structure,
         // likelihood, MAP decisions, and a warm serve under one seed.
         assert_eq!(snap.n_dishes(), decoded.n_dishes());
+        // The live-dish index is derived, unserialized state: decoding
+        // rebuilds it to match the encoder's exactly.
+        decoded.state.menu.check_index();
+        assert_eq!(snap.state.menu.live_ids(), decoded.state.menu.live_ids());
+        assert_eq!(snap.state.menu.live_slots(), decoded.state.menu.live_slots());
+        assert_eq!(snap.state.menu.n_ids(), decoded.state.menu.n_ids());
         assert_eq!(snap.total_tables(), decoded.total_tables());
         assert_eq!(snap.gamma().to_bits(), decoded.gamma().to_bits());
         assert_eq!(snap.alpha().to_bits(), decoded.alpha().to_bits());
@@ -534,7 +524,7 @@ mod tests {
         let bytes = w.finish();
         let file = osr_stats::snapshot::SnapshotFile::parse(&bytes).unwrap();
         let mut decoded = PosteriorSnapshot::read_sections(&file).unwrap();
-        decoded.state.tables[0][0].dish = decoded.state.dishes.len() + 7;
+        decoded.state.tables[0][0].dish = decoded.state.menu.n_ids() + 7;
         let mut w = osr_stats::snapshot::SnapshotWriter::new("cdosr", 2);
         decoded.write_sections(&mut w);
         let tampered = w.finish();

@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use osr_stats::snapshot::{Dec, Enc, SnapResult};
 use osr_stats::{BlockStats, DishBank, NiwParams, Slot};
 
 /// Stable identifier of a dish (global mixture component / HDP-OSR
@@ -93,23 +94,161 @@ pub(crate) struct Dish {
 /// state (snapshot → session) merely inherits capacity.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SeatScratch {
-    /// Live `(dish id, bank slot)` menu, rebuilt per move.
-    pub live: Vec<(DishId, Slot)>,
-    /// The slots of `live`, in the same order (the one-vs-all kernel's
-    /// argument layout).
-    pub slots: Vec<Slot>,
     /// `d`-length solve buffer for the scoring kernels.
     pub solve: Vec<f64>,
-    /// Per-dish predictive log-densities, parallel to `live`.
+    /// Per-dish predictive log-densities, parallel to the live menu.
     pub scores: Vec<f64>,
     /// Menu-marginal log-weights (per dish, then the γ·prior tail).
     pub menu_lw: Vec<f64>,
     /// Candidate log-weights of the categorical seating draw.
     pub lw: Vec<f64>,
-    /// Live dish ids for the table-dish move.
-    pub live_ids: Vec<DishId>,
+    /// Normalized weights of the categorical draw in progress.
+    pub weights: Vec<f64>,
     /// Block sufficient statistics shared across Eq. 8 candidates.
     pub stats: BlockStats,
+}
+
+/// The global dish menu: every dish id the sampler ever minted, plus an
+/// index of the live ones.
+///
+/// Ids are never reused, so after a long fit most ids are retired (a
+/// 30-sweep LETTER fit leaves hundreds of ids for a dozen live dishes).
+/// The seating moves range over the live dishes only, so the menu keeps
+/// them as a derived index beside the id-keyed entries: the live ids in
+/// ascending order and their bank slots in the same order (the one-vs-all
+/// kernel's argument layout). Ids only grow, so nucleating a dish appends
+/// to the index; retiring one removes it. The index is never serialized —
+/// [`Self::decode_from`] rebuilds it. Nothing outside this type can walk
+/// retired ids or move a dish's slot, so the index cannot drift from the
+/// entries.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DishMenu {
+    /// Keyed by [`DishId`]; `None` entries are retired dishes.
+    dishes: Vec<Option<Dish>>,
+    /// Live dish ids, ascending.
+    live: Vec<DishId>,
+    /// Bank slots of `live`, in the same order.
+    slots: Vec<Slot>,
+}
+
+impl DishMenu {
+    /// A menu over id-keyed entries (`None` = retired), with its live
+    /// index built from them.
+    fn from_entries(dishes: Vec<Option<Dish>>) -> Self {
+        let mut menu = Self::default();
+        for (id, dish) in dishes.iter().enumerate() {
+            if let Some(d) = dish {
+                menu.live.push(id);
+                menu.slots.push(d.slot);
+            }
+        }
+        menu.dishes = dishes;
+        menu
+    }
+
+    /// One past the largest id ever minted.
+    pub fn n_ids(&self) -> usize {
+        self.dishes.len()
+    }
+
+    /// Number of live dishes (`K`).
+    pub fn n_live(&self) -> usize {
+        self.live.len()
+    }
+
+    /// The live dish `id`, if it is live.
+    pub fn get(&self, id: DishId) -> Option<&Dish> {
+        self.dishes.get(id)?.as_ref()
+    }
+
+    /// Mutable access to the table count of the live dish `id`, if it is
+    /// live (its slot is fixed for life, so the index stays valid).
+    pub fn n_tables_mut(&mut self, id: DishId) -> Option<&mut usize> {
+        Some(&mut self.dishes.get_mut(id)?.as_mut()?.n_tables)
+    }
+
+    /// Live dish ids, ascending.
+    pub fn live_ids(&self) -> &[DishId] {
+        &self.live
+    }
+
+    /// Bank slots of the live dishes, parallel to [`Self::live_ids`].
+    pub fn live_slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    /// Position of the live dish `id` in [`Self::live_ids`].
+    pub fn position(&self, id: DishId) -> Option<usize> {
+        self.live.binary_search(&id).ok()
+    }
+
+    /// Live `(DishId, &Dish)` pairs, ascending id.
+    pub fn live(&self) -> impl Iterator<Item = (DishId, &Dish)> {
+        self.live.iter().filter_map(|&id| self.get(id).map(|d| (id, d)))
+    }
+
+    /// Mint the next id for a dish whose posterior occupies `slot`.
+    pub fn push(&mut self, slot: Slot) -> DishId {
+        let id = self.dishes.len();
+        self.dishes.push(Some(Dish { slot, n_tables: 0 }));
+        self.live.push(id);
+        self.slots.push(slot);
+        id
+    }
+
+    /// Retire the live dish `id` (its id is never reused).
+    pub fn retire(&mut self, id: DishId) {
+        let Some(p) = self.position(id) else { return };
+        self.dishes[id] = None;
+        self.live.remove(p);
+        self.slots.remove(p);
+    }
+
+    /// Write every id's entry — live flag, then slot and table count — in
+    /// id order (the seating section's menu layout).
+    pub fn encode_into(&self, enc: &mut Enc) {
+        enc.put_usize(self.dishes.len());
+        for dish in &self.dishes {
+            enc.put_bool(dish.is_some());
+            if let Some(dish) = dish {
+                enc.put_usize(dish.slot);
+                enc.put_usize(dish.n_tables);
+            }
+        }
+    }
+
+    /// Inverse of [`Self::encode_into`]; rebuilds the live index.
+    pub fn decode_from(dec: &mut Dec<'_>) -> SnapResult<Self> {
+        let n_ids = dec.count(1, "dish menu length")?;
+        let mut dishes = Vec::with_capacity(n_ids);
+        for _ in 0..n_ids {
+            dishes.push(if dec.bool("dish live flag")? {
+                let slot = dec.usize("dish slot")?;
+                let n_tables = dec.usize("dish table count")?;
+                Some(Dish { slot, n_tables })
+            } else {
+                None
+            });
+        }
+        Ok(Self::from_entries(dishes))
+    }
+
+    /// Assert the live index equals a filtered scan of the entries: ids
+    /// ascending, slots matching.
+    ///
+    /// # Panics
+    /// Panics on any mismatch.
+    pub fn check_index(&self) {
+        let scan: Vec<(DishId, Slot)> = self
+            .dishes
+            .iter()
+            .enumerate()
+            .filter_map(|(id, d)| d.as_ref().map(|d| (id, d.slot)))
+            .collect();
+        let index: Vec<(DishId, Slot)> =
+            self.live.iter().copied().zip(self.slots.iter().copied()).collect();
+        assert_eq!(index, scan, "live menu index disagrees with the dish entries");
+    }
 }
 
 /// The full mutable franchise state the seating engine operates on.
@@ -126,9 +265,8 @@ pub(crate) struct HdpState {
     pub assignment: Vec<Vec<usize>>,
     /// Tables per restaurant.
     pub tables: Vec<Vec<Table>>,
-    /// Global menu, keyed by stable [`DishId`]; `None` entries are retired
-    /// dishes (ids are not reused).
-    pub dishes: Vec<Option<Dish>>,
+    /// Global menu, keyed by stable [`DishId`], with its live index.
+    pub menu: DishMenu,
     /// Struct-of-arrays bank of the live dishes' NIW posteriors with
     /// precomputed predictive constants — the vectorized scoring hot path.
     pub bank: DishBank,
@@ -153,30 +291,28 @@ impl HdpState {
 
     /// Number of live dishes (`K`).
     pub fn n_dishes(&self) -> usize {
-        self.dishes.iter().filter(|d| d.is_some()).count()
+        self.menu.n_live()
     }
 
-    /// Iterate over live `(DishId, &Dish)` pairs.
+    /// Iterate over live `(DishId, &Dish)` pairs, ascending id.
     pub fn live_dishes(&self) -> impl Iterator<Item = (DishId, &Dish)> {
-        self.dishes.iter().enumerate().filter_map(|(id, d)| d.as_ref().map(|d| (id, d)))
+        self.menu.live()
     }
 
     /// Allocate a new dish starting from the prior (its posterior occupies a
     /// fresh or recycled bank slot).
     pub fn new_dish(&mut self) -> DishId {
-        let id = self.dishes.len();
         let slot = self.bank.alloc();
-        self.dishes.push(Some(Dish { slot, n_tables: 0 }));
-        id
+        self.menu.push(slot)
     }
 
-    /// Mutable access to a live dish.
+    /// Mutable access to a live dish's table count.
     ///
     /// # Panics
     /// Panics when the dish is retired — that is a sampler bug.
     #[allow(clippy::expect_used)]
-    pub fn dish_mut(&mut self, id: DishId) -> &mut Dish {
-        self.dishes[id].as_mut().expect("dish_mut: retired dish")
+    pub fn n_tables_mut(&mut self, id: DishId) -> &mut usize {
+        self.menu.n_tables_mut(id).expect("n_tables_mut: retired dish")
     }
 
     /// Shared access to a live dish.
@@ -185,7 +321,7 @@ impl HdpState {
     /// Panics when the dish is retired — that is a sampler bug.
     #[allow(clippy::expect_used)]
     pub fn dish(&self, id: DishId) -> &Dish {
-        self.dishes[id].as_ref().expect("dish: retired dish")
+        self.menu.get(id).expect("dish: retired dish")
     }
 
     /// Retire a dish once no table serves it, releasing its bank slot for
@@ -197,7 +333,7 @@ impl HdpState {
         };
         if let Some(slot) = empty_slot {
             self.bank.release(slot);
-            self.dishes[id] = None;
+            self.menu.retire(id);
         }
     }
 
@@ -268,14 +404,15 @@ impl HdpState {
     /// # Panics
     /// Panics on any bookkeeping violation, with a message naming it.
     pub fn check_invariants(&self) {
-        let mut dish_tables = vec![0usize; self.dishes.len()];
-        let mut dish_items = vec![0usize; self.dishes.len()];
+        let n_ids = self.menu.n_ids();
+        let mut dish_tables = vec![0usize; n_ids];
+        let mut dish_items = vec![0usize; n_ids];
         for (j, tables) in self.tables.iter().enumerate() {
             let mut seated = vec![false; self.groups[j].len()];
             for (ti, table) in tables.iter().enumerate() {
                 assert!(!table.members.is_empty(), "group {j} table {ti} is empty");
                 assert!(
-                    self.dishes.get(table.dish).is_some_and(Option::is_some),
+                    self.menu.get(table.dish).is_some(),
                     "group {j} table {ti} serves retired dish {}",
                     table.dish
                 );
@@ -296,8 +433,8 @@ impl HdpState {
             );
         }
         let mut slot_owner = vec![None::<DishId>; self.bank.n_slots()];
-        for (id, dish) in self.dishes.iter().enumerate() {
-            if let Some(d) = dish {
+        for id in 0..n_ids {
+            if let Some(d) = self.menu.get(id) {
                 assert_eq!(d.n_tables, dish_tables[id], "dish {id} table count drift");
                 assert_eq!(self.bank.count(d.slot), dish_items[id], "dish {id} item count drift");
                 assert!(d.n_tables > 0, "live dish {id} has no tables");
@@ -314,6 +451,7 @@ impl HdpState {
             self.n_dishes(),
             "bank live-slot count disagrees with the menu"
         );
+        self.menu.check_index();
     }
 }
 
@@ -361,7 +499,7 @@ mod tests {
             groups: vec![Arc::new(vec![vec![0.0, 0.0], vec![1.0, 1.0]])],
             assignment: vec![vec![usize::MAX, usize::MAX]],
             tables: vec![vec![]],
-            dishes: vec![],
+            menu: DishMenu::default(),
             bank,
             gamma: 1.0,
             alpha: 1.0,
@@ -403,6 +541,48 @@ mod tests {
         assert_eq!(id2, 1);
     }
 
+    /// The live ids a filtered scan of every minted id finds.
+    fn scanned_live_ids(s: &HdpState) -> Vec<DishId> {
+        (0..s.menu.n_ids()).filter(|&id| s.menu.get(id).is_some()).collect()
+    }
+
+    #[test]
+    fn live_menu_tracks_nucleation_and_retirement() {
+        let mut s = empty_state();
+        let ids: Vec<DishId> = (0..6).map(|_| s.new_dish()).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
+        let check = |s: &HdpState| {
+            s.menu.check_index();
+            let live: Vec<DishId> = s.live_dishes().map(|(id, _)| id).collect();
+            assert_eq!(live, scanned_live_ids(s));
+            assert_eq!(s.menu.live_ids(), live.as_slice());
+            let slots: Vec<Slot> = s.live_dishes().map(|(_, d)| d.slot).collect();
+            assert_eq!(s.menu.live_slots(), slots.as_slice());
+            for (p, &id) in live.iter().enumerate() {
+                assert_eq!(s.menu.position(id), Some(p));
+            }
+        };
+        check(&s);
+        // Retire the first, a middle and the last live id, nucleating in
+        // between so freed bank slots are recycled under new ids.
+        for retire in [0, 3, 5] {
+            s.retire_if_empty(retire);
+            assert_eq!(s.menu.position(retire), None);
+            check(&s);
+            let fresh = s.new_dish();
+            assert_eq!(fresh, s.menu.n_ids() - 1, "ids only grow");
+            check(&s);
+        }
+        let last = *s.menu.live_ids().last().unwrap();
+        s.retire_if_empty(last);
+        check(&s);
+        assert_eq!(s.menu.live_ids(), &[1, 2, 4, 6, 7]);
+        assert_eq!(s.n_dishes(), 5);
+        // Retiring an already-retired id is a no-op on the index.
+        s.menu.retire(0);
+        check(&s);
+    }
+
     #[test]
     fn invariants_accept_consistent_state() {
         let mut s = empty_state();
@@ -411,7 +591,7 @@ mod tests {
         let x1 = s.groups[0][1].clone();
         s.dish_add(dish, &x0);
         s.dish_add(dish, &x1);
-        s.dish_mut(dish).n_tables = 1;
+        *s.n_tables_mut(dish) = 1;
         s.tables[0].push(Table { dish, members: vec![0, 1] });
         s.assignment[0] = vec![0, 0];
         s.check_invariants();
@@ -437,7 +617,7 @@ mod tests {
         let x1 = s.groups[0][1].clone();
         s.dish_add(dish, &x0);
         s.dish_add(dish, &x1);
-        s.dish_mut(dish).n_tables = 2; // lie
+        *s.n_tables_mut(dish) = 2; // lie
         s.tables[0].push(Table { dish, members: vec![0, 1] });
         s.assignment[0] = vec![0, 0];
         s.check_invariants();
@@ -451,7 +631,7 @@ mod tests {
         let x0 = s.groups[0][0].clone();
         s.dish_add(dish, &x0);
         s.dish_add(dish, &x0);
-        s.dish_mut(dish).n_tables = 1;
+        *s.n_tables_mut(dish) = 1;
         s.tables[0].push(Table { dish, members: vec![0, 0] });
         s.assignment[0] = vec![0, 0];
         s.check_invariants();

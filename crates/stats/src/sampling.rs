@@ -133,6 +133,24 @@ pub fn try_categorical_log<R: Rng + ?Sized>(rng: &mut R, log_weights: &[f64]) ->
     Some(categorical(rng, &weights))
 }
 
+/// [`try_categorical_log`] with the normalized weights written into the
+/// caller's `weights` buffer instead of a fresh `Vec`: the same operations
+/// in the same order, so the same index and the same RNG consumption. The
+/// buffer's prior contents are ignored.
+pub fn try_categorical_log_scratch<R: Rng + ?Sized>(
+    rng: &mut R,
+    log_weights: &[f64],
+    weights: &mut Vec<f64>,
+) -> Option<usize> {
+    let z = log_sum_exp(log_weights);
+    if !z.is_finite() {
+        return None;
+    }
+    weights.clear();
+    weights.extend(log_weights.iter().map(|w| (w - z).exp()));
+    Some(categorical(rng, weights))
+}
+
 /// Fisher–Yates shuffle of a slice of indices (thin wrapper so callers don't
 /// need the `SliceRandom` trait in scope).
 pub fn shuffle<R: Rng + ?Sized, T>(rng: &mut R, xs: &mut [T]) {

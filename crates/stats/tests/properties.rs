@@ -3,10 +3,13 @@
 //! monotonicity of the EVT fits.
 
 use osr_linalg::Matrix;
+use osr_stats::sampling::{try_categorical_log, try_categorical_log_scratch};
 use osr_stats::special::{ln_gamma, log_sum_exp, normalize_log_weights};
 use osr_stats::weibull::{TailSide, Weibull, WeibullFit};
 use osr_stats::{NiwParams, NiwPosterior};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn entry() -> impl Strategy<Value = f64> {
     -2.0..2.0f64
@@ -127,6 +130,27 @@ proptest! {
         let w = Weibull::new(shape, scale).unwrap();
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(w.cdf(lo) <= w.cdf(hi) + 1e-15);
+    }
+
+    #[test]
+    fn scratch_categorical_draw_matches_the_allocating_one(
+        log_weights in prop::collection::vec(
+            prop_oneof![Just(f64::NEG_INFINITY), -60.0..60.0f64],
+            1..12,
+        ),
+        stale in prop::collection::vec(-1.0..1.0f64, 0..16),
+        seed in 0u64..1_000_000,
+    ) {
+        // Same index, and the same RNG state afterwards, whatever the
+        // buffer held before (including all-`-inf` weights, which both
+        // reject without touching the RNG).
+        let mut a = StdRng::seed_from_u64(seed);
+        let mut b = StdRng::seed_from_u64(seed);
+        let mut buffer = stale;
+        let expected = try_categorical_log(&mut a, &log_weights);
+        let got = try_categorical_log_scratch(&mut b, &log_weights, &mut buffer);
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 
     #[test]

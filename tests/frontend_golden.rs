@@ -167,3 +167,57 @@ fn flush_records_parse_back_and_carry_their_identity() {
         }
     }
 }
+
+/// Drive one front-end through many dispatch rounds of varying size at
+/// `workers`, returning every round's outcomes (debug-printed, so every
+/// float is compared to the bit) and flush-trace lines, in order.
+fn run_rounds(workers: usize) -> (Vec<String>, Vec<String>) {
+    let registry = registry();
+    let mut frontend = Frontend::new(FrontendConfig {
+        dim: 2,
+        max_batch: MAX_BATCH,
+        max_delay_ns: MAX_DELAY_NS,
+        max_queue_depth: 64,
+        base_seed: BASE_SEED,
+    })
+    .expect("valid config");
+    let mut rng = StdRng::seed_from_u64(BASE_SEED);
+    let ring = Arc::new(RingSink::new(256));
+    let sink: Arc<dyn TraceSink> = ring.clone();
+    let mut outcomes = Vec::new();
+    for round in 0..12u64 {
+        // Rounds of 1 to 6 micro-batches: size flushes of both tenants plus
+        // an occasional deadline flush of a straggler pair.
+        let now = round * 10 * MAX_DELAY_NS;
+        for (tenant, cx) in [("acme", -6.0), ("beta", 6.0)] {
+            let flushes = usize::try_from((round + u64::from(tenant == "beta")) % 3).unwrap();
+            for point in blob(&mut rng, cx, 0.0, flushes * MAX_BATCH) {
+                frontend.enqueue(tenant, point, now).expect("admitted");
+            }
+        }
+        if round % 4 == 1 {
+            for point in blob(&mut rng, 0.0, 9.0, 2) {
+                frontend.enqueue("acme", point, now).expect("admitted");
+            }
+            frontend.poll(now + MAX_DELAY_NS);
+        }
+        let round_outcomes =
+            frontend.dispatch(&registry, workers, &ServePolicy::default(), Some(&sink));
+        assert!(!round_outcomes.is_empty(), "round {round} dispatched nothing");
+        outcomes.push(format!("{round_outcomes:?}"));
+    }
+    let lines = ring.records().iter().map(TraceRecord::to_jsonl).collect();
+    (outcomes, lines)
+}
+
+#[test]
+fn many_rounds_on_one_frontend_are_identical_at_1_2_and_8_workers() {
+    let (one, one_lines) = run_rounds(1);
+    let (two, two_lines) = run_rounds(2);
+    let (eight, eight_lines) = run_rounds(8);
+    assert!(one_lines.len() > 12, "every round emits flush traces");
+    assert_eq!(one, two, "outcomes: 1 vs 2 workers");
+    assert_eq!(one, eight, "outcomes: 1 vs 8 workers");
+    assert_eq!(one_lines, two_lines, "flush traces: 1 vs 2 workers");
+    assert_eq!(one_lines, eight_lines, "flush traces: 1 vs 8 workers");
+}
