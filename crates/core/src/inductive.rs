@@ -18,10 +18,8 @@
 //! point, and is exact in the limit where one point cannot shift the
 //! posterior.
 
-use serde::{Deserialize, Serialize};
-
 use osr_hdp::DishId;
-use osr_stats::{NiwParams, NiwPosterior};
+use osr_stats::{DishBank, Slot};
 
 use crate::decision::{ClassifyOutcome, Prediction};
 use crate::{HdpOsr, OsrError, Result};
@@ -32,8 +30,6 @@ struct FrozenDish {
     id: DishId,
     /// CRF weight `m_·k` (tables serving the dish).
     weight: f64,
-    /// NIW posterior absorbed during the collective run.
-    posterior: NiwPosterior,
     /// The label this dish confers.
     label: Prediction,
 }
@@ -43,12 +39,14 @@ struct FrozenDish {
 #[derive(Debug, Clone)]
 pub struct FrozenModel {
     dishes: Vec<FrozenDish>,
-    prior: NiwPosterior,
+    /// NIW posteriors absorbed during the collective run; `slots[i]` holds
+    /// `dishes[i]`'s.
+    bank: DishBank,
+    slots: Vec<Slot>,
     /// Top-level concentration γ at freeze time.
     gamma: f64,
     /// Total table count `m_··` at freeze time.
     total_tables: f64,
-    dim: usize,
 }
 
 impl FrozenModel {
@@ -71,8 +69,6 @@ impl FrozenModel {
                 "outcome does not match the test batch it came from".into(),
             ));
         }
-        let params: &NiwParams = model.params();
-        let dim = model.dim();
 
         // Dish label map from the report: known-associated dishes carry
         // their class, every other surviving dish is Unknown.
@@ -100,7 +96,8 @@ impl FrozenModel {
         }
 
         // Rebuild per-dish posteriors from the points each dish absorbed.
-        let mut posteriors: std::collections::BTreeMap<DishId, NiwPosterior> = Default::default();
+        let mut bank = DishBank::new(model.params());
+        let mut dish_slots: std::collections::BTreeMap<DishId, Slot> = Default::default();
         let mut table_weight: std::collections::BTreeMap<DishId, f64> = Default::default();
         for (class_points, group) in model.classes().iter().zip(&outcome.report.known) {
             // Without per-point dish ids for training data, attribute the
@@ -113,42 +110,41 @@ impl FrozenModel {
                 .first()
                 .map(|&(dish, _, _)| dish)
                 .ok_or_else(|| OsrError::InvalidTestSet("class with no subclasses".into()))?;
-            let post = posteriors
-                .entry(dominant)
-                .or_insert_with(|| NiwPosterior::from_prior(params));
+            let slot = *dish_slots.entry(dominant).or_insert_with(|| bank.alloc());
             for p in class_points.iter() {
-                post.add(p);
+                bank.add_obs(slot, p);
             }
             for &(dish, count, _) in &group.subclasses {
                 *table_weight.entry(dish).or_insert(0.0) += 1.0 + (count as f64).ln().max(0.0);
             }
         }
         for (p, &dish) in test_points.iter().zip(&outcome.test_dishes) {
-            let post =
-                posteriors.entry(dish).or_insert_with(|| NiwPosterior::from_prior(params));
-            post.add(p);
+            let slot = *dish_slots.entry(dish).or_insert_with(|| bank.alloc());
+            bank.add_obs(slot, p);
             table_weight.entry(dish).or_insert(1.0);
         }
 
-        let dishes: Vec<FrozenDish> = posteriors
+        let (dishes, slots): (Vec<FrozenDish>, Vec<Slot>) = dish_slots
             .into_iter()
-            .map(|(id, posterior)| FrozenDish {
-                id,
-                weight: table_weight.get(&id).copied().unwrap_or(1.0),
-                posterior,
-                label: labels.get(&id).copied().unwrap_or(Prediction::Unknown),
+            .map(|(id, slot)| {
+                let dish = FrozenDish {
+                    id,
+                    weight: table_weight.get(&id).copied().unwrap_or(1.0),
+                    label: labels.get(&id).copied().unwrap_or(Prediction::Unknown),
+                };
+                (dish, slot)
             })
-            .collect();
+            .unzip();
         if dishes.is_empty() {
             return Err(OsrError::InvalidTestSet("nothing to freeze".into()));
         }
         let total_tables = dishes.iter().map(|d| d.weight).sum();
         Ok(Self {
             dishes,
-            prior: NiwPosterior::from_prior(params),
+            bank,
+            slots,
             gamma: outcome.gamma,
             total_tables,
-            dim,
         })
     }
 
@@ -162,11 +158,10 @@ impl FrozenModel {
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn predict(&self, x: &[f64]) -> Prediction {
-        assert_eq!(x.len(), self.dim, "FrozenModel::predict: dimension mismatch");
+        assert_eq!(x.len(), self.bank.dim(), "FrozenModel::predict: dimension mismatch");
+        let (lws, mut best) = self.log_weights(x);
         let mut best_label = Prediction::Unknown;
-        let mut best = self.gamma.ln() + self.prior.predictive_logpdf(x);
-        for dish in &self.dishes {
-            let lw = dish.weight.ln() + dish.posterior.predictive_logpdf(x);
+        for (dish, &lw) in self.dishes.iter().zip(&lws) {
             if lw > best {
                 best = lw;
                 best_label = dish.label;
@@ -183,14 +178,24 @@ impl FrozenModel {
     /// Log-weight diagnostics for one point: `(dish id, label, log weight)`
     /// for every frozen dish, plus the new-dish log weight last.
     pub fn explain(&self, x: &[f64]) -> (Vec<(DishId, Prediction, f64)>, f64) {
-        let rows = self
-            .dishes
-            .iter()
-            .map(|d| (d.id, d.label, d.weight.ln() + d.posterior.predictive_logpdf(x)))
-            .collect();
-        let new = self.gamma.ln() + self.prior.predictive_logpdf(x)
-            - (self.total_tables + self.gamma).ln();
-        (rows, new)
+        let (lws, new_lw) = self.log_weights(x);
+        let rows = self.dishes.iter().zip(lws).map(|(d, lw)| (d.id, d.label, lw)).collect();
+        (rows, new_lw - (self.total_tables + self.gamma).ln())
+    }
+
+    /// `ln m_·k + f_k(x)` for every frozen dish, in `dishes` order, and
+    /// `ln γ + f_H(x)` for a brand-new one: one fused pass over the bank
+    /// plus its cached prior.
+    fn log_weights(&self, x: &[f64]) -> (Vec<f64>, f64) {
+        let d = self.bank.dim();
+        let mut scratch = vec![0.0; (self.slots.len() + 1) * d];
+        let (prior_lane, lanes) = scratch.split_at_mut(d);
+        let mut lws = Vec::with_capacity(self.slots.len());
+        self.bank.score_all(&self.slots, x, lanes, &mut lws);
+        for (lw, dish) in lws.iter_mut().zip(&self.dishes) {
+            *lw += dish.weight.ln();
+        }
+        (lws, self.gamma.ln() + self.bank.score_prior(x, prior_lane))
     }
 }
 
@@ -283,6 +288,58 @@ mod tests {
         assert_eq!(best.1, Prediction::Known(0));
     }
 
+    /// `explain`'s log weights, and `predict`'s answers, on the fixed scene,
+    /// pinned bit for bit to what per-dish scalar `NiwPosterior`s produced
+    /// before the frozen dishes moved onto one `DishBank`.
+    #[test]
+    fn explain_log_weights_are_pinned_bit_for_bit() {
+        use Prediction::{Known, Unknown};
+        const DISHES: [(DishId, Prediction); 3] = [(12, Known(0)), (18, Known(1)), (20, Unknown)];
+        // (x, each dish's log weight, the new-dish log weight, predict(x)).
+        const PINNED: [([f64; 2], [u64; 3], u64, Prediction); 5] = [
+            (
+                [-6.0, 0.0],
+                [0x3fe0191845e79146, 0xc03ca380aab985c9, 0xc03890adbf2b2005],
+                0xc01b1a2f2e51d01d,
+                Known(0),
+            ),
+            (
+                [6.0, 0.0],
+                [0xc0424efae5efed98, 0x3fce43cb826af648, 0xc037d737b516590b],
+                0xc01b047c1bd6fc7e,
+                Known(1),
+            ),
+            (
+                [0.0, 9.0],
+                [0xc04fcea8153527e9, 0xc0474c93dd90a035, 0xc000759a9f6ab88a],
+                0xc02105320bc1bf59,
+                Unknown,
+            ),
+            (
+                [2.5, 4.0],
+                [0xc0439e1bda0bdb37, 0xc034b90d80911c27, 0xc02789e254e4944f],
+                0xc01a76c7246e75f1,
+                Unknown,
+            ),
+            (
+                [50.0, -50.0],
+                [0xc064136de96461c8, 0xc05dd66dcd22206a, 0xc04e57957fe4ae5f],
+                0xc02c805d1154da52,
+                Unknown,
+            ),
+        ];
+        let (model, outcome, test, _) = setup();
+        let frozen = FrozenModel::freeze(&model, &outcome, &test).unwrap();
+        for (x, dish_bits, new_bits, label) in PINNED {
+            let (rows, new_lw) = frozen.explain(&x);
+            let got: Vec<_> = rows.iter().map(|&(id, l, lw)| ((id, l), lw.to_bits())).collect();
+            let want: Vec<_> = DISHES.into_iter().zip(dish_bits).collect();
+            assert_eq!(got, want, "dish log weights at {x:?}");
+            assert_eq!(new_lw.to_bits(), new_bits, "new-dish log weight at {x:?}");
+            assert_eq!(frozen.predict(&x), label, "prediction at {x:?}");
+        }
+    }
+
     #[test]
     fn freeze_rejects_mismatched_outcome() {
         let (model, outcome, test, _) = setup();
@@ -296,28 +353,5 @@ mod tests {
         let (model, outcome, test, _) = setup();
         let frozen = FrozenModel::freeze(&model, &outcome, &test).unwrap();
         let _ = frozen.predict(&[0.0]);
-    }
-}
-
-/// Serializable summary of a frozen model (counts and labels only — the
-/// posteriors themselves are rebuilt from data on freeze).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FrozenSummary {
-    /// Number of frozen subclasses.
-    pub n_subclasses: usize,
-    /// γ at freeze time.
-    pub gamma: f64,
-    /// `(dish id, label)` pairs.
-    pub labels: Vec<(DishId, Prediction)>,
-}
-
-impl FrozenModel {
-    /// Produce the serializable summary.
-    pub fn summary(&self) -> FrozenSummary {
-        FrozenSummary {
-            n_subclasses: self.dishes.len(),
-            gamma: self.gamma,
-            labels: self.dishes.iter().map(|d| (d.id, d.label)).collect(),
-        }
     }
 }

@@ -190,10 +190,11 @@ impl HdpOsr {
         &self.params
     }
 
-    /// The stored per-class training points (needed by the inductive
-    /// [`crate::inductive::FrozenModel`] to rebuild dish posteriors). A warm
-    /// model's groups are the checkpoint's own
-    /// ([`PosteriorSnapshot::shared_groups`]), not copies.
+    /// The stored per-class training points, one group per class in class
+    /// order: cold serving re-seats them with every batch, and freezing a
+    /// run folds each class into its dominant dish. A warm model's groups
+    /// are the checkpoint's own ([`PosteriorSnapshot::shared_groups`]), not
+    /// copies.
     pub fn classes(&self) -> &[Arc<Vec<Vec<f64>>>] {
         &self.classes
     }

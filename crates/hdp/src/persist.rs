@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use osr_stats::snapshot::{Dec, Enc, SnapResult, SnapshotError, SnapshotFile, SnapshotWriter};
-use osr_stats::{DishBank, NiwParams, NiwPosterior};
+use osr_stats::{DishBank, NiwParams};
 
 use crate::state::{DishMenu, HdpConfig, HdpState, Table};
 
@@ -31,20 +31,13 @@ pub const SEC_HDP_CONFIG: u32 = 2;
 pub const SEC_SEATING: u32 = 3;
 /// Section id of the dish bank (per-dish NIW sufficient statistics).
 pub const SEC_BANK: u32 = 4;
-/// Section id of the cached prior posterior (the "empty dish" predictive).
-pub const SEC_PRIOR_POST: u32 = 5;
 
 /// `u64` sentinel standing in for `usize::MAX` (an unseated item) on the
 /// wire — the format is 64-bit regardless of host.
 const UNSEATED: u64 = u64::MAX;
 
 /// Append every HDP section to `w`.
-pub(crate) fn write_sections(
-    state: &HdpState,
-    config: &HdpConfig,
-    prior_post: &NiwPosterior,
-    w: &mut SnapshotWriter,
-) {
+pub(crate) fn write_sections(state: &HdpState, config: &HdpConfig, w: &mut SnapshotWriter) {
     let mut enc = Enc::new();
     state.params.encode_into(&mut enc);
     w.section(SEC_PARAMS, enc.into_bytes());
@@ -65,18 +58,12 @@ pub(crate) fn write_sections(
     let mut enc = Enc::new();
     state.bank.encode_into(&mut enc);
     w.section(SEC_BANK, enc.into_bytes());
-
-    let mut enc = Enc::new();
-    prior_post.encode_into(&mut enc);
-    w.section(SEC_PRIOR_POST, enc.into_bytes());
 }
 
 /// Decode every HDP section of a verified container back into snapshot
 /// parts, cross-validating the seating bookkeeping so a later sweep can
 /// never panic on state a corrupted-but-CRC-valid writer produced.
-pub(crate) fn read_sections(
-    file: &SnapshotFile<'_>,
-) -> SnapResult<(HdpState, HdpConfig, NiwPosterior)> {
+pub(crate) fn read_sections(file: &SnapshotFile<'_>) -> SnapResult<(HdpState, HdpConfig)> {
     let mut dec = Dec::new(file.section(SEC_PARAMS)?);
     let params = NiwParams::decode_from(&mut dec)?;
     dec.finish("params section")?;
@@ -103,20 +90,10 @@ pub(crate) fn read_sections(
     let bank = DishBank::decode_from(&mut dec, &params)?;
     dec.finish("bank section")?;
 
-    let mut dec = Dec::new(file.section(SEC_PRIOR_POST)?);
-    let prior_post = NiwPosterior::decode_from(&mut dec)?;
-    dec.finish("prior posterior section")?;
-    if prior_post.dim() != params.dim() {
-        return Err(SnapshotError::DimensionMismatch {
-            expected: params.dim(),
-            got: prior_post.dim(),
-        });
-    }
-
     let mut dec = Dec::new(file.section(SEC_SEATING)?);
     let state = decode_seating(&mut dec, params, bank)?;
     dec.finish("seating section")?;
-    Ok((state, config, prior_post))
+    Ok((state, config))
 }
 
 fn encode_seating(state: &HdpState, enc: &mut Enc) {

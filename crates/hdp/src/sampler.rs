@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use osr_stats::{NiwParams, NiwPosterior};
+use osr_stats::NiwParams;
 
 use crate::session::PosteriorSnapshot;
 use crate::state::{DishId, DishSummary, GroupSummary, HdpConfig, HdpState};
@@ -28,8 +28,6 @@ use crate::{HdpError, Result};
 pub struct Hdp {
     state: HdpState,
     config: HdpConfig,
-    /// Cached prior-state posterior for `p(x)` under H (new tables/dishes).
-    prior_post: NiwPosterior,
     initialized: bool,
     /// Sweeps completed by this sampler (the `sweep` index of traces).
     sweeps_done: usize,
@@ -75,7 +73,6 @@ impl Hdp {
         }
         let assignment = groups.iter().map(|g| vec![usize::MAX; g.len()]).collect();
         let n_groups = groups.len();
-        let prior_post = NiwPosterior::from_prior(&params);
         // Initialize the concentrations at their prior means.
         let gamma = config.gamma_prior.0 / config.gamma_prior.1;
         let alpha = config.alpha_prior.0 / config.alpha_prior.1;
@@ -94,7 +91,6 @@ impl Hdp {
                 scratch: Default::default(),
             },
             config,
-            prior_post,
             initialized: false,
             sweeps_done: 0,
             last_sweep_wall_ns: 0,
@@ -104,15 +100,10 @@ impl Hdp {
 
     /// Rebuild a sampler from checkpointed parts (see
     /// [`PosteriorSnapshot::restore`]). The state is assumed fully seated.
-    pub(crate) fn from_parts(
-        state: HdpState,
-        config: HdpConfig,
-        prior_post: NiwPosterior,
-    ) -> Self {
+    pub(crate) fn from_parts(state: HdpState, config: HdpConfig) -> Self {
         Self {
             state,
             config,
-            prior_post,
             initialized: true,
             sweeps_done: 0,
             last_sweep_wall_ns: 0,
@@ -220,7 +211,7 @@ impl Hdp {
     /// a posterior state worth freezing.
     pub fn snapshot(&self) -> PosteriorSnapshot {
         assert!(self.initialized, "snapshot: sampler has not run yet");
-        PosteriorSnapshot::from_parts(self.state.clone(), self.config, self.prior_post.clone())
+        PosteriorSnapshot::from_parts(self.state.clone(), self.config)
     }
 
     // ------------------------------------------------------------------

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use osr_stats::{NiwParams, NiwPosterior};
+use osr_stats::NiwParams;
 
 use crate::sampler::validate_group;
 use crate::state::{DishId, DishSummary, GroupSummary, HdpConfig, HdpState};
@@ -45,16 +45,11 @@ use crate::{Hdp, Result};
 pub struct PosteriorSnapshot {
     state: HdpState,
     config: HdpConfig,
-    prior_post: NiwPosterior,
 }
 
 impl PosteriorSnapshot {
-    pub(crate) fn from_parts(
-        state: HdpState,
-        config: HdpConfig,
-        prior_post: NiwPosterior,
-    ) -> Self {
-        Self { state, config, prior_post }
+    pub(crate) fn from_parts(state: HdpState, config: HdpConfig) -> Self {
+        Self { state, config }
     }
 
     /// Number of (training) groups in the checkpoint.
@@ -128,47 +123,33 @@ impl PosteriorSnapshot {
         self.state.menu.n_ids()
     }
 
-    /// MAP dish assignment of `x` under the frozen global mixture — the
-    /// degraded-mode replacement for reseating. Scores each live dish `k` by
-    /// `ln m_·k + f_k(x)` and the "brand-new dish" option by `ln γ + f_H(x)`
-    /// (the menu weights of Eq. 8 with the batch contributing nothing);
-    /// returns `None` when the new-dish option wins, i.e. no frozen subclass
-    /// explains `x` better than the prior.
-    ///
-    /// # Panics
-    /// Panics when `x` does not match the base measure's dimension.
-    pub fn map_dish(&self, x: &[f64]) -> Option<DishId> {
-        let n_live = self.state.n_dishes();
-        let mut scratch = vec![0.0; n_live * self.state.bank.dim()];
-        let mut scores = Vec::with_capacity(n_live);
-        self.map_dish_banked(x, &mut scratch, &mut scores)
-    }
-
-    /// [`Self::map_dish`] over a whole batch: the live menu, the solve
-    /// scratch, and the score buffer are built once and reused across
-    /// points, so degraded frozen serving runs the one-vs-all kernel
-    /// back-to-back with no per-point allocation beyond the result.
+    /// MAP dish assignment of every point under the frozen global mixture —
+    /// the degraded-mode replacement for reseating. Scores each live dish
+    /// `k` by `ln m_·k + f_k(x)` and the "brand-new dish" option by
+    /// `ln γ + f_H(x)` (the menu weights of Eq. 8 with the batch
+    /// contributing nothing); a point maps to `None` when the new-dish
+    /// option wins, i.e. no frozen subclass explains it better than the
+    /// prior. The solve scratch and the score buffer are built once and
+    /// reused across points, so the one-vs-all kernel runs back-to-back
+    /// with no per-point allocation beyond the result.
     ///
     /// # Panics
     /// Panics when any point does not match the base measure's dimension.
     pub fn map_dishes(&self, points: &[Vec<f64>]) -> Vec<Option<DishId>> {
         let n_live = self.state.n_dishes();
-        let mut scratch = vec![0.0; n_live * self.state.bank.dim()];
+        let mut scratch = vec![0.0; (n_live + 1) * self.state.bank.dim()];
         let mut scores = Vec::with_capacity(n_live);
-        points.iter().map(|x| self.map_dish_banked(x, &mut scratch, &mut scores)).collect()
+        points.iter().map(|x| self.map_dish(x, &mut scratch, &mut scores)).collect()
     }
 
-    fn map_dish_banked(
-        &self,
-        x: &[f64],
-        scratch: &mut [f64],
-        scores: &mut Vec<f64>,
-    ) -> Option<DishId> {
-        let new_lw = self.state.gamma.ln() + self.prior_post.predictive_logpdf(x);
+    fn map_dish(&self, x: &[f64], scratch: &mut [f64], scores: &mut Vec<f64>) -> Option<DishId> {
+        let bank = &self.state.bank;
+        let (prior_lane, lanes) = scratch.split_at_mut(bank.dim());
+        let new_lw = self.state.gamma.ln() + bank.score_prior(x, prior_lane);
         scores.clear();
-        // One fused pass over the bank replaces the per-dish predictive
-        // loop; ties still resolve to the lowest dish id (strict `>`).
-        self.state.bank.score_all(self.state.menu.live_slots(), x, scratch, scores);
+        // One fused pass over the bank; ties resolve to the lowest dish id
+        // (strict `>`).
+        bank.score_all(self.state.menu.live_slots(), x, lanes, scores);
         let mut best: Option<(DishId, f64)> = None;
         for ((id, dish), &lp) in self.state.live_dishes().zip(scores.iter()) {
             let lw = (dish.n_tables as f64).ln() + lp;
@@ -186,16 +167,16 @@ impl PosteriorSnapshot {
     /// [`Hdp::snapshot`]): the restored sampler continues sweeping *all*
     /// groups from the frozen arrangement.
     pub fn restore(&self) -> Hdp {
-        Hdp::from_parts(self.state.clone(), self.config, self.prior_post.clone())
+        Hdp::from_parts(self.state.clone(), self.config)
     }
 
     /// Append this checkpoint's sections (base measure, config, seating,
-    /// dish bank, prior posterior) to a durable snapshot container. The
-    /// byte output is a pure function of the checkpoint's canonical state:
-    /// writing the same checkpoint twice — or writing a checkpoint decoded
-    /// by [`Self::read_sections`] — produces identical bytes.
+    /// dish bank) to a durable snapshot container. The byte output is a
+    /// pure function of the checkpoint's canonical state: writing the same
+    /// checkpoint twice — or writing a checkpoint decoded by
+    /// [`Self::read_sections`] — produces identical bytes.
     pub fn write_sections(&self, w: &mut osr_stats::snapshot::SnapshotWriter) {
-        crate::persist::write_sections(&self.state, &self.config, &self.prior_post, w);
+        crate::persist::write_sections(&self.state, &self.config, w);
     }
 
     /// Decode a checkpoint from a verified snapshot container, revalidating
@@ -209,8 +190,8 @@ impl PosteriorSnapshot {
     pub fn read_sections(
         file: &osr_stats::snapshot::SnapshotFile<'_>,
     ) -> osr_stats::snapshot::SnapResult<Self> {
-        let (state, config, prior_post) = crate::persist::read_sections(file)?;
-        Ok(Self { state, config, prior_post })
+        let (state, config) = crate::persist::read_sections(file)?;
+        Ok(Self { state, config })
     }
 
     /// Open a warm serving session: clone the checkpoint, append `batch` as
@@ -509,6 +490,53 @@ mod tests {
         };
         assert_eq!(serve(&snap), serve(&decoded));
         decoded.restore().check_invariants();
+    }
+
+    /// The MAP rule [`PosteriorSnapshot::map_dishes`] implements, computed
+    /// independently: each live dish by `ln m_·k + f_k(x)` from its bank
+    /// slot scored alone, the new-dish option by `ln γ + f_H(x)` from a
+    /// scalar prior posterior.
+    fn reference_map(snap: &PosteriorSnapshot, x: &[f64]) -> Option<DishId> {
+        let prior = osr_stats::NiwPosterior::from_prior(snap.params());
+        let new_lw = snap.gamma().ln() + prior.predictive_logpdf(x);
+        let mut best: Option<(DishId, f64)> = None;
+        for (id, dish) in snap.state.live_dishes() {
+            let lw = (dish.n_tables as f64).ln() + snap.state.bank.predictive_one(dish.slot, x);
+            if best.is_none_or(|(_, b)| lw > b) {
+                best = Some((id, lw));
+            }
+        }
+        best.filter(|&(_, lw)| lw >= new_lw).map(|(id, _)| id)
+    }
+
+    #[test]
+    fn map_dishes_matches_the_reference_rule_across_the_prior_crossover() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let snap = trained(&mut rng).snapshot();
+        let mut w = osr_stats::snapshot::SnapshotWriter::new("cdosr", 2);
+        snap.write_sections(&mut w);
+        let bytes = w.finish();
+        let file = osr_stats::snapshot::SnapshotFile::parse(&bytes).unwrap();
+        let decoded = PosteriorSnapshot::read_sections(&file).unwrap();
+
+        // Rays out of both class centres, from inside a dish to far past
+        // every dish, where the prior's heavier tails win. The step is fine
+        // enough that moving the new-dish weight by a tenth of a nat
+        // flips the points next to each crossover.
+        let sweep: Vec<Vec<f64>> = (0..=2000)
+            .flat_map(|i| {
+                let t = f64::from(i) * 0.01;
+                [vec![-6.0 - 0.3 * t, t], vec![6.0 + t, -0.5 * t]]
+            })
+            .collect();
+        for s in [&snap, &decoded] {
+            let got = s.map_dishes(&sweep);
+            let want: Vec<Option<DishId>> = sweep.iter().map(|x| reference_map(s, x)).collect();
+            assert_eq!(got, want);
+            assert!(got.iter().any(Option::is_some), "no point mapped to a dish");
+            assert!(got.iter().any(Option::is_none), "no point mapped to a new dish");
+        }
+        assert_eq!(snap.map_dishes(&sweep), decoded.map_dishes(&sweep));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Process-wide instrumentation counters.
 //!
-//! The posterior predictive ([`crate::NiwPosterior::predictive_logpdf`]) is
+//! The posterior predictive (the [`crate::DishBank`] scoring kernels) is
 //! the single hottest call of the whole reproduction — every CRF seating
 //! decision evaluates it once per live dish. The harness reports this count
 //! next to wall-clock numbers so serving-path optimizations (warm-start
@@ -12,7 +12,19 @@
 //! as before, but now they also appear in [`crate::metrics::global`]
 //! snapshots next to the sampler's sweep metrics. The free-function API is
 //! kept for existing callers; each function caches its registry handle in a
-//! `OnceLock` so the hot path never touches the registry lock.
+//! `OnceLock` so the hot path never touches the registry lock. Plain event
+//! counters are declared once in the `counters!` table below, which
+//! expands each row into its registry-name constant, its record function
+//! and its getter.
+//!
+//! The predictive total counts dish scores, whichever path computes them:
+//! the fused bank kernels fold their per-dish evaluations into it, and a
+//! prior score ([`crate::DishBank::score_prior`]) adds one, recorded as a
+//! one-dish one-vs-all call. Degraded serves and the frozen inductive model
+//! score their new-dish option that way, as the sweeps do: a point scored
+//! against `K` dishes adds `K + 1` to the total, as it did when those two
+//! paths scored the prior through a scalar posterior, and two one-vs-all
+//! calls where that counted one.
 //!
 //! Counters are process-global, so callers measuring a specific region
 //! should record a before/after delta rather than resetting (other threads
@@ -22,144 +34,174 @@ use std::sync::OnceLock;
 
 use crate::metrics::{global, Counter, Gauge};
 
-/// Registry name of the posterior-predictive evaluation counter.
-pub const PREDICTIVE_LOGPDF_CALLS: &str = "stats.predictive_logpdf_calls";
+/// The registry counter called `name`, resolved once per call site.
+fn cached(cell: &'static OnceLock<Counter>, name: &str) -> &'static Counter {
+    cell.get_or_init(|| global().counter(name))
+}
+
+/// One row per event counter: the registry-name constant, a function that
+/// records one event, and a getter for the process-wide total.
+macro_rules! counters {
+    ($(
+        $(#[$name_doc:meta])*
+        $name:ident = $key:literal;
+        $(#[$record_doc:meta])*
+        $record_vis:vis fn $record:ident;
+        $(#[$get_doc:meta])*
+        pub fn $get:ident;
+    )*) => {$(
+        $(#[$name_doc])*
+        pub const $name: &str = $key;
+
+        $(#[$record_doc])*
+        #[inline]
+        $record_vis fn $record() {
+            static CELL: OnceLock<Counter> = OnceLock::new();
+            cached(&CELL, $name).inc();
+        }
+
+        $(#[$get_doc])*
+        pub fn $get() -> u64 {
+            static CELL: OnceLock<Counter> = OnceLock::new();
+            cached(&CELL, $name).get()
+        }
+    )*};
+}
+
+counters! {
+    /// Registry name of the posterior-predictive evaluation counter.
+    PREDICTIVE_LOGPDF_CALLS = "stats.predictive_logpdf_calls";
+    /// Record one scalar posterior-predictive evaluation.
+    pub(crate) fn record_predictive_logpdf;
+    /// Total posterior-predictive evaluations since process start.
+    pub fn predictive_logpdf_calls;
+
+    /// Registry name of the serve-retry counter.
+    SERVE_RETRIES = "serving.retries";
+    /// Record one serve-attempt retry (an attempt launched after a divergent
+    /// previous attempt on the same batch).
+    pub fn record_serve_retry;
+    /// Total serve-attempt retries since process start.
+    pub fn serve_retries;
+
+    /// Registry name of the degraded-batch counter.
+    DEGRADED_BATCHES = "serving.degraded_batches";
+    /// Record one batch answered via degraded frozen inference.
+    pub fn record_degraded_batch;
+    /// Total batches answered via degraded frozen inference since process start.
+    pub fn degraded_batches;
+
+    /// Registry name of the durable-snapshot save counter.
+    SNAPSHOT_SAVES = "snapshot.saves";
+    /// Record one durable snapshot persisted to disk.
+    pub fn record_snapshot_save;
+    /// Total durable snapshot saves since process start.
+    pub fn snapshot_saves;
+
+    /// Registry name of the durable-snapshot load counter (successful decodes).
+    SNAPSHOT_LOADS = "snapshot.loads";
+    /// Record one durable snapshot successfully loaded and decoded.
+    pub fn record_snapshot_load;
+    /// Total successful durable snapshot loads since process start.
+    pub fn snapshot_loads;
+
+    /// Registry name of the durable-snapshot load-failure counter (typed decode
+    /// or I/O errors surfaced to the caller).
+    SNAPSHOT_LOAD_FAILURES = "snapshot.load_failures";
+    /// Record one durable snapshot load that failed with a typed error.
+    pub fn record_snapshot_load_failure;
+    /// Total durable snapshot load failures since process start.
+    pub fn snapshot_load_failures;
+
+    /// Registry name of the durable-recovery counter (batches answered by
+    /// reloading the last-good on-disk snapshot after in-memory state was lost
+    /// or rejected).
+    DURABLE_RECOVERIES = "serving.durable_recoveries";
+    /// Record one batch answered by recovering the model from the last-good
+    /// on-disk snapshot.
+    pub fn record_durable_recovery;
+    /// Total durable recoveries since process start.
+    pub fn durable_recoveries;
+
+    /// Registry name of the front-end enqueue counter (singleton requests
+    /// admitted into a tenant queue).
+    FRONTEND_ENQUEUED = "frontend.enqueued";
+    /// Record one singleton request admitted into a front-end tenant queue.
+    pub fn record_frontend_enqueued;
+    /// Total front-end enqueues since process start.
+    pub fn frontend_enqueued;
+
+    /// Registry name of the front-end size-flush counter (micro-batches flushed
+    /// because a tenant queue reached `max_batch`).
+    FRONTEND_FLUSHES_SIZE = "frontend.flushes_size";
+    /// Record one micro-batch flushed because its tenant queue filled up.
+    pub fn record_frontend_flush_size;
+    /// Total size-triggered front-end flushes since process start.
+    pub fn frontend_flushes_size;
+
+    /// Registry name of the front-end deadline-flush counter (micro-batches
+    /// flushed because the oldest queued request hit the latency SLO).
+    FRONTEND_FLUSHES_DEADLINE = "frontend.flushes_deadline";
+    /// Record one micro-batch flushed because its oldest request hit the SLO
+    /// deadline.
+    pub fn record_frontend_flush_deadline;
+    /// Total deadline-triggered front-end flushes since process start.
+    pub fn frontend_flushes_deadline;
+
+    /// Registry name of the front-end shed counter (requests rejected with a
+    /// typed overload error instead of joining a full tenant queue).
+    FRONTEND_SHED = "frontend.shed";
+    /// Record one request shed with a typed overload error.
+    pub fn record_frontend_shed;
+    /// Total front-end sheds since process start.
+    pub fn frontend_shed;
+
+    /// Registry name of the model-registry cold-load counter (tenants whose
+    /// warm model was materialized from the durable snapshot store on demand).
+    FRONTEND_COLD_LOADS = "frontend.cold_loads";
+    /// Record one tenant model cold-loaded from the durable snapshot store.
+    pub fn record_frontend_cold_load;
+    /// Total registry cold loads since process start.
+    pub fn frontend_cold_loads;
+
+    /// Registry name of the model-registry eviction counter (warm models
+    /// dropped by the LRU bound to admit another tenant).
+    FRONTEND_EVICTIONS = "frontend.evictions";
+    /// Record one warm model evicted by the registry's LRU bound.
+    pub fn record_frontend_eviction;
+    /// Total registry evictions since process start.
+    pub fn frontend_evictions;
+}
+
 /// Registry name of the one-observation-vs-all-dishes kernel counter
 /// (collective-decision scoring passes over the dish bank).
 pub const PREDICTIVE_ONE_VS_ALL: &str = "stats.predictive_one_vs_all";
 /// Registry name of the batched-observations-vs-one-dish kernel counter
 /// (block predictives in the table dish-resampling step).
 pub const PREDICTIVE_BATCH_VS_ONE: &str = "stats.predictive_batch_vs_one";
-/// Registry name of the serve-retry counter.
-pub const SERVE_RETRIES: &str = "serving.retries";
-/// Registry name of the degraded-batch counter.
-pub const DEGRADED_BATCHES: &str = "serving.degraded_batches";
-/// Registry name of the durable-snapshot save counter.
-pub const SNAPSHOT_SAVES: &str = "snapshot.saves";
-/// Registry name of the durable-snapshot load counter (successful decodes).
-pub const SNAPSHOT_LOADS: &str = "snapshot.loads";
-/// Registry name of the durable-snapshot load-failure counter (typed decode
-/// or I/O errors surfaced to the caller).
-pub const SNAPSHOT_LOAD_FAILURES: &str = "snapshot.load_failures";
-/// Registry name of the durable-recovery counter (batches answered by
-/// reloading the last-good on-disk snapshot after in-memory state was lost
-/// or rejected).
-pub const DURABLE_RECOVERIES: &str = "serving.durable_recoveries";
-/// Registry name of the front-end enqueue counter (singleton requests
-/// admitted into a tenant queue).
-pub const FRONTEND_ENQUEUED: &str = "frontend.enqueued";
-/// Registry name of the front-end size-flush counter (micro-batches flushed
-/// because a tenant queue reached `max_batch`).
-pub const FRONTEND_FLUSHES_SIZE: &str = "frontend.flushes_size";
-/// Registry name of the front-end deadline-flush counter (micro-batches
-/// flushed because the oldest queued request hit the latency SLO).
-pub const FRONTEND_FLUSHES_DEADLINE: &str = "frontend.flushes_deadline";
-/// Registry name of the front-end shed counter (requests rejected with a
-/// typed overload error instead of joining a full tenant queue).
-pub const FRONTEND_SHED: &str = "frontend.shed";
 /// Registry name of the front-end queue-depth gauge (total requests queued
 /// or flushed-but-undispatched across all tenants, updated on every
 /// enqueue/flush/dispatch transition).
 pub const FRONTEND_QUEUE_DEPTH: &str = "frontend.queue_depth";
-/// Registry name of the model-registry cold-load counter (tenants whose
-/// warm model was materialized from the durable snapshot store on demand).
-pub const FRONTEND_COLD_LOADS: &str = "frontend.cold_loads";
-/// Registry name of the model-registry eviction counter (warm models
-/// dropped by the LRU bound to admit another tenant).
-pub const FRONTEND_EVICTIONS: &str = "frontend.evictions";
 
-fn handle(cell: &'static OnceLock<Counter>, name: &str) -> &'static Counter {
-    cell.get_or_init(|| global().counter(name))
-}
-
-fn predictive_handle() -> &'static Counter {
+fn predictive_total() -> &'static Counter {
     static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, PREDICTIVE_LOGPDF_CALLS)
+    cached(&CELL, PREDICTIVE_LOGPDF_CALLS)
 }
 
 fn one_vs_all_handle() -> &'static Counter {
     static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, PREDICTIVE_ONE_VS_ALL)
+    cached(&CELL, PREDICTIVE_ONE_VS_ALL)
 }
 
 fn batch_vs_one_handle() -> &'static Counter {
     static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, PREDICTIVE_BATCH_VS_ONE)
-}
-
-fn retries_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, SERVE_RETRIES)
-}
-
-fn degraded_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, DEGRADED_BATCHES)
-}
-
-fn snapshot_saves_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, SNAPSHOT_SAVES)
-}
-
-fn snapshot_loads_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, SNAPSHOT_LOADS)
-}
-
-fn snapshot_load_failures_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, SNAPSHOT_LOAD_FAILURES)
-}
-
-fn durable_recoveries_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, DURABLE_RECOVERIES)
-}
-
-fn frontend_enqueued_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, FRONTEND_ENQUEUED)
-}
-
-fn frontend_flushes_size_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, FRONTEND_FLUSHES_SIZE)
-}
-
-fn frontend_flushes_deadline_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, FRONTEND_FLUSHES_DEADLINE)
-}
-
-fn frontend_shed_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, FRONTEND_SHED)
+    cached(&CELL, PREDICTIVE_BATCH_VS_ONE)
 }
 
 fn frontend_queue_depth_handle() -> &'static Gauge {
     static CELL: OnceLock<Gauge> = OnceLock::new();
     CELL.get_or_init(|| global().gauge(FRONTEND_QUEUE_DEPTH))
-}
-
-fn frontend_cold_loads_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, FRONTEND_COLD_LOADS)
-}
-
-fn frontend_evictions_handle() -> &'static Counter {
-    static CELL: OnceLock<Counter> = OnceLock::new();
-    handle(&CELL, FRONTEND_EVICTIONS)
-}
-
-#[inline]
-pub(crate) fn record_predictive_logpdf() {
-    predictive_handle().inc();
-}
-
-/// Total posterior-predictive evaluations since process start.
-pub fn predictive_logpdf_calls() -> u64 {
-    predictive_handle().get()
 }
 
 /// Record one one-vs-all kernel invocation that scored `dishes` dishes:
@@ -171,7 +213,7 @@ pub fn predictive_logpdf_calls() -> u64 {
 #[inline]
 pub(crate) fn record_predictive_one_vs_all(dishes: u64) {
     one_vs_all_handle().inc();
-    predictive_handle().add(dishes);
+    predictive_total().add(dishes);
 }
 
 /// Record one batch-vs-one kernel invocation that evaluated `points`
@@ -180,7 +222,7 @@ pub(crate) fn record_predictive_one_vs_all(dishes: u64) {
 #[inline]
 pub(crate) fn record_predictive_batch_vs_one(points: u64) {
     batch_vs_one_handle().inc();
-    predictive_handle().add(points);
+    predictive_total().add(points);
 }
 
 /// Total one-vs-all kernel invocations since process start.
@@ -193,119 +235,6 @@ pub fn predictive_batch_vs_one_calls() -> u64 {
     batch_vs_one_handle().get()
 }
 
-/// Record one serve-attempt retry (an attempt launched after a divergent
-/// previous attempt on the same batch).
-#[inline]
-pub fn record_serve_retry() {
-    retries_handle().inc();
-}
-
-/// Total serve-attempt retries since process start.
-pub fn serve_retries() -> u64 {
-    retries_handle().get()
-}
-
-/// Record one batch answered via degraded frozen inference.
-#[inline]
-pub fn record_degraded_batch() {
-    degraded_handle().inc();
-}
-
-/// Total batches answered via degraded frozen inference since process start.
-pub fn degraded_batches() -> u64 {
-    degraded_handle().get()
-}
-
-/// Record one durable snapshot persisted to disk.
-#[inline]
-pub fn record_snapshot_save() {
-    snapshot_saves_handle().inc();
-}
-
-/// Total durable snapshot saves since process start.
-pub fn snapshot_saves() -> u64 {
-    snapshot_saves_handle().get()
-}
-
-/// Record one durable snapshot successfully loaded and decoded.
-#[inline]
-pub fn record_snapshot_load() {
-    snapshot_loads_handle().inc();
-}
-
-/// Total successful durable snapshot loads since process start.
-pub fn snapshot_loads() -> u64 {
-    snapshot_loads_handle().get()
-}
-
-/// Record one durable snapshot load that failed with a typed error.
-#[inline]
-pub fn record_snapshot_load_failure() {
-    snapshot_load_failures_handle().inc();
-}
-
-/// Total durable snapshot load failures since process start.
-pub fn snapshot_load_failures() -> u64 {
-    snapshot_load_failures_handle().get()
-}
-
-/// Record one batch answered by recovering the model from the last-good
-/// on-disk snapshot.
-#[inline]
-pub fn record_durable_recovery() {
-    durable_recoveries_handle().inc();
-}
-
-/// Total durable recoveries since process start.
-pub fn durable_recoveries() -> u64 {
-    durable_recoveries_handle().get()
-}
-
-/// Record one singleton request admitted into a front-end tenant queue.
-#[inline]
-pub fn record_frontend_enqueued() {
-    frontend_enqueued_handle().inc();
-}
-
-/// Total front-end enqueues since process start.
-pub fn frontend_enqueued() -> u64 {
-    frontend_enqueued_handle().get()
-}
-
-/// Record one micro-batch flushed because its tenant queue filled up.
-#[inline]
-pub fn record_frontend_flush_size() {
-    frontend_flushes_size_handle().inc();
-}
-
-/// Total size-triggered front-end flushes since process start.
-pub fn frontend_flushes_size() -> u64 {
-    frontend_flushes_size_handle().get()
-}
-
-/// Record one micro-batch flushed because its oldest request hit the SLO
-/// deadline.
-#[inline]
-pub fn record_frontend_flush_deadline() {
-    frontend_flushes_deadline_handle().inc();
-}
-
-/// Total deadline-triggered front-end flushes since process start.
-pub fn frontend_flushes_deadline() -> u64 {
-    frontend_flushes_deadline_handle().get()
-}
-
-/// Record one request shed with a typed overload error.
-#[inline]
-pub fn record_frontend_shed() {
-    frontend_shed_handle().inc();
-}
-
-/// Total front-end sheds since process start.
-pub fn frontend_shed() -> u64 {
-    frontend_shed_handle().get()
-}
-
 /// Overwrite the front-end queue-depth gauge (requests admitted but not yet
 /// dispatched, across all tenants).
 #[inline]
@@ -316,28 +245,6 @@ pub fn set_frontend_queue_depth(depth: f64) {
 /// Most recently published front-end queue depth.
 pub fn frontend_queue_depth() -> f64 {
     frontend_queue_depth_handle().get()
-}
-
-/// Record one tenant model cold-loaded from the durable snapshot store.
-#[inline]
-pub fn record_frontend_cold_load() {
-    frontend_cold_loads_handle().inc();
-}
-
-/// Total registry cold loads since process start.
-pub fn frontend_cold_loads() -> u64 {
-    frontend_cold_loads_handle().get()
-}
-
-/// Record one warm model evicted by the registry's LRU bound.
-#[inline]
-pub fn record_frontend_eviction() {
-    frontend_evictions_handle().inc();
-}
-
-/// Total registry evictions since process start.
-pub fn frontend_evictions() -> u64 {
-    frontend_evictions_handle().get()
 }
 
 #[cfg(test)]

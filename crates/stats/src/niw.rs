@@ -18,6 +18,11 @@
 //!
 //! so moving an observation between mixture components (the inner loop of
 //! the sampler) never refactorizes a matrix.
+//!
+//! [`NiwPosterior`] is the scalar reference implementation: every dish
+//! posterior the program scores lives in a [`crate::DishBank`], whose
+//! kernels the bank-equivalence suite, the property tests and the benches
+//! compare against this type bit for bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -135,7 +140,8 @@ impl NiwParams {
     }
 }
 
-/// NIW posterior state after absorbing `n ≥ 0` observations.
+/// NIW posterior state after absorbing `n ≥ 0` observations — the scalar
+/// reference for one [`crate::DishBank`] slot (see the module docs).
 ///
 /// With `n = 0` this is exactly the prior, and
 /// [`predictive_logpdf`](Self::predictive_logpdf) is then the prior
@@ -169,68 +175,6 @@ impl NiwPosterior {
             post.add(p);
         }
         post
-    }
-
-    /// Append the canonical state (n, κₙ, νₙ, μₙ, and the lower-triangular
-    /// Cholesky factor L of Ψₙ, row-major) to a snapshot payload. The
-    /// factor is the maintained representation — serializing L itself (not a
-    /// reconstructed dense Ψₙ) is what makes save→load→re-save bit-identical.
-    pub fn encode_into(&self, enc: &mut crate::snapshot::Enc) {
-        let d = self.dim();
-        enc.put_usize(d);
-        enc.put_usize(self.n);
-        enc.put_f64(self.kappa);
-        enc.put_f64(self.nu);
-        enc.put_f64_slice(&self.mu);
-        let l = self.psi_chol.factor_l();
-        for i in 0..d {
-            for j in 0..=i {
-                enc.put_f64(l[(i, j)]);
-            }
-        }
-    }
-
-    /// Decode a posterior written by [`Self::encode_into`].
-    ///
-    /// # Errors
-    /// Typed [`crate::snapshot::SnapshotError`] on truncation or on a factor
-    /// whose diagonal is not finite and positive.
-    pub fn decode_from(
-        dec: &mut crate::snapshot::Dec<'_>,
-    ) -> crate::snapshot::SnapResult<Self> {
-        use crate::snapshot::SnapshotError;
-        let d = dec.count(8, "NiwPosterior dim")?;
-        let n = dec.usize("NiwPosterior n")?;
-        let kappa = dec.f64("NiwPosterior kappa")?;
-        let nu = dec.f64("NiwPosterior nu")?;
-        let mu = dec.f64_vec(d, "NiwPosterior mu")?;
-        let mut l = Matrix::zeros(d, d);
-        for i in 0..d {
-            for j in 0..=i {
-                l[(i, j)] = dec.f64("NiwPosterior chol")?;
-            }
-        }
-        for i in 0..d {
-            let diag = l[(i, i)];
-            if !(diag.is_finite() && diag > 0.0) {
-                return Err(SnapshotError::Malformed(format!(
-                    "NiwPosterior: Cholesky diagonal [{i}] = {diag} is not \
-                     finite and positive"
-                )));
-            }
-        }
-        if !(kappa.is_finite() && kappa > 0.0 && nu.is_finite()) {
-            return Err(SnapshotError::Malformed(format!(
-                "NiwPosterior: kappa = {kappa}, nu = {nu} out of domain"
-            )));
-        }
-        Ok(Self {
-            n,
-            kappa,
-            nu,
-            mu,
-            psi_chol: Cholesky::from_factor(l),
-        })
     }
 
     /// Number of absorbed observations.
@@ -479,51 +423,6 @@ mod tests {
         let mut enc2 = crate::snapshot::Enc::new();
         p2.encode_into(&mut enc2);
         assert_eq!(bytes, enc2.into_bytes(), "re-encode must be byte-identical");
-    }
-
-    #[test]
-    fn posterior_codec_roundtrip_is_bit_identical() {
-        let p = params2();
-        let pts = pts();
-        let refs: Vec<&[f64]> = pts.iter().map(Vec::as_slice).collect();
-        let post = NiwPosterior::from_points(&p, &refs);
-
-        let mut enc = crate::snapshot::Enc::new();
-        post.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-
-        let mut dec = crate::snapshot::Dec::new(&bytes);
-        let post2 = NiwPosterior::decode_from(&mut dec).unwrap();
-        dec.finish("posterior").unwrap();
-        assert_eq!(post.n, post2.n);
-        // Predictives are pure functions of the decoded state: bit-equal.
-        let x = [0.4, -0.2];
-        assert_eq!(
-            post.predictive_logpdf(&x).to_bits(),
-            post2.predictive_logpdf(&x).to_bits()
-        );
-
-        let mut enc2 = crate::snapshot::Enc::new();
-        post2.encode_into(&mut enc2);
-        assert_eq!(bytes, enc2.into_bytes(), "re-encode must be byte-identical");
-    }
-
-    #[test]
-    fn posterior_decode_rejects_bad_factor_diagonal() {
-        let p = params2();
-        let post = NiwPosterior::from_prior(&p);
-        let mut enc = crate::snapshot::Enc::new();
-        post.encode_into(&mut enc);
-        let mut bytes = enc.into_bytes();
-        // The first factor entry L[(0,0)] sits after dim + n + kappa + nu +
-        // mu[2], i.e. 8 * 6 bytes in. Overwrite it with -1.0.
-        let off = 8 * 6;
-        bytes[off..off + 8].copy_from_slice(&(-1.0f64).to_le_bytes());
-        let mut dec = crate::snapshot::Dec::new(&bytes);
-        assert!(matches!(
-            NiwPosterior::decode_from(&mut dec),
-            Err(crate::snapshot::SnapshotError::Malformed(_))
-        ));
     }
 
     #[test]

@@ -36,7 +36,9 @@ use std::fmt;
 
 /// Current snapshot container format version. Bump on any layout change;
 /// readers reject every other version with [`SnapshotError::VersionSkew`].
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+/// Version 2 dropped the HDP's separate prior-posterior section (id 5): the
+/// dish bank already carries the prior's predictive constants.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// The 8-byte file magic.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OSRSNAP\0";
@@ -902,7 +904,7 @@ mod tests {
     fn errors_render_without_panicking() {
         for e in [
             SnapshotError::BadMagic,
-            SnapshotError::VersionSkew { found: 9, supported: 1 },
+            SnapshotError::VersionSkew { found: 9, supported: SNAPSHOT_FORMAT_VERSION },
             SnapshotError::Truncated { context: "x", expected: 8, got: 2 },
             SnapshotError::ChecksumMismatch { section: HEADER_SECTION },
             SnapshotError::ChecksumMismatch { section: 3 },
