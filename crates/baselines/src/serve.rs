@@ -10,9 +10,8 @@
 //!
 //! * sessions plan **zero sweeps** and answer in
 //!   [`CollectiveSession::finish`];
-//! * `reseedable` is `false` — a retry replays the identical computation, so
-//!   the server reuses the first attempt's seed instead of pretending a new
-//!   seed explores anything;
+//! * sessions never draw from the RNG, so a retry's reseed replays the
+//!   identical computation;
 //! * the frozen fallback **is** the normal per-point prediction (there is no
 //!   cheaper approximation to fall back to), so degraded answers differ only
 //!   in their `served_via` stamp.
@@ -279,8 +278,6 @@ impl CollectiveModel for ServedBaseline {
 
     fn capabilities(&self) -> ModelCapabilities {
         ModelCapabilities {
-            reseedable: false,
-            divergence_watchdog: false,
             frozen_fallback: true,
             // Baselines keep no durable checkpoint: the snapshot container
             // persists the HDP posterior, which per-instance methods do not
@@ -347,7 +344,6 @@ mod tests {
             let served = ServedBaseline::train(spec, &train).unwrap();
             assert_eq!(CollectiveModel::dim(&served), 2, "{}", spec.method());
             let caps = served.capabilities();
-            assert!(!caps.reseedable);
             assert!(caps.frozen_fallback);
             let mut session = served.warm_session(&test).unwrap();
             assert_eq!(session.sweeps_planned(), 0);

@@ -4,21 +4,25 @@
 //! The paper's claim is comparative — the *collective* decision beats
 //! per-instance recognizers — so the production serving stack must serve
 //! every method, not just CD-OSR. This module is the seam: everything the
-//! [`crate::BatchServer`] needs from a model (admission dimensionality,
-//! watchdogged attempts, a frozen fallback, capability flags for its
-//! retry/degrade state machine) is expressed here as an object-safe trait,
-//! and the server itself holds only a `&dyn CollectiveModel`.
+//! [`crate::BatchServer`] and [`crate::Frontend`] need from a model
+//! (admission dimensionality, watchdogged attempts, a frozen fallback,
+//! capability flags for the degrade ladder) is expressed here as an
+//! object-safe trait, and the serve ladder holds only a
+//! `&dyn CollectiveModel`. The single-batch [`crate::HdpOsr::classify`]
+//! path runs the same attempt driver
+//! ([`CollectiveModel::classify_collective`]).
 //!
 //! Two very different families implement it:
 //!
 //! * **CD-OSR** ([`crate::HdpOsr`]) — stochastic, sweep-based, divergence-
-//!   prone. Its sessions run Gibbs sweeps under the watchdog, its retries
-//!   genuinely explore new sampling paths (`reseedable`), and its frozen
-//!   fallback is MAP inference under the fit-time checkpoint.
+//!   prone. Its sessions run Gibbs sweeps under the watchdog, its reseeded
+//!   retries explore new sampling paths, and its frozen fallback is MAP
+//!   inference under the fit-time checkpoint.
 //! * **Per-instance baselines** (`osr-baselines`' serve adapter) —
-//!   deterministic, sweep-free. Their sessions plan zero sweeps and answer
-//!   in [`CollectiveSession::finish`]; reseeding a retry cannot change the
-//!   answer, and the frozen fallback *is* the normal per-point prediction.
+//!   deterministic, sweep-free. Their sessions plan zero sweeps, never
+//!   draw from the RNG and answer in [`CollectiveSession::finish`], so a
+//!   retry's reseed cannot change the answer; the frozen fallback *is* the
+//!   normal per-point prediction.
 //!
 //! The contract is written so the server's per-sweep control flow —
 //! fault-delay, budget/deadline charge, watchdogged sweep, trace capture —
@@ -41,20 +45,10 @@ use crate::{OsrError, Result};
 /// is stamped explicitly.
 pub const CDOSR_METHOD: &str = "cdosr";
 
-/// What a model can do for the server's retry/degrade state machine. The
+/// Which rungs of the server's degrade ladder a model can answer on. The
 /// server consults these flags instead of inspecting model internals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelCapabilities {
-    /// Retrying with a different seed can change the outcome (stochastic
-    /// inference). When `false` the server reuses the first attempt's seed:
-    /// re-deriving it would pretend a deterministic method explores new
-    /// sampling paths.
-    pub reseedable: bool,
-    /// Attempts poll the thread-local divergence flag (numerical watchdog).
-    /// Purely informational for the server — it always scrubs the flag
-    /// between attempts — but lets callers know whether a
-    /// `Diverged` outcome can occur organically.
-    pub divergence_watchdog: bool,
     /// [`CollectiveModel::classify_frozen`] can answer when full service
     /// fails. When `false` an exhausted batch surfaces a typed error even
     /// under a degrading policy.
@@ -125,7 +119,7 @@ pub trait CollectiveModel: Send + Sync {
     /// Feature dimension admission control validates batches against.
     fn dim(&self) -> usize;
 
-    /// Capability flags for the server's retry/degrade state machine.
+    /// Capability flags for the server's degrade ladder.
     fn capabilities(&self) -> ModelCapabilities;
 
     /// Re-fit the model in place on a new training set, keeping its

@@ -7,10 +7,13 @@
 //! requests admitted into a queue coalesce until either the queue reaches
 //! [`FrontendConfig::max_batch`] (**flush on size**) or the oldest queued
 //! request has waited [`FrontendConfig::max_delay_ns`] (**flush on
-//! deadline**, the latency SLO). A flushed [`MicroBatch`] is scheduled onto
-//! worker threads earliest-deadline-first and served through the full
-//! [`BatchServer`] fault-tolerance ladder (admission → watchdogged attempts
-//! → retry-with-reseed → degrade), one seeded serve per micro-batch.
+//! deadline**, the latency SLO). A flushed [`MicroBatch`] is scheduled
+//! earliest-deadline-first onto the dispatch executor [`BatchServer`] also
+//! runs on, and served through the same fault-tolerance ladder (admission →
+//! watchdogged attempts → retry-with-reseed → degrade), one seeded serve per
+//! micro-batch.
+//!
+//! [`BatchServer`]: crate::BatchServer
 //!
 //! # Determinism
 //!
@@ -20,7 +23,7 @@
 //! flush's identity — [`flush_seed`]`(base_seed, tenant, flush_epoch)`
 //! routes a per-tenant FNV-1a hash through [`derive_batch_seed`]. Dispatch
 //! workers only *execute* already-sealed micro-batches, and flush traces
-//! are emitted after the worker scope in flush-sequence order, so the
+//! are emitted after the dispatch round in flush-sequence order, so the
 //! trace stream is byte-identical under any worker count and any arrival
 //! interleaving that produces the same per-tenant queues.
 //!
@@ -36,18 +39,14 @@
 //! `(deadline, flush_seq)`, so the oldest SLO is always served first.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::admission;
 use crate::collective::CollectiveModel;
 use crate::decision::{ClassifyOutcome, Prediction};
 use crate::observability::{FlushTrace, FlushTrigger, TraceRecord, TraceSink};
 use crate::registry::ModelRegistry;
-use crate::serving::{derive_batch_seed, panic_message, BatchServer, ServePolicy};
+use crate::serving::{derive_batch_seed, fan_out, serve_one, ServePolicy};
 use crate::{OsrError, Result};
 
 /// Static configuration of a [`Frontend`].
@@ -380,19 +379,18 @@ impl Frontend {
     /// Serve every ready micro-batch and answer its waiters.
     ///
     /// Scheduling is earliest-deadline-first with the flush sequence as the
-    /// deterministic tie-break; `workers` threads pull from that order via
-    /// work stealing. The calling thread is one of them: it spawns
-    /// `min(workers, n) - 1` scoped threads for `n` ready micro-batches and
-    /// runs the same claim loop itself, so a one-batch round spawns none.
-    /// Models are resolved from `registry` *sequentially in schedule order*
-    /// before any worker starts, so LRU eviction and cold loads never
-    /// depend on thread timing. Each micro-batch is served on its worker
-    /// thread through [`BatchServer::serve_seeded`] under the flush's
-    /// derived seed — panics, divergence and admission failures
-    /// stay confined to that micro-batch, and its waiters all receive the
-    /// same typed error while sibling tenants' batches finish untouched.
+    /// deterministic tie-break; the micro-batches then run on the serving
+    /// stack's one dispatch executor, whose `workers` threads claim them in
+    /// that order. The calling thread is the first worker, so a one-batch
+    /// round spawns no thread. Models are resolved from `registry`
+    /// *sequentially in schedule order* before any worker starts, so LRU
+    /// eviction and cold loads never depend on thread timing. Each
+    /// micro-batch is served through the serve ladder under the flush's
+    /// derived seed — panics, divergence and admission failures stay
+    /// confined to that micro-batch, and its waiters all receive the same
+    /// typed error while sibling tenants' batches finish untouched.
     ///
-    /// Flush traces go to `sink` after the worker scope, ordered by flush
+    /// Flush traces go to `sink` after the round, ordered by flush
     /// sequence; the returned outcomes are in the same order.
     pub fn dispatch(
         &mut self,
@@ -410,58 +408,25 @@ impl Frontend {
         });
         // Deterministic registry traffic: resolve in schedule order on the
         // caller thread, before any worker can race a cold load.
-        let resolved: Vec<Result<Arc<dyn CollectiveModel>>> =
-            run.iter().map(|mb| registry.resolve(&mb.tenant)).collect();
-
-        let n = run.len();
-        let slots: Mutex<Vec<Option<ServedFlush>>> = Mutex::new((0..n).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        let claim_and_serve = || loop {
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            let Some(mb) = run.get(idx) else { break };
-            let served = match resolved.get(idx) {
-                Some(Ok(model)) => serve_micro_batch(mb, model.as_ref(), policy),
-                Some(Err(e)) => (failed_flush(mb, e.clone()), None),
-                None => (
-                    failed_flush(
-                        mb,
-                        OsrError::Internal("micro-batch had no resolved model slot".to_string()),
-                    ),
-                    None,
-                ),
-            };
-            if let Some(slot) = slots.lock().get_mut(idx) {
-                *slot = Some(served);
-            }
-        };
-        // The calling thread is the first worker.
-        let scope_result = crossbeam::thread::scope(|s| {
-            for _ in 1..workers.max(1).min(n) {
-                s.spawn(|_| claim_and_serve());
-            }
-            claim_and_serve();
+        let jobs: Vec<(MicroBatch, Result<Arc<dyn CollectiveModel>>)> = run
+            .into_iter()
+            .map(|mb| {
+                let model = registry.resolve(&mb.tenant);
+                (mb, model)
+            })
+            .collect();
+        let served = fan_out(&jobs, workers, |_, (mb, model)| match model {
+            Ok(model) => serve_micro_batch(mb, model.as_ref(), policy),
+            Err(e) => (failed_flush(mb, e.clone()), None),
         });
-        if scope_result.is_err() {
-            // Unreachable with the per-micro-batch catch_unwind below, but
-            // never panic over it: unclaimed slots become typed errors.
-        }
 
-        let mut outcomes: Vec<FlushOutcome> = Vec::with_capacity(n);
+        let mut outcomes: Vec<FlushOutcome> = Vec::with_capacity(jobs.len());
         let mut traces: Vec<FlushTrace> = Vec::new();
-        for (idx, slot) in slots.into_inner().into_iter().enumerate() {
-            let (outcome, trace) = match (slot, run.get(idx)) {
-                (Some(served), _) => served,
-                (None, Some(mb)) => (
-                    failed_flush(
-                        mb,
-                        OsrError::Internal(
-                            "micro-batch slot was never claimed by a worker".to_string(),
-                        ),
-                    ),
-                    None,
-                ),
-                (None, None) => continue,
-            };
+        for ((mb, _), served) in jobs.iter().zip(served) {
+            let (outcome, trace) = served.unwrap_or_else(|panic| {
+                let error = OsrError::Internal(format!("micro-batch flush panicked: {panic}"));
+                (failed_flush(mb, error), None)
+            });
             outcomes.push(outcome);
             traces.extend(trace);
         }
@@ -477,7 +442,7 @@ impl Frontend {
         }
         // The dispatched requests no longer count against their tenants'
         // backpressure bounds.
-        for mb in &run {
+        for (mb, _) in &jobs {
             if let Some(queue) = self.queues.get_mut(&mb.tenant) {
                 queue.outstanding = queue.outstanding.saturating_sub(mb.requests.len());
             }
@@ -494,12 +459,13 @@ impl Frontend {
 }
 
 /// A served micro-batch: the answered outcome plus its flush trace (absent
-/// when the serve panicked or errored before producing one).
+/// when the serve errored before producing one).
 type ServedFlush = (FlushOutcome, Option<FlushTrace>);
 
-/// Serve one sealed micro-batch on the calling thread, fully isolated: a
-/// panic (injected or organic) becomes a typed error delivered to every
-/// waiter of this batch only.
+/// Serve one sealed micro-batch through the serve ladder as index 0 under
+/// the flush's seed. It runs inside the dispatch executor, whose per-item
+/// `catch_unwind` turns a panic here (injected or organic) into a typed
+/// error delivered to every waiter of this batch only.
 fn serve_micro_batch(
     mb: &MicroBatch,
     model: &dyn CollectiveModel,
@@ -507,43 +473,29 @@ fn serve_micro_batch(
 ) -> ServedFlush {
     let points: Vec<Vec<f64>> = mb.requests.iter().map(|r| r.point.clone()).collect();
     let flush_seq = usize::try_from(mb.flush_seq).unwrap_or(0);
-    let served = catch_unwind(AssertUnwindSafe(|| {
-        with_frontend_fault_context(flush_seq, || {
-            #[cfg(feature = "fault-inject")]
-            let fault = osr_stats::faults::hit(osr_stats::faults::sites::FRONTEND_FLUSH);
-            #[cfg(feature = "fault-inject")]
-            match &fault {
-                Some(osr_stats::faults::Fault::Panic { message }) => {
-                    // osr-lint: allow(panic-path, injected fault — the per-micro-batch catch_unwind below is the system under test)
-                    panic!("{message}");
-                }
-                Some(osr_stats::faults::Fault::DelayMs(ms)) => {
-                    std::thread::sleep(std::time::Duration::from_millis(*ms));
-                }
-                _ => {}
+    let (result, trace) = with_frontend_fault_context(flush_seq, || {
+        #[cfg(feature = "fault-inject")]
+        let fault = osr_stats::faults::hit(osr_stats::faults::sites::FRONTEND_FLUSH);
+        #[cfg(feature = "fault-inject")]
+        match &fault {
+            Some(osr_stats::faults::Fault::Panic { message }) => {
+                // osr-lint: allow(panic-path, injected fault — the dispatch executor's per-item catch_unwind is the system under test)
+                panic!("{message}");
             }
-            let served = BatchServer::with_workers(model, 1)
-                .with_policy(*policy)
-                .serve_seeded(&points, mb.seed);
-            // An injected `Diverge` leaves the thread poisoned after an
-            // answered serve: the leak the scrub below must catch before
-            // this thread claims its next micro-batch.
-            #[cfg(feature = "fault-inject")]
-            if fault == Some(osr_stats::faults::Fault::Diverge) {
-                osr_stats::divergence::poison("injected: frontend flush divergence");
+            Some(osr_stats::faults::Fault::DelayMs(ms)) => {
+                std::thread::sleep(std::time::Duration::from_millis(*ms));
             }
-            served
-        })
-    }));
-    osr_stats::divergence::clear();
-    let (result, trace) = served.unwrap_or_else(|payload| {
-        (
-            Err(OsrError::Internal(format!(
-                "micro-batch flush panicked: {}",
-                panic_message(payload)
-            ))),
-            None,
-        )
+            _ => {}
+        }
+        let served = serve_one(model, policy, None, 0, &points, mb.seed);
+        // An injected `Diverge` leaves the thread poisoned after an
+        // answered serve: the leak the executor's per-item scrub must
+        // catch before this thread claims its next micro-batch.
+        #[cfg(feature = "fault-inject")]
+        if fault == Some(osr_stats::faults::Fault::Diverge) {
+            osr_stats::divergence::poison("injected: frontend flush divergence");
+        }
+        served
     });
     build_flush(mb, result, trace)
 }

@@ -45,8 +45,6 @@ pub struct FrozenModel {
     slots: Vec<Slot>,
     /// Top-level concentration γ at freeze time.
     gamma: f64,
-    /// Total table count `m_··` at freeze time.
-    total_tables: f64,
 }
 
 impl FrozenModel {
@@ -138,14 +136,7 @@ impl FrozenModel {
         if dishes.is_empty() {
             return Err(OsrError::InvalidTestSet("nothing to freeze".into()));
         }
-        let total_tables = dishes.iter().map(|d| d.weight).sum();
-        Ok(Self {
-            dishes,
-            bank,
-            slots,
-            gamma: outcome.gamma,
-            total_tables,
-        })
+        Ok(Self { dishes, bank, slots, gamma: outcome.gamma })
     }
 
     /// Number of frozen subclasses.
@@ -176,11 +167,13 @@ impl FrozenModel {
     }
 
     /// Log-weight diagnostics for one point: `(dish id, label, log weight)`
-    /// for every frozen dish, plus the new-dish log weight last.
+    /// for every frozen dish, plus the new-dish log weight last — the
+    /// unnormalised weights [`predict`](Self::predict) compares, so the
+    /// best of them is its answer.
     pub fn explain(&self, x: &[f64]) -> (Vec<(DishId, Prediction, f64)>, f64) {
         let (lws, new_lw) = self.log_weights(x);
         let rows = self.dishes.iter().zip(lws).map(|(d, lw)| (d.id, d.label, lw)).collect();
-        (rows, new_lw - (self.total_tables + self.gamma).ln())
+        (rows, new_lw)
     }
 
     /// `ln m_·k + f_k(x)` for every frozen dish, in `dishes` order, and
@@ -289,8 +282,10 @@ mod tests {
     }
 
     /// `explain`'s log weights, and `predict`'s answers, on the fixed scene,
-    /// pinned bit for bit to what per-dish scalar `NiwPosterior`s produced
-    /// before the frozen dishes moved onto one `DishBank`.
+    /// pinned bit for bit: the dish rows and labels to what per-dish scalar
+    /// `NiwPosterior`s produced before the frozen dishes moved onto one
+    /// `DishBank`, the new-dish weight to the unnormalised `ln γ + f_H(x)`
+    /// that `predict` compares.
     #[test]
     fn explain_log_weights_are_pinned_bit_for_bit() {
         use Prediction::{Known, Unknown};
@@ -300,31 +295,31 @@ mod tests {
             (
                 [-6.0, 0.0],
                 [0x3fe0191845e79146, 0xc03ca380aab985c9, 0xc03890adbf2b2005],
-                0xc01b1a2f2e51d01d,
+                0xc0012b01fb5623e6,
                 Known(0),
             ),
             (
                 [6.0, 0.0],
                 [0xc0424efae5efed98, 0x3fce43cb826af648, 0xc037d737b516590b],
-                0xc01b047c1bd6fc7e,
+                0xc000ff9bd6607ca8,
                 Known(1),
             ),
             (
                 [0.0, 9.0],
                 [0xc04fcea8153527e9, 0xc0474c93dd90a035, 0xc000759a9f6ab88a],
-                0xc02105320bc1bf59,
+                0xc00f0b6bcdb98110,
                 Unknown,
             ),
             (
                 [2.5, 4.0],
                 [0xc0439e1bda0bdb37, 0xc034b90d80911c27, 0xc02789e254e4944f],
-                0xc01a76c7246e75f1,
+                0xbfffc863cf1edf1c,
                 Unknown,
             ),
             (
                 [50.0, -50.0],
                 [0xc064136de96461c8, 0xc05dd66dcd22206a, 0xc04e57957fe4ae5f],
-                0xc02c805d1154da52,
+                0xc0233e05f9017b3d,
                 Unknown,
             ),
         ];
@@ -338,6 +333,32 @@ mod tests {
             assert_eq!(new_lw.to_bits(), new_bits, "new-dish log weight at {x:?}");
             assert_eq!(frozen.predict(&x), label, "prediction at {x:?}");
         }
+    }
+
+    /// `explain` reports the weights `predict` compares: on every point of
+    /// an 81×81 grid (step 0.5) over the scene, the best of explain's rows
+    /// against its new-dish weight picks `predict`'s answer.
+    #[test]
+    fn explain_argmax_agrees_with_predict_on_a_grid() {
+        let (model, outcome, test, _) = setup();
+        let frozen = FrozenModel::freeze(&model, &outcome, &test).unwrap();
+        let mut disagree = Vec::new();
+        for i in 0..81u32 {
+            for j in 0..81u32 {
+                let x = [f64::from(i) * 0.5 - 20.0, f64::from(j) * 0.5 - 20.0];
+                let (rows, new_lw) = frozen.explain(&x);
+                let mut best = (new_lw, Prediction::Unknown);
+                for &(_, label, lw) in &rows {
+                    if lw > best.0 {
+                        best = (lw, label);
+                    }
+                }
+                if best.1 != frozen.predict(&x) {
+                    disagree.push(x);
+                }
+            }
+        }
+        assert!(disagree.is_empty(), "{} of 6561 points disagree: {disagree:?}", disagree.len());
     }
 
     #[test]

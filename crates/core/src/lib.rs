@@ -27,7 +27,8 @@
 //! Serving is fit-once/serve-many by default ([`ServingMode::WarmStart`]):
 //! `fit` checkpoints the converged training posterior and every batch is
 //! answered from a warm clone, with [`BatchServer`] fanning independent
-//! batches out over worker threads deterministically.
+//! batches out over worker threads deterministically — on the same
+//! dispatch executor and serve ladder as the coalescing [`Frontend`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -65,7 +66,7 @@ pub use observability::{
 pub use registry::ModelRegistry;
 pub use osr_hdp::{DishId, PosteriorSnapshot, SweepTrace};
 pub use osr_stats::diagnostics::ChainDiagnostics;
-pub use serving::{derive_batch_seed, BatchServer, RetryPolicy, ServePolicy, ServingMode};
+pub use serving::{derive_batch_seed, BatchServer, ServePolicy, ServingMode};
 pub use snapshot::{SnapshotInfo, SnapshotStore};
 
 /// Errors produced by the HDP-OSR pipeline.

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use rand::Rng;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use osr_dataset::protocol::TrainSet;
@@ -11,8 +11,9 @@ use osr_hdp::{HdpConfig, PosteriorSnapshot};
 use osr_linalg::Matrix;
 use osr_stats::NiwParams;
 
+use crate::collective::{AttemptError, CollectiveModel};
 use crate::decision::{ClassifyOutcome, Prediction};
-use crate::serving::{self, ServingMode, WarmState};
+use crate::serving::{sweep_fault_delay, ServingMode, WarmState};
 use crate::{OsrError, Result};
 
 /// Configuration of HDP-OSR (§4.1.2 defaults).
@@ -237,11 +238,7 @@ impl HdpOsr {
     ///
     /// # Errors
     /// See [`classify_detailed`](Self::classify_detailed).
-    pub fn classify<R: Rng + ?Sized>(
-        &self,
-        test: &[Vec<f64>],
-        rng: &mut R,
-    ) -> Result<Vec<Prediction>> {
+    pub fn classify(&self, test: &[Vec<f64>], rng: &mut StdRng) -> Result<Vec<Prediction>> {
         Ok(self.classify_detailed(test, rng)?.predictions)
     }
 
@@ -253,15 +250,37 @@ impl HdpOsr {
     /// under [`ServingMode::ColdStart`] the known classes and the batch are
     /// re-clustered from scratch, exactly as in the paper's protocol.
     ///
+    /// This is one watchdogged attempt of the serving ladder's attempt
+    /// driver ([`CollectiveModel::classify_collective`]) with no budget,
+    /// deadline, retry or degradation: the caller owns the RNG, and a
+    /// divergent sweep surfaces as [`OsrError::Diverged`] with `attempts: 1`.
+    /// [`crate::BatchServer`] layers those on top of the same driver.
+    ///
     /// # Errors
-    /// Fails on an empty test batch, dimension mismatches, or sampler
-    /// construction failure.
-    pub fn classify_detailed<R: Rng + ?Sized>(
+    /// Fails on an empty test batch, dimension mismatches, sampler
+    /// construction failure, or divergence.
+    pub fn classify_detailed(
         &self,
         test: &[Vec<f64>],
-        rng: &mut R,
+        rng: &mut StdRng,
     ) -> Result<ClassifyOutcome> {
-        serving::serve_batch(self, test, rng)
+        crate::admission::validate_batch(self.dim, test)?;
+        osr_stats::divergence::clear();
+        let mut admit = || {
+            sweep_fault_delay();
+            Ok(())
+        };
+        let mut outcome = self
+            .classify_collective(test, rng, &mut admit, &mut Vec::new())
+            .map_err(|e| match e {
+                AttemptError::Fatal(err) => err,
+                AttemptError::Diverged(reason) => OsrError::Diverged { attempts: 1, reason },
+                AttemptError::DeadlineExceeded | AttemptError::BudgetExhausted => {
+                    OsrError::Internal("an unbounded attempt reported a resource breach".into())
+                }
+            })?;
+        outcome.trace_id = "adhoc".to_string();
+        Ok(outcome)
     }
 }
 

@@ -11,13 +11,13 @@
 //!   [`ServingMode::WarmStart`]) runs the training-only burn-in, snapshots
 //!   the converged posterior, and precomputes the dish→class association
 //!   table.
-//! * [`serve_batch`] then answers each batch from a private
-//!   [`osr_hdp::BatchSession`] clone of that snapshot: only the batch group
-//!   is reseated, for `decision_sweeps` warm sweeps instead of a cold
-//!   burn-in.
-//! * [`BatchServer`] fans independent batches out over scoped worker
-//!   threads with per-batch RNGs derived from `(seed, batch_index)`, so
-//!   results do not depend on the number of workers or their scheduling.
+//! * Each batch is then answered from a private [`osr_hdp::BatchSession`]
+//!   clone of that snapshot: only the batch group is reseated, for
+//!   `decision_sweeps` warm sweeps instead of a cold burn-in.
+//! * [`BatchServer`] fans independent batches out over the one dispatch
+//!   executor ([`fan_out`], shared with [`crate::Frontend`]) with per-batch
+//!   RNGs derived from `(seed, batch_index)`, so results do not depend on
+//!   the number of workers or their scheduling.
 //!
 //! [`ServingMode::ColdStart`] is the escape hatch reproducing the original
 //! behaviour exactly: no snapshot is kept and every batch pays the full
@@ -35,26 +35,25 @@
 //!    `sweep_checked`, which turns mid-sweep numerical poison (non-finite
 //!    seating weights, Cholesky failure past the jitter ladder) and
 //!    non-finite likelihood/concentrations into a typed divergence.
-//! 3. **Retry** ([`RetryPolicy`]) — a divergent attempt is re-run with the
-//!    re-derived seed `derive_batch_seed(seed, idx) ^ attempt`, up to
-//!    `max_attempts` times.
+//! 3. **Retry** ([`ServePolicy::max_attempts`]) — a divergent attempt is
+//!    re-run with the re-derived seed `derive_batch_seed(seed, idx) ^
+//!    attempt`.
 //! 4. **Degradation** ([`ServePolicy`]) — when retries, the sweep budget,
 //!    or the deadline run out, the batch is answered by frozen inference
 //!    (MAP dish assignment under the fit-time checkpoint, no reseating) and
 //!    flagged [`ServedVia::Degraded`].
-//! 5. **Panic isolation** — each batch's service is wrapped in
+//! 5. **Panic isolation** — the executor wraps each item in
 //!    `catch_unwind`, so a panicking batch yields an in-place
 //!    [`OsrError::Internal`] while sibling batches finish untouched.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use osr_dataset::protocol::TrainSet;
@@ -87,30 +86,15 @@ pub enum ServingMode {
     ColdStart,
 }
 
-/// Bounded retry for serve attempts the divergence watchdog rejects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Maximum serve attempts per batch, including the first (clamped ≥ 1).
-    pub max_attempts: u32,
-    /// Re-derive the RNG seed per attempt as
-    /// `derive_batch_seed(seed, idx) ^ attempt`, so a retry explores a
-    /// different sampling path. With `false` every attempt replays the same
-    /// stream — useful only to reproduce a divergence deterministically.
-    pub reseed: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self { max_attempts: 3, reseed: true }
-    }
-}
-
 /// The fault-tolerance policy of a [`BatchServer`]: how hard to try for a
 /// full collective decision, and what to do when that fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServePolicy {
-    /// Retry behaviour for watchdog-detected divergence.
-    pub retry: RetryPolicy,
+    /// Maximum serve attempts per batch, including the first (clamped ≥ 1).
+    /// Attempt `a` runs under the seed `derive_batch_seed(seed, idx) ^ a`,
+    /// so a retry after a watchdog-detected divergence explores a different
+    /// sampling path.
+    pub max_attempts: u32,
     /// Total Gibbs sweeps one batch may consume across all its attempts
     /// (`None` = unlimited).
     pub sweep_budget: Option<usize>,
@@ -126,7 +110,7 @@ pub struct ServePolicy {
 
 impl Default for ServePolicy {
     fn default() -> Self {
-        Self { retry: RetryPolicy::default(), sweep_budget: None, deadline: None, degrade: true }
+        Self { max_attempts: 3, sweep_budget: None, deadline: None, degrade: true }
     }
 }
 
@@ -267,11 +251,6 @@ impl ServeCtl {
         }
     }
 
-    /// No deadline, no budget — the single-shot `classify` path.
-    fn unbounded() -> Self {
-        Self { deadline: None, sweeps_left: None }
-    }
-
     /// Charge one Gibbs sweep against the batch's budget and deadline.
     fn admit_sweep(&mut self) -> std::result::Result<(), AttemptError> {
         if let Some(deadline) = self.deadline {
@@ -291,51 +270,13 @@ impl ServeCtl {
 
 /// Honor an injected artificial delay at the sweep site (no-op without the
 /// `fault-inject` feature).
-fn sweep_fault_delay() {
+pub(crate) fn sweep_fault_delay() {
     #[cfg(feature = "fault-inject")]
     if let Some(osr_stats::faults::Fault::DelayMs(ms)) =
         osr_stats::faults::hit(osr_stats::faults::sites::SWEEP)
     {
         std::thread::sleep(Duration::from_millis(ms));
     }
-}
-
-/// Serve one test batch through a single watchdogged attempt, dispatching on
-/// how the model was fitted: warm (snapshot present) or cold (full
-/// transductive re-run). This is the `classify`/`classify_detailed` path —
-/// the caller owns the RNG, so there is no retry/degrade policy here; a
-/// divergent sweep surfaces as [`OsrError::Diverged`] with `attempts: 1`.
-/// [`BatchServer`] layers admission, retry, deadlines, and degradation on
-/// top of the same attempt functions.
-pub(crate) fn serve_batch<R: Rng + ?Sized>(
-    model: &HdpOsr,
-    test: &[Vec<f64>],
-    rng: &mut R,
-) -> Result<ClassifyOutcome> {
-    admission::validate_batch(model.dim(), test)?;
-    osr_stats::divergence::clear();
-    let mut ctl = ServeCtl::unbounded();
-    let attempt = (|| {
-        let mut attempt = HdpAttempt::start(model, test)?;
-        for _ in 0..attempt.planned_sweeps() {
-            sweep_fault_delay();
-            ctl.admit_sweep()?;
-            attempt.sweep_with(rng)?;
-        }
-        Ok(attempt.finish_outcome())
-    })();
-    attempt
-        .map(|mut outcome: ClassifyOutcome| {
-            outcome.trace_id = "adhoc".to_string();
-            outcome
-        })
-        .map_err(|e| match e {
-            AttemptError::Fatal(err) => err,
-            AttemptError::Diverged(reason) => OsrError::Diverged { attempts: 1, reason },
-            AttemptError::DeadlineExceeded | AttemptError::BudgetExhausted => {
-                OsrError::Internal("unbounded serve control reported a resource breach".into())
-            }
-        })
 }
 
 /// Warm attempt: clone the checkpoint, append the batch, reseat only the
@@ -362,10 +303,7 @@ impl<'m> WarmAttempt<'m> {
         Ok(Self { model, warm, session, votes: vec![BTreeMap::new(); test.len()] })
     }
 
-    fn sweep_with<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-    ) -> std::result::Result<SweepTrace, AttemptError> {
+    fn sweep(&mut self, rng: &mut StdRng) -> std::result::Result<SweepTrace, AttemptError> {
         let trace = self
             .session
             .sweep_checked_traced(rng)
@@ -377,7 +315,7 @@ impl<'m> WarmAttempt<'m> {
         Ok(trace)
     }
 
-    fn finish_outcome(&self) -> ClassifyOutcome {
+    fn finish(&self) -> ClassifyOutcome {
         let config = self.model.config();
         let predictions = majority(&self.votes);
         let summary = self.session.group_summary(self.session.batch_group());
@@ -435,10 +373,7 @@ impl<'m> ColdAttempt<'m> {
         })
     }
 
-    fn sweep_with<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-    ) -> std::result::Result<SweepTrace, AttemptError> {
+    fn sweep(&mut self, rng: &mut StdRng) -> std::result::Result<SweepTrace, AttemptError> {
         let trace = self
             .hdp
             .sweep_checked_traced(rng)
@@ -459,7 +394,7 @@ impl<'m> ColdAttempt<'m> {
         Ok(trace)
     }
 
-    fn finish_outcome(&self) -> ClassifyOutcome {
+    fn finish(&self) -> ClassifyOutcome {
         let config = self.model.config();
         let predictions = majority(&self.votes);
         let (assoc, known_reports) =
@@ -485,10 +420,7 @@ impl<'m> ColdAttempt<'m> {
 }
 
 /// One CD-OSR serve attempt, dispatching on how the model was fitted: warm
-/// (snapshot present) or cold (full transductive re-run). The inherent
-/// methods are generic over the RNG for the caller-owned `classify` path;
-/// the [`CollectiveSession`] impl pins `StdRng` for the object-safe server
-/// path — both drive the identical per-sweep sequence.
+/// (snapshot present) or cold (full transductive re-run).
 pub(crate) enum HdpAttempt<'m> {
     Warm(WarmAttempt<'m>),
     Cold(ColdAttempt<'m>),
@@ -504,8 +436,10 @@ impl<'m> HdpAttempt<'m> {
             None => ColdAttempt::start(model, test).map(Self::Cold),
         }
     }
+}
 
-    fn planned_sweeps(&self) -> usize {
+impl CollectiveSession for HdpAttempt<'_> {
+    fn sweeps_planned(&self) -> usize {
         match self {
             Self::Warm(w) => w.model.config().decision_sweeps,
             Self::Cold(c) => {
@@ -515,35 +449,18 @@ impl<'m> HdpAttempt<'m> {
         }
     }
 
-    fn sweep_with<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-    ) -> std::result::Result<SweepTrace, AttemptError> {
-        match self {
-            Self::Warm(w) => w.sweep_with(rng),
-            Self::Cold(c) => c.sweep_with(rng),
-        }
-    }
-
-    fn finish_outcome(&self) -> ClassifyOutcome {
-        match self {
-            Self::Warm(w) => w.finish_outcome(),
-            Self::Cold(c) => c.finish_outcome(),
-        }
-    }
-}
-
-impl CollectiveSession for HdpAttempt<'_> {
-    fn sweeps_planned(&self) -> usize {
-        self.planned_sweeps()
-    }
-
     fn sweep(&mut self, rng: &mut StdRng) -> std::result::Result<SweepTrace, AttemptError> {
-        self.sweep_with(rng)
+        match self {
+            Self::Warm(w) => w.sweep(rng),
+            Self::Cold(c) => c.sweep(rng),
+        }
     }
 
     fn finish(&mut self) -> std::result::Result<ClassifyOutcome, AttemptError> {
-        Ok(self.finish_outcome())
+        Ok(match self {
+            Self::Warm(w) => w.finish(),
+            Self::Cold(c) => c.finish(),
+        })
     }
 }
 
@@ -557,12 +474,7 @@ impl CollectiveModel for HdpOsr {
     }
 
     fn capabilities(&self) -> ModelCapabilities {
-        ModelCapabilities {
-            reseedable: true,
-            divergence_watchdog: true,
-            frozen_fallback: self.warm().is_some(),
-            durable_snapshot: true,
-        }
+        ModelCapabilities { frozen_fallback: self.warm().is_some(), durable_snapshot: true }
     }
 
     fn fit(&mut self, train: &TrainSet) -> Result<()> {
@@ -689,7 +601,7 @@ fn with_fault_context<T>(_batch: usize, _attempt: u32, f: impl FnOnce() -> T) ->
 }
 
 /// Best-effort human-readable panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -699,7 +611,52 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Serve many independent batches concurrently over scoped worker threads.
+/// The one dispatch executor of the serving stack: run `serve(i, &items[i])`
+/// for every item on up to `workers` threads and return the results in index
+/// order, each `Err` carrying the message of a panic that item raised.
+///
+/// The calling thread is the first worker: it spawns `min(workers, n) − 1`
+/// scoped helpers and runs the same claim loop itself, so a one-item round
+/// spawns no thread. Workers claim indices from a shared atomic counter
+/// (work stealing), so stragglers do not hold up the round. Each item runs
+/// under its own `catch_unwind`, and the thread-local divergence flag is
+/// scrubbed after every item — and once on entry, so the caller's thread
+/// starts as clean as a fresh helper — so neither a panic nor leftover
+/// poison can reach the next item a worker claims.
+pub(crate) fn fan_out<I: Sync, T: Send>(
+    items: &[I],
+    workers: usize,
+    serve: impl Fn(usize, &I) -> T + Sync,
+) -> Vec<std::result::Result<T, String>> {
+    osr_stats::divergence::clear();
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut served = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(idx) else { return served };
+            let out = catch_unwind(AssertUnwindSafe(|| serve(idx, item))).map_err(panic_message);
+            osr_stats::divergence::clear();
+            served.push((idx, out));
+        }
+    };
+    // Panics are caught per item above; one that escapes the claim loop
+    // itself is a bug in this function and keeps unwinding.
+    let scoped = crossbeam::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers.min(items.len())).map(|_| s.spawn(|_| claim())).collect();
+        let mut served = claim();
+        for helper in helpers {
+            served.extend(helper.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+        served
+    });
+    let mut served = scoped.unwrap_or_else(|payload| resume_unwind(payload));
+    served.sort_unstable_by_key(|&(idx, _)| idx);
+    served.into_iter().map(|(_, out)| out).collect()
+}
+
+/// Serve many independent batches concurrently on the dispatch executor
+/// ([`fan_out`]).
 ///
 /// The server is method-agnostic: it holds a [`&dyn CollectiveModel`] and
 /// drives CD-OSR and the per-instance baselines (via `osr-baselines`' serve
@@ -709,9 +666,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// Each batch gets its own RNG seeded by [`derive_batch_seed`], so the
 /// output is a pure function of `(model, batches, seed, policy)` —
-/// independent of the worker count and of thread scheduling. Workers pull
-/// batch indices from a shared atomic counter (work stealing), so
-/// stragglers do not hold up the queue.
+/// independent of the worker count and of thread scheduling.
 ///
 /// Failures stay confined to their slot: admission rejections, divergence
 /// after exhausted retries, and even panics surface as that batch's
@@ -730,7 +685,7 @@ impl<'a> BatchServer<'a> {
     /// default [`ServePolicy`].
     pub fn new(model: &'a dyn CollectiveModel) -> Self {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self { model, workers, policy: ServePolicy::default(), sink: None, snapshot_store: None }
+        Self::with_workers(model, workers)
     }
 
     /// A server with an explicit worker count (clamped to ≥ 1).
@@ -771,7 +726,8 @@ impl<'a> BatchServer<'a> {
         self
     }
 
-    /// Number of worker threads the server will spawn.
+    /// Number of workers a round runs on. The calling thread is the first
+    /// of them, so a round spawns at most `workers − 1` threads.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -792,260 +748,183 @@ impl<'a> BatchServer<'a> {
         batches: &[Vec<Vec<f64>>],
         seed: u64,
     ) -> Vec<Result<ClassifyOutcome>> {
-        let n = batches.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let results: Mutex<Vec<Option<Result<ClassifyOutcome>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        let traces: Mutex<Vec<Option<BatchTrace>>> = Mutex::new((0..n).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        let scope_result = crossbeam::thread::scope(|s| {
-            for _ in 0..self.workers.min(n) {
-                s.spawn(|_| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(batch) = batches.get(idx) else { break };
-                    // Panic isolation: a panicking batch must not unwind
-                    // through the scope and abort its siblings. The catch
-                    // sits inside the worker loop because the vendored
-                    // scope resumes child panics on the host thread.
-                    let (outcome, trace) =
-                        catch_unwind(AssertUnwindSafe(|| self.serve_one(idx, batch, seed)))
-                            .unwrap_or_else(|payload| {
-                                (
-                                    Err(OsrError::Internal(format!(
-                                        "batch worker panicked: {}",
-                                        panic_message(payload)
-                                    ))),
-                                    None,
-                                )
-                            });
-                    // A batch that panicked or gave up mid-attempt may leave
-                    // the thread-local divergence flag poisoned; scrub it so
-                    // the next batch this worker claims starts clean.
-                    osr_stats::divergence::clear();
-                    if let Some(slot) = results.lock().get_mut(idx) {
-                        *slot = Some(outcome);
-                    }
-                    if let Some(slot) = traces.lock().get_mut(idx) {
-                        *slot = trace;
-                    }
-                });
-            }
-        });
-        if scope_result.is_err() {
-            // Unreachable with the in-loop catch_unwind above, but never
-            // panic over it: unclaimed slots become typed errors below.
-        }
+        let store = self.snapshot_store.as_deref();
+        let (results, traces): (Vec<_>, Vec<_>) = fan_out(batches, self.workers, |idx, batch| {
+            serve_one(self.model, &self.policy, store, idx, batch, seed)
+        })
+        .into_iter()
+        .map(|served| {
+            served.unwrap_or_else(|panic| {
+                (Err(OsrError::Internal(format!("batch worker panicked: {panic}"))), None)
+            })
+        })
+        .unzip();
         if let Some(sink) = &self.sink {
-            // Emit in batch-index order, after the scope: the stream is a
+            // Emit in batch-index order, after the round: the stream is a
             // pure function of (model, batches, seed, policy).
-            for trace in traces.into_inner().into_iter().flatten() {
+            for trace in traces.into_iter().flatten() {
                 sink.record(&TraceRecord::Batch(trace));
             }
         }
         results
-            .into_inner()
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(OsrError::Internal("batch slot was never claimed by a worker".into()))
-                })
-            })
-            .collect()
     }
+}
 
-    /// Serve one batch on the calling thread under an explicit per-batch
-    /// seed, with the same panic isolation and divergence scrubbing as a
-    /// `classify_batches` worker slot. The batch runs as index 0, and
-    /// [`derive_batch_seed`]`(seed, 0) == seed`, so the attempt RNG is
-    /// seeded by exactly `seed` — this is the front-end's entry point: it
-    /// derives one seed per `(tenant, flush_epoch)` and gets a trace
-    /// reproducible regardless of arrival interleaving or worker count.
-    ///
-    /// The returned [`BatchTrace`] (for answered batches) is handed to the
-    /// caller instead of the sink: a front-end re-stamps it with the flush's
-    /// identity before emission.
-    pub fn serve_seeded(
-        &self,
-        batch: &[Vec<f64>],
-        seed: u64,
-    ) -> (Result<ClassifyOutcome>, Option<BatchTrace>) {
-        let served = catch_unwind(AssertUnwindSafe(|| self.serve_one(0, batch, seed)));
-        // Same scrub as the worker loop: a panicked or abandoned attempt
-        // must not leak thread-local poison into the caller's next serve.
-        osr_stats::divergence::clear();
-        served.unwrap_or_else(|payload| {
-            (
-                Err(OsrError::Internal(format!(
-                    "batch worker panicked: {}",
-                    panic_message(payload)
-                ))),
-                None,
-            )
-        })
-    }
-
-    /// Serve batch `idx` under the full fault-tolerance policy: admission,
-    /// watchdogged attempts with retry-with-reseed, then degradation.
-    /// Returns the outcome plus, for answered batches, the [`BatchTrace`]
-    /// destined for the trace sink (errors carry no trace).
-    fn serve_one(
-        &self,
-        idx: usize,
-        batch: &[Vec<f64>],
-        seed: u64,
-    ) -> (Result<ClassifyOutcome>, Option<BatchTrace>) {
-        // Record whether this worker thread entered the batch already
-        // poisoned — that would be a fault-isolation leak from an earlier
-        // batch, and the golden-trace suite asserts it never happens.
-        let inherited_poison = osr_stats::divergence::is_poisoned();
-        // Injected NaN perturbations land *before* admission — proving the
-        // admission pass, not the sampler, is what rejects them.
-        #[cfg(feature = "fault-inject")]
-        let perturbed: Vec<Vec<f64>>;
-        #[cfg(feature = "fault-inject")]
-        let batch: &[Vec<f64>] = {
-            let fault = osr_stats::faults::with_context(idx, 0, || {
-                osr_stats::faults::hit(osr_stats::faults::sites::ADMISSION)
-            });
-            if let Some(osr_stats::faults::Fault::NanPoint { point, coord }) = fault {
-                let mut owned = batch.to_vec();
-                if let Some(v) = owned.get_mut(point).and_then(|p| p.get_mut(coord)) {
-                    *v = f64::NAN;
-                }
-                perturbed = owned;
-                &perturbed
-            } else {
-                batch
+/// Serve batch `idx` of a round under the full fault-tolerance ladder:
+/// admission, watchdogged attempts with retry-with-reseed, then
+/// degradation — frozen in memory, then (with a `store`) from the durable
+/// last-good snapshot. Returns the outcome plus, for answered batches, the
+/// [`BatchTrace`] destined for the trace sink (errors carry no trace).
+///
+/// This is [`BatchServer`]'s per-slot body and the front-end's per-flush
+/// body: the front-end serves each micro-batch as index 0, and
+/// [`derive_batch_seed`]`(seed, 0) == seed`, so the attempt RNG is seeded by
+/// exactly the flush's seed.
+pub(crate) fn serve_one(
+    model: &dyn CollectiveModel,
+    policy: &ServePolicy,
+    store: Option<&crate::snapshot::SnapshotStore>,
+    idx: usize,
+    batch: &[Vec<f64>],
+    seed: u64,
+) -> (Result<ClassifyOutcome>, Option<BatchTrace>) {
+    // Record whether this worker thread entered the batch already
+    // poisoned — that would be a fault-isolation leak from an earlier
+    // batch, and the golden-trace suite asserts it never happens.
+    let inherited_poison = osr_stats::divergence::is_poisoned();
+    // Injected NaN perturbations land *before* admission — proving the
+    // admission pass, not the sampler, is what rejects them.
+    #[cfg(feature = "fault-inject")]
+    let perturbed: Vec<Vec<f64>>;
+    #[cfg(feature = "fault-inject")]
+    let batch: &[Vec<f64>] = {
+        let fault = osr_stats::faults::with_context(idx, 0, || {
+            osr_stats::faults::hit(osr_stats::faults::sites::ADMISSION)
+        });
+        if let Some(osr_stats::faults::Fault::NanPoint { point, coord }) = fault {
+            let mut owned = batch.to_vec();
+            if let Some(v) = owned.get_mut(point).and_then(|p| p.get_mut(coord)) {
+                *v = f64::NAN;
             }
-        };
-
-        if let Err(e) = admission::validate_batch(self.model.dim(), batch) {
-            return (Err(e), None);
+            perturbed = owned;
+            &perturbed
+        } else {
+            batch
         }
+    };
 
-        let caps = self.model.capabilities();
-        let mut ctl = ServeCtl::new(&self.policy);
-        let max_attempts = self.policy.retry.max_attempts.max(1);
-        let mut attempts_used = 0u32;
-        let mut last_divergence = String::new();
-        let mut resource_breach: Option<DegradeReason> = None;
-        let mut sweeps: Vec<SweepTrace> = Vec::new();
+    if let Err(e) = admission::validate_batch(model.dim(), batch) {
+        return (Err(e), None);
+    }
 
-        for attempt in 0..max_attempts {
-            attempts_used = attempt + 1;
-            if attempt > 0 {
-                osr_stats::counters::record_serve_retry();
+    let caps = model.capabilities();
+    let mut ctl = ServeCtl::new(policy);
+    let max_attempts = policy.max_attempts.max(1);
+    let mut attempts_used = 0u32;
+    let mut last_divergence = String::new();
+    let mut resource_breach: Option<DegradeReason> = None;
+    let mut sweeps: Vec<SweepTrace> = Vec::new();
+
+    for attempt in 0..max_attempts {
+        attempts_used = attempt + 1;
+        if attempt > 0 {
+            osr_stats::counters::record_serve_retry();
+        }
+        // Only the answering attempt's sweeps belong in the trace.
+        sweeps.clear();
+        let result = with_fault_context(idx, attempt, || {
+            #[cfg(feature = "fault-inject")]
+            if let Some(osr_stats::faults::Fault::Panic { message }) =
+                osr_stats::faults::hit(osr_stats::faults::sites::ATTEMPT)
+            {
+                // osr-lint: allow(panic-path, injected fault — the executor's catch_unwind is the system under test)
+                panic!("{message}");
             }
-            // Re-deriving the seed only helps when the model actually
-            // samples; a deterministic method replays the same stream so
-            // the retry exercise stays honest about what it can change.
-            let attempt_seed = if self.policy.retry.reseed && caps.reseedable {
-                derive_batch_seed(seed, idx) ^ u64::from(attempt)
-            } else {
-                derive_batch_seed(seed, idx)
+            // A reused worker thread may carry stale poison from an
+            // unrelated earlier batch; attempts start clean.
+            osr_stats::divergence::clear();
+            let mut rng = StdRng::seed_from_u64(derive_batch_seed(seed, idx) ^ u64::from(attempt));
+            let mut admit = || {
+                sweep_fault_delay();
+                ctl.admit_sweep()
             };
-            // Only the answering attempt's sweeps belong in the trace.
-            sweeps.clear();
-            let result = with_fault_context(idx, attempt, || {
-                #[cfg(feature = "fault-inject")]
-                if let Some(osr_stats::faults::Fault::Panic { message }) =
-                    osr_stats::faults::hit(osr_stats::faults::sites::ATTEMPT)
-                {
-                    // osr-lint: allow(panic-path, injected fault — the catch_unwind boundary above is the system under test)
-                    panic!("{message}");
-                }
-                // A reused worker thread may carry stale poison from an
-                // unrelated earlier batch; attempts start clean.
-                osr_stats::divergence::clear();
-                let mut rng = StdRng::seed_from_u64(attempt_seed);
-                let mut admit = || {
-                    sweep_fault_delay();
-                    ctl.admit_sweep()
-                };
-                self.model.classify_collective(batch, &mut rng, &mut admit, &mut sweeps)
-            });
-            match result {
-                Ok(mut outcome) => {
-                    outcome.attempts = attempts_used;
-                    let trace = self.batch_trace(idx, seed, &mut outcome, inherited_poison, sweeps);
-                    return (Ok(outcome), Some(trace));
-                }
-                Err(AttemptError::Fatal(e)) => return (Err(e), None),
-                Err(AttemptError::Diverged(reason)) => last_divergence = reason,
-                Err(AttemptError::DeadlineExceeded) => {
-                    resource_breach = Some(DegradeReason::DeadlineExceeded);
-                    break;
-                }
-                Err(AttemptError::BudgetExhausted) => {
-                    resource_breach = Some(DegradeReason::SweepBudgetExceeded);
-                    break;
-                }
+            model.classify_collective(batch, &mut rng, &mut admit, &mut sweeps)
+        });
+        match result {
+            Ok(mut outcome) => {
+                outcome.attempts = attempts_used;
+                let trace = batch_trace(idx, seed, &mut outcome, inherited_poison, sweeps);
+                return (Ok(outcome), Some(trace));
+            }
+            Err(AttemptError::Fatal(e)) => return (Err(e), None),
+            Err(AttemptError::Diverged(reason)) => last_divergence = reason,
+            Err(AttemptError::DeadlineExceeded) => {
+                resource_breach = Some(DegradeReason::DeadlineExceeded);
+                break;
+            }
+            Err(AttemptError::BudgetExhausted) => {
+                resource_breach = Some(DegradeReason::SweepBudgetExceeded);
+                break;
             }
         }
-
-        let reason = resource_breach.unwrap_or(DegradeReason::RetriesExhausted);
-        if self.policy.degrade {
-            if caps.frozen_fallback {
-                if let Some(mut outcome) = self.model.classify_frozen(batch, reason, attempts_used)
-                {
-                    osr_stats::counters::record_degraded_batch();
-                    // Degraded frozen inference runs no sweeps; the failed
-                    // attempts' partial traces are dropped with the attempts.
-                    let trace =
-                        self.batch_trace(idx, seed, &mut outcome, inherited_poison, Vec::new());
-                    return (Ok(outcome), Some(trace));
-                }
-            }
-            // Last rung of the ladder: recover from the durable last-good
-            // snapshot. Reached only when in-memory freezing is impossible
-            // (cold model) or declined — the reload is per-batch and cheap
-            // relative to the failed attempts that got us here.
-            if let (Some(store), true) = (&self.snapshot_store, caps.durable_snapshot) {
-                if let Some(mut outcome) =
-                    self.model.classify_from_snapshot(store, batch, reason, attempts_used)
-                {
-                    osr_stats::counters::record_degraded_batch();
-                    let trace =
-                        self.batch_trace(idx, seed, &mut outcome, inherited_poison, Vec::new());
-                    return (Ok(outcome), Some(trace));
-                }
-            }
-        }
-        (
-            Err(OsrError::Diverged {
-                attempts: attempts_used,
-                reason: match resource_breach {
-                    Some(breach) => breach.to_string(),
-                    None => last_divergence,
-                },
-            }),
-            None,
-        )
     }
 
-    /// Stamp `outcome` with its reproducible trace id and build the matching
-    /// sink record.
-    fn batch_trace(
-        &self,
-        idx: usize,
-        seed: u64,
-        outcome: &mut ClassifyOutcome,
-        inherited_poison: bool,
-        sweeps: Vec<SweepTrace>,
-    ) -> BatchTrace {
-        let trace_id = batch_trace_id(seed, idx);
-        outcome.trace_id = trace_id.clone();
-        BatchTrace {
-            trace_id,
-            batch: idx,
-            method: outcome.method.clone(),
-            attempts: outcome.attempts,
-            served_via: outcome.served_via,
-            inherited_poison,
-            sweeps,
+    let reason = resource_breach.unwrap_or(DegradeReason::RetriesExhausted);
+    if policy.degrade {
+        if caps.frozen_fallback {
+            if let Some(mut outcome) = model.classify_frozen(batch, reason, attempts_used) {
+                osr_stats::counters::record_degraded_batch();
+                // Degraded frozen inference runs no sweeps; the failed
+                // attempts' partial traces are dropped with the attempts.
+                let trace = batch_trace(idx, seed, &mut outcome, inherited_poison, Vec::new());
+                return (Ok(outcome), Some(trace));
+            }
         }
+        // Last rung of the ladder: recover from the durable last-good
+        // snapshot. Reached only when in-memory freezing is impossible
+        // (cold model) or declined — the reload is per-batch and cheap
+        // relative to the failed attempts that got us here.
+        if let (Some(store), true) = (store, caps.durable_snapshot) {
+            if let Some(mut outcome) =
+                model.classify_from_snapshot(store, batch, reason, attempts_used)
+            {
+                osr_stats::counters::record_degraded_batch();
+                let trace = batch_trace(idx, seed, &mut outcome, inherited_poison, Vec::new());
+                return (Ok(outcome), Some(trace));
+            }
+        }
+    }
+    (
+        Err(OsrError::Diverged {
+            attempts: attempts_used,
+            reason: match resource_breach {
+                Some(breach) => breach.to_string(),
+                None => last_divergence,
+            },
+        }),
+        None,
+    )
+}
+
+/// Stamp `outcome` with its reproducible trace id and build the matching
+/// sink record.
+fn batch_trace(
+    idx: usize,
+    seed: u64,
+    outcome: &mut ClassifyOutcome,
+    inherited_poison: bool,
+    sweeps: Vec<SweepTrace>,
+) -> BatchTrace {
+    let trace_id = batch_trace_id(seed, idx);
+    outcome.trace_id = trace_id.clone();
+    BatchTrace {
+        trace_id,
+        batch: idx,
+        method: outcome.method.clone(),
+        attempts: outcome.attempts,
+        served_via: outcome.served_via,
+        inherited_poison,
+        sweeps,
     }
 }
 
@@ -1136,6 +1015,67 @@ mod tests {
         let one = run(1);
         assert_eq!(one, run(2));
         assert_eq!(one, run(8));
+
+        // Rounds smaller than the worker count, down to one batch (served on
+        // the calling thread alone), and the empty round.
+        for n in [1usize, 3] {
+            let round = &batches[..n];
+            let serve = |workers: usize| -> Vec<Vec<Prediction>> {
+                BatchServer::with_workers(&model, workers)
+                    .classify_batches(round, 99)
+                    .into_iter()
+                    .map(|r| r.unwrap().predictions)
+                    .collect()
+            };
+            assert_eq!(serve(1), one[..n], "n = {n}, 1 worker");
+            assert_eq!(serve(2), one[..n], "n = {n}, 2 workers");
+            assert_eq!(serve(8), one[..n], "n = {n}, 8 workers");
+        }
+        assert!(BatchServer::with_workers(&model, 4).classify_batches(&[], 99).is_empty());
+    }
+
+    #[test]
+    fn a_one_item_round_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = fan_out(&[()], 8, |_, ()| std::thread::current().id());
+        assert_eq!(ran_on, vec![Ok(caller)]);
+        // One worker: the caller serves the whole round itself, in order.
+        let ran_on = fan_out(&[10, 20, 30], 1, |idx, x| (idx, *x, std::thread::current().id()));
+        assert_eq!(ran_on, vec![Ok((0, 10, caller)), Ok((1, 20, caller)), Ok((2, 30, caller))]);
+    }
+
+    #[test]
+    fn a_poisoned_caller_thread_does_not_leak_into_its_round() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let (train, test) = scenario(&mut rng);
+        let model = HdpOsr::fit(&config(ServingMode::WarmStart), &train).unwrap();
+        let batches: Vec<Vec<Vec<f64>>> = test.chunks(20).map(<[Vec<f64>]>::to_vec).collect();
+        let run = |poison_first: bool| {
+            let sink = Arc::new(crate::observability::RingSink::new(8));
+            if poison_first {
+                osr_stats::divergence::poison("left behind by the caller's own work");
+            }
+            let outcomes = BatchServer::with_workers(&model, 1)
+                .with_trace_sink(sink.clone())
+                .classify_batches(&batches, 13);
+            (outcomes, sink.records())
+        };
+        let (clean, _) = run(false);
+        let (outcomes, records) = run(true);
+        assert_eq!(records.len(), batches.len());
+        for record in records {
+            match record {
+                TraceRecord::Batch(trace) => assert!(!trace.inherited_poison, "{trace:?}"),
+                other => panic!("expected batch records, got {other:?}"),
+            }
+        }
+        for (a, b) in outcomes.iter().zip(&clean) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(a.predictions, b.predictions);
+            assert_eq!(a.test_dishes, b.test_dishes);
+            assert_eq!(a.log_likelihood.to_bits(), b.log_likelihood.to_bits());
+            assert_eq!(a.attempts, b.attempts);
+        }
     }
 
     #[test]
@@ -1154,12 +1094,11 @@ mod tests {
     }
 
     #[test]
-    fn serve_seeded_matches_sequential_classify() {
+    fn serve_one_at_index_zero_matches_sequential_classify() {
         let mut rng = StdRng::seed_from_u64(31);
         let (train, test) = scenario(&mut rng);
         let model = HdpOsr::fit(&config(ServingMode::WarmStart), &train).unwrap();
-        let server = BatchServer::with_workers(&model, 1);
-        let (outcome, trace) = server.serve_seeded(&test[..10], 77);
+        let (outcome, trace) = serve_one(&model, &ServePolicy::default(), None, 0, &test[..10], 77);
         let sequential =
             model.classify(&test[..10], &mut StdRng::seed_from_u64(77)).unwrap();
         assert_eq!(outcome.unwrap().predictions, sequential);

@@ -9,8 +9,10 @@
 //!
 //! One behavioral difference: when a spawned thread panics, crossbeam's
 //! `scope` returns `Err(payload)` while `std::thread::scope` resumes the
-//! panic on the host thread. Every call site in this workspace immediately
-//! `.expect(…)`s the result, so both designs end in the same panic.
+//! panic on the host thread. Every call site in this workspace turns an
+//! `Err` back into a panic (`.expect(…)` or `resume_unwind`), so both
+//! designs end in the same panic; the serving executor also catches each
+//! item's panic inside its workers, so none reaches its scope.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -5,10 +5,11 @@
 # with the deterministic fault-injection harness compiled in, which unlocks
 # the serving stack's robustness acceptance suite (tests/fault_injection.rs).
 #
-# On top of the two workspace passes come the byte-diff gates: the
-# coalescing golden, an end-to-end determinism check (the trace_dump binary
-# is run twice with one seed and the JSONL streams must be byte-identical),
-# and the replica fleet's snapshot and stream identity.
+# On top of the two workspace passes come a release-mode pass of the
+# front-end suites and the byte-diff gates: an end-to-end determinism check
+# (the trace_dump binary is run twice with one seed and the JSONL streams
+# must be byte-identical), and the replica fleet's snapshot and stream
+# identity.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,17 +74,11 @@ for field in schema n_dishes bytes_on_disk save_median_us load_median_us; do
     fi
 done
 
-# The committed coalescing golden must match what the front-end emits today:
-# the frontend_golden suite regenerates nothing, so byte-diff the file's
-# in-repo copy against a fresh UPDATE_GOLDENS run in a scratch checkout of
-# the golden only.
-cp tests/goldens/frontend_stream.jsonl results/frontend_stream_committed.jsonl
-UPDATE_GOLDENS=1 cargo test -q --test frontend_golden coalesced_stream_matches_committed_golden
-if ! diff -q tests/goldens/frontend_stream.jsonl results/frontend_stream_committed.jsonl; then
-    cp results/frontend_stream_committed.jsonl tests/goldens/frontend_stream.jsonl
-    echo "verify: FAIL — regenerated coalescing golden differs from the committed one" >&2
-    exit 1
-fi
+# The front-end and fault-injection suites once more at release speed: the
+# optimized build shifts how dispatch workers interleave, and the committed
+# coalescing golden (asserted byte for byte by `frontend_golden` in both
+# passes above) and the isolation contract must hold under that timing too.
+cargo test -q --release --features fault-inject --test frontend_golden --test fault_injection
 
 # Two identical seeded serving runs must write byte-identical trace streams.
 ./target/release/trace_dump --seed 2026 --out results/trace_verify_a.jsonl

@@ -19,7 +19,7 @@ use std::time::Duration;
 use hdp_osr::baselines::{BaselineSpec, OsnnParams, ServedBaseline};
 use hdp_osr::core::{
     derive_batch_seed, BatchServer, ClassifyOutcome, DegradeReason, HdpOsr, HdpOsrConfig,
-    OsrError, Prediction, RetryPolicy, RingSink, ServePolicy, ServedVia, ServingMode,
+    OsrError, Prediction, RingSink, ServePolicy, ServedVia, ServingMode,
     TraceRecord,
 };
 use hdp_osr::dataset::protocol::TrainSet;
@@ -107,20 +107,23 @@ fn injected_panic_is_isolated_to_its_batch() {
         None,
         Fault::Panic { message: "injected worker panic".into() },
     ));
-    let faulted = serve(&model, &batches, ServePolicy::default());
-
-    match faulted[1].as_ref().unwrap_err() {
-        OsrError::Internal(msg) => {
-            assert!(msg.contains("injected worker panic"), "message was: {msg}");
+    // One worker: the calling thread serves the panicking batch and then
+    // its siblings itself.
+    for workers in [1, 2] {
+        let faulted = BatchServer::with_workers(&model, workers).classify_batches(&batches, SEED);
+        match faulted[1].as_ref().unwrap_err() {
+            OsrError::Internal(msg) => {
+                assert!(msg.contains("injected worker panic"), "message was: {msg}");
+            }
+            other => panic!("expected Internal from a panicking batch, got {other:?}"),
         }
-        other => panic!("expected Internal from a panicking batch, got {other:?}"),
-    }
-    for idx in [0usize, 2, 3] {
-        assert_bit_identical(
-            faulted[idx].as_ref().unwrap(),
-            baseline[idx].as_ref().unwrap(),
-            &format!("sibling batch {idx} of a panicked batch"),
-        );
+        for idx in [0usize, 2, 3] {
+            assert_bit_identical(
+                faulted[idx].as_ref().unwrap(),
+                baseline[idx].as_ref().unwrap(),
+                &format!("sibling batch {idx} of a panicked batch at {workers} worker(s)"),
+            );
+        }
     }
 }
 
@@ -129,7 +132,7 @@ fn injected_cholesky_divergence_degrades_after_exhausting_retries() {
     let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (model, batches) = warm_model_and_batches();
     let policy = ServePolicy {
-        retry: RetryPolicy { max_attempts: 3, reseed: true },
+        max_attempts: 3,
         ..Default::default()
     };
     let baseline = serve(&model, &batches, policy);
@@ -332,7 +335,7 @@ fn baseline_divergence_degrades_to_the_deterministic_fallback() {
     let retries_before = counters::serve_retries();
     let degraded_before = counters::degraded_batches();
     // Every attempt of batch 1 diverges at the baseline's classify site, so
-    // the retry policy runs dry. Baselines are not reseedable, but their
+    // the retry policy runs dry. Baselines never draw from the RNG, and their
     // frozen fallback is the normal deterministic computation — degraded
     // service must answer with the same predictions a healthy run produces.
     let _plan = install(FaultPlan::new().inject(
@@ -398,16 +401,17 @@ fn baseline_panic_is_isolated_to_its_batch() {
         None,
         Fault::Panic { message: "injected baseline panic".into() },
     ));
-    let results = BatchServer::with_workers(&served, 2).classify_batches(&batches, SEED);
-
-    match results[2].as_ref().unwrap_err() {
-        OsrError::Internal(msg) => {
-            assert!(msg.contains("injected baseline panic"), "message was: {msg}");
+    for workers in [1, 2] {
+        let results = BatchServer::with_workers(&served, workers).classify_batches(&batches, SEED);
+        match results[2].as_ref().unwrap_err() {
+            OsrError::Internal(msg) => {
+                assert!(msg.contains("injected baseline panic"), "message was: {msg}");
+            }
+            other => panic!("expected Internal from a panicking batch, got {other:?}"),
         }
-        other => panic!("expected Internal from a panicking batch, got {other:?}"),
-    }
-    for idx in [0usize, 1] {
-        assert!(results[idx].is_ok(), "sibling batch {idx} must still serve");
+        for idx in [0usize, 1] {
+            assert!(results[idx].is_ok(), "sibling batch {idx} must serve at {workers} worker(s)");
+        }
     }
 }
 
