@@ -5,8 +5,8 @@
 //!
 //! 1. **Committed goldens** — the first and last [`SweepTrace`] of a seeded
 //!    fit, its convergence diagnostics, and the full batch-trace JSONL
-//!    stream of a seeded `classify_batches` run are compared byte-for-byte
-//!    against files in `tests/goldens/`. Any change to the sampler's RNG
+//!    streams of a seeded `classify_batches` run (warm-start and cold-start
+//!    serving) are compared byte-for-byte against files in `tests/goldens/`. Any change to the sampler's RNG
 //!    consumption, the seating order, or the trace schema shows up as a
 //!    golden diff. Regenerate deliberately with `UPDATE_GOLDENS=1`.
 //! 2. **Worker-count independence** — the same stream must come out of 1,
@@ -45,6 +45,11 @@ fn blob(rng: &mut StdRng, cx: f64, cy: f64, n: usize) -> Vec<Vec<f64>> {
 /// (known / known / unknown / mixed). Everything derives from literal seeds,
 /// so the traces below are reproducible in any order and any process.
 fn model_and_batches() -> (HdpOsr, Vec<Vec<Vec<f64>>>) {
+    model_and_batches_served(ServingMode::WarmStart)
+}
+
+/// [`model_and_batches`] with the model fitted for `serving`.
+fn model_and_batches_served(serving: ServingMode) -> (HdpOsr, Vec<Vec<Vec<f64>>>) {
     let mut rng = StdRng::seed_from_u64(314);
     let train = TrainSet {
         class_ids: vec![1, 2],
@@ -53,7 +58,7 @@ fn model_and_batches() -> (HdpOsr, Vec<Vec<Vec<f64>>>) {
     let config = HdpOsrConfig {
         iterations: ITERATIONS,
         decision_sweeps: DECISION_SWEEPS,
-        serving: ServingMode::WarmStart,
+        serving,
         ..Default::default()
     };
     let model = HdpOsr::fit(&config, &train).expect("clean fit");
@@ -144,6 +149,11 @@ fn batch_trace_stream_matches_committed_golden() {
     let (model, batches) = model_and_batches();
     let stream = trace_lines(&model, &batches, 2).join("\n");
     check_golden("batch_stream.jsonl", &stream);
+    // The same scene under cold-start serving: every batch pays the full
+    // transductive burn-in, and the stream pins that path too.
+    let (cold, batches) = model_and_batches_served(ServingMode::ColdStart);
+    let stream = trace_lines(&cold, &batches, 2).join("\n");
+    check_golden("cold_batch_stream.jsonl", &stream);
 }
 
 #[test]
