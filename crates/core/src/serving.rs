@@ -11,11 +11,13 @@
 //!   [`ServingMode::WarmStart`]) runs the training-only burn-in, snapshots
 //!   the converged posterior, and precomputes the dish→class association
 //!   table.
-//! * Each batch is then answered from a private [`osr_hdp::BatchSession`]
-//!   clone of that snapshot: only the batch group is reseated, for
-//!   `decision_sweeps` warm sweeps instead of a cold burn-in.
+//! * Each batch is then answered from a private session on that snapshot
+//!   ([`PosteriorSnapshot::session`], an [`Hdp`] whose training groups are
+//!   frozen): only the batch group is reseated, for `decision_sweeps` warm
+//!   sweeps instead of a cold burn-in. One attempt type, `HdpAttempt`,
+//!   drives this sampler in both serving modes.
 //! * [`BatchServer`] fans independent batches out over the one dispatch
-//!   executor ([`fan_out`], shared with [`crate::Frontend`]) with per-batch
+//!   executor (`fan_out`, shared with [`crate::Frontend`]) with per-batch
 //!   RNGs derived from `(seed, batch_index)`, so results do not depend on
 //!   the number of workers or their scheduling.
 //!
@@ -32,9 +34,9 @@
 //! 1. **Admission** ([`crate::admission::validate_batch`]) rejects malformed
 //!    batches with typed errors before any sampler state exists.
 //! 2. **Watchdog** — every sweep of an attempt runs through
-//!    `sweep_checked`, which turns mid-sweep numerical poison (non-finite
-//!    seating weights, Cholesky failure past the jitter ladder) and
-//!    non-finite likelihood/concentrations into a typed divergence.
+//!    `sweep_checked_traced`, which turns mid-sweep numerical poison
+//!    (non-finite seating weights, Cholesky failure past the jitter ladder)
+//!    and non-finite likelihood/concentrations into a typed divergence.
 //! 3. **Retry** ([`ServePolicy::max_attempts`]) — a divergent attempt is
 //!    re-run with the re-derived seed `derive_batch_seed(seed, idx) ^
 //!    attempt`.
@@ -46,6 +48,7 @@
 //!    `catch_unwind`, so a panicking batch yields an in-place
 //!    [`OsrError::Internal`] while sibling batches finish untouched.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -181,9 +184,9 @@ pub(crate) fn associate<F: Fn(usize) -> GroupSummary>(
     (assoc, known_reports)
 }
 
-/// Per-point majority over the voting sweeps (ties break toward the
-/// BTreeMap-larger prediction, i.e. Unknown over Known, higher class id
-/// over lower — matching the original single-path implementation).
+/// Per-point majority over the voting sweeps. Ties break toward the smaller
+/// prediction: Known over Unknown, lower class id over higher — matching
+/// the original single-path implementation.
 fn majority(votes: &[BTreeMap<Prediction, usize>]) -> Vec<Prediction> {
     votes
         .iter()
@@ -279,98 +282,80 @@ pub(crate) fn sweep_fault_delay() {
     }
 }
 
-/// Warm attempt: clone the checkpoint, append the batch, reseat only the
-/// batch for `decision_sweeps` watchdogged sweeps, and vote against the
-/// precomputed association table (training seating cannot move, so the
-/// table stays valid across sweeps).
-pub(crate) struct WarmAttempt<'m> {
+/// One CD-OSR serve attempt: the batch appended as one more group of one
+/// collapsed CRF sampler, swept under the watchdog, voting per point over
+/// the voting states. The two serving modes differ in three things only:
+///
+/// * **Opening.** Warm: a session on the fit-time checkpoint, training
+///   groups frozen. Cold ([`ServingMode::ColdStart`], the original
+///   transductive schedule): a fresh sampler over deep copies of the
+///   training groups plus the batch, every group reseated.
+/// * **Sweeps before the first vote.** Warm: 1. Cold: the full `iterations`
+///   burn-in (the exact RNG stream of `Hdp::run`). Either way votes are
+///   then cast on `decision_sweeps` states.
+/// * **Association table.** Warm: the fit-time table, borrowed — training
+///   seating cannot move, so it stays valid. Cold: recomputed for each
+///   voting state, since training seating moves too.
+pub(crate) struct HdpAttempt<'m> {
     model: &'m HdpOsr,
-    warm: &'m WarmState,
-    session: osr_hdp::BatchSession,
-    votes: Vec<BTreeMap<Prediction, usize>>,
-}
-
-impl<'m> WarmAttempt<'m> {
-    fn start(
-        model: &'m HdpOsr,
-        warm: &'m WarmState,
-        test: &[Vec<f64>],
-    ) -> std::result::Result<Self, AttemptError> {
-        let session = warm
-            .snapshot
-            .session(test.to_vec())
-            .map_err(|e| AttemptError::Fatal(e.into()))?;
-        Ok(Self { model, warm, session, votes: vec![BTreeMap::new(); test.len()] })
-    }
-
-    fn sweep(&mut self, rng: &mut StdRng) -> std::result::Result<SweepTrace, AttemptError> {
-        let trace = self
-            .session
-            .sweep_checked_traced(rng)
-            .map_err(|d| AttemptError::Diverged(d.to_string()))?;
-        for (i, vote) in self.votes.iter_mut().enumerate() {
-            let pred = self.warm.assoc.decide(self.session.dish_of(i));
-            *vote.entry(pred).or_insert(0) += 1;
-        }
-        Ok(trace)
-    }
-
-    fn finish(&self) -> ClassifyOutcome {
-        let config = self.model.config();
-        let predictions = majority(&self.votes);
-        let summary = self.session.group_summary(self.session.batch_group());
-        let report = build_report(
-            config.varrho,
-            self.model.n_classes(),
-            &self.warm.assoc,
-            self.warm.known_reports.clone(),
-            &summary,
-        );
-        let test_dishes = (0..self.votes.len()).map(|i| self.session.dish_of(i)).collect();
-        ClassifyOutcome {
-            predictions,
-            report,
-            test_dishes,
-            gamma: self.session.gamma(),
-            alpha: self.session.alpha(),
-            log_likelihood: self.session.joint_log_likelihood(),
-            served_via: ServedVia::Warm,
-            attempts: 1,
-            trace_id: String::new(),
-            method: CDOSR_METHOD.to_string(),
-        }
-    }
-}
-
-/// Cold attempt ([`ServingMode::ColdStart`]): the original transductive
-/// schedule — deep-copy the training groups, append the batch, run the full
-/// burn-in sweep by watchdogged sweep (the exact RNG stream of `Hdp::run`),
-/// and vote over `decision_sweeps` posterior states with the association
-/// table recomputed per state (training seating moves here). Votes start
-/// with the state after the final burn-in sweep, so the attempt plans
-/// `iterations + decision_sweeps - 1` sweeps in total.
-pub(crate) struct ColdAttempt<'m> {
-    model: &'m HdpOsr,
+    /// The fit-time checkpoint and its tables; `None` for a cold model.
+    warm: Option<&'m WarmState>,
     hdp: Hdp,
+    /// The batch's group: the last one.
     test_group: usize,
+    /// Sweeps up to and including the first voting state.
+    first_vote: usize,
     sweeps_done: usize,
     votes: Vec<BTreeMap<Prediction, usize>>,
 }
 
-impl<'m> ColdAttempt<'m> {
-    fn start(model: &'m HdpOsr, test: &[Vec<f64>]) -> std::result::Result<Self, AttemptError> {
-        let mut groups: Vec<Vec<Vec<f64>>> = model.classes().iter().map(|c| c.to_vec()).collect();
-        groups.push(test.to_vec());
-        let test_group = groups.len() - 1;
-        let hdp = Hdp::new(model.params().clone(), model.config().hdp_config(), groups)
-            .map_err(|e| AttemptError::Fatal(e.into()))?;
+impl<'m> HdpAttempt<'m> {
+    pub(crate) fn start(
+        model: &'m HdpOsr,
+        test: &[Vec<f64>],
+    ) -> std::result::Result<Self, AttemptError> {
+        let config = model.config();
+        let warm = model.warm();
+        let (hdp, first_vote) = match warm {
+            Some(warm) => (warm.snapshot.session(test.to_vec()), 1),
+            None => {
+                let mut groups: Vec<Vec<Vec<f64>>> =
+                    model.classes().iter().map(|c| c.to_vec()).collect();
+                groups.push(test.to_vec());
+                (Hdp::new(model.params().clone(), config.hdp_config(), groups), config.iterations)
+            }
+        };
+        let hdp = hdp.map_err(|e| AttemptError::Fatal(e.into()))?;
         Ok(Self {
             model,
+            warm,
+            test_group: hdp.n_groups() - 1,
             hdp,
-            test_group,
+            first_vote,
             sweeps_done: 0,
             votes: vec![BTreeMap::new(); test.len()],
         })
+    }
+
+    /// The association table of the current state with its known-class
+    /// report rows: borrowed from the fit when warm, recomputed when cold.
+    fn associations(&self) -> (Cow<'m, Associations>, Cow<'m, [GroupSubclasses]>) {
+        match self.warm {
+            Some(warm) => (Cow::Borrowed(&warm.assoc), Cow::Borrowed(&warm.known_reports)),
+            None => {
+                let (assoc, known_reports) =
+                    associate(self.model.config().varrho, self.model.n_classes(), |c| {
+                        self.hdp.group_summary(c)
+                    });
+                (Cow::Owned(assoc), Cow::Owned(known_reports))
+            }
+        }
+    }
+}
+
+impl CollectiveSession for HdpAttempt<'_> {
+    fn sweeps_planned(&self) -> usize {
+        self.first_vote + self.model.config().decision_sweeps - 1
     }
 
     fn sweep(&mut self, rng: &mut StdRng) -> std::result::Result<SweepTrace, AttemptError> {
@@ -379,13 +364,8 @@ impl<'m> ColdAttempt<'m> {
             .sweep_checked_traced(rng)
             .map_err(|d| AttemptError::Diverged(d.to_string()))?;
         self.sweeps_done += 1;
-        // Collect one decision snapshot per voting sweep (the last burn-in
-        // state plus each extra decision sweep); the subclass report always
-        // reflects the final state.
-        if self.sweeps_done >= self.model.config().iterations {
-            let config = self.model.config();
-            let assoc =
-                associate(config.varrho, self.model.n_classes(), |c| self.hdp.group_summary(c)).0;
+        if self.sweeps_done >= self.first_vote {
+            let (assoc, _) = self.associations();
             for (i, vote) in self.votes.iter_mut().enumerate() {
                 let pred = assoc.decide(self.hdp.dish_of(self.test_group, i));
                 *vote.entry(pred).or_insert(0) += 1;
@@ -394,72 +374,30 @@ impl<'m> ColdAttempt<'m> {
         Ok(trace)
     }
 
-    fn finish(&self) -> ClassifyOutcome {
+    fn finish(&mut self) -> std::result::Result<ClassifyOutcome, AttemptError> {
         let config = self.model.config();
-        let predictions = majority(&self.votes);
-        let (assoc, known_reports) =
-            associate(config.varrho, self.model.n_classes(), |c| self.hdp.group_summary(c));
+        let (assoc, known_reports) = self.associations();
         let summary = self.hdp.group_summary(self.test_group);
-        let report =
-            build_report(config.varrho, self.model.n_classes(), &assoc, known_reports, &summary);
+        let report = build_report(
+            config.varrho,
+            self.model.n_classes(),
+            &assoc,
+            known_reports.into_owned(),
+            &summary,
+        );
         let test_dishes =
             (0..self.votes.len()).map(|i| self.hdp.dish_of(self.test_group, i)).collect();
-        ClassifyOutcome {
-            predictions,
+        Ok(ClassifyOutcome {
+            predictions: majority(&self.votes),
             report,
             test_dishes,
             gamma: self.hdp.gamma(),
             alpha: self.hdp.alpha(),
             log_likelihood: self.hdp.joint_log_likelihood(),
-            served_via: ServedVia::Cold,
+            served_via: if self.warm.is_some() { ServedVia::Warm } else { ServedVia::Cold },
             attempts: 1,
             trace_id: String::new(),
             method: CDOSR_METHOD.to_string(),
-        }
-    }
-}
-
-/// One CD-OSR serve attempt, dispatching on how the model was fitted: warm
-/// (snapshot present) or cold (full transductive re-run).
-pub(crate) enum HdpAttempt<'m> {
-    Warm(WarmAttempt<'m>),
-    Cold(ColdAttempt<'m>),
-}
-
-impl<'m> HdpAttempt<'m> {
-    pub(crate) fn start(
-        model: &'m HdpOsr,
-        test: &[Vec<f64>],
-    ) -> std::result::Result<Self, AttemptError> {
-        match model.warm() {
-            Some(warm) => WarmAttempt::start(model, warm, test).map(Self::Warm),
-            None => ColdAttempt::start(model, test).map(Self::Cold),
-        }
-    }
-}
-
-impl CollectiveSession for HdpAttempt<'_> {
-    fn sweeps_planned(&self) -> usize {
-        match self {
-            Self::Warm(w) => w.model.config().decision_sweeps,
-            Self::Cold(c) => {
-                let config = c.model.config();
-                config.iterations + config.decision_sweeps - 1
-            }
-        }
-    }
-
-    fn sweep(&mut self, rng: &mut StdRng) -> std::result::Result<SweepTrace, AttemptError> {
-        match self {
-            Self::Warm(w) => w.sweep(rng),
-            Self::Cold(c) => c.sweep(rng),
-        }
-    }
-
-    fn finish(&mut self) -> std::result::Result<ClassifyOutcome, AttemptError> {
-        Ok(match self {
-            Self::Warm(w) => w.finish(),
-            Self::Cold(c) => c.finish(),
         })
     }
 }
@@ -656,7 +594,7 @@ pub(crate) fn fan_out<I: Sync, T: Send>(
 }
 
 /// Serve many independent batches concurrently on the dispatch executor
-/// ([`fan_out`]).
+/// (`fan_out`).
 ///
 /// The server is method-agnostic: it holds a [`&dyn CollectiveModel`] and
 /// drives CD-OSR and the per-instance baselines (via `osr-baselines`' serve
@@ -979,6 +917,22 @@ mod tests {
             agree * 100 >= pw.len() * 95,
             "warm/cold parity: only {agree}/{} predictions agree",
             pw.len()
+        );
+    }
+
+    #[test]
+    fn majority_ties_break_toward_the_smaller_prediction() {
+        let tally =
+            |votes: &[(Prediction, usize)]| votes.iter().copied().collect::<BTreeMap<_, _>>();
+        let votes = [
+            tally(&[(Prediction::Known(1), 1), (Prediction::Unknown, 1)]),
+            tally(&[(Prediction::Known(0), 1), (Prediction::Known(2), 1)]),
+            // A strict majority wins whatever its order.
+            tally(&[(Prediction::Known(0), 1), (Prediction::Unknown, 2)]),
+        ];
+        assert_eq!(
+            majority(&votes),
+            vec![Prediction::Known(1), Prediction::Known(0), Prediction::Unknown]
         );
     }
 

@@ -14,7 +14,7 @@
 //! * **Typed failure** — every corruption mode (truncation, bit-flips,
 //!   version skew, dimension/method mismatch) surfaces as
 //!   [`OsrError::Snapshot`] wrapping a typed
-//!   [`SnapshotError`](osr_stats::snapshot::SnapshotError); loading never
+//!   [`SnapshotError`]; loading never
 //!   panics.
 //!
 //! What is persisted: the converged posterior checkpoint (seating, dish

@@ -141,7 +141,7 @@ pub fn letter<R: Rng + ?Sized>(rng: &mut R) -> Dataset {
 /// variance in just 39 components. The replica reproduces that structure
 /// explicitly: the class/subcluster geometry lives in a
 /// [`USPS_LATENT_DIMS`]-dimensional latent space (handwriting "style"
-/// coordinates), which [`usps_raw`] embeds into 256 raw dimensions through a
+/// coordinates), which [`usps_raw_scaled`] embeds into 256 raw dimensions through a
 /// random linear map plus small isotropic pixel noise.
 pub fn usps_latent_config() -> SyntheticConfig {
     SyntheticConfig {
@@ -177,11 +177,7 @@ pub const USPS_PIXEL_NOISE: f64 = 0.55;
 
 /// Generate the raw 256-dimensional USPS replica: latent GMM samples mapped
 /// through a random (near-orthogonal) `256 × 40` embedding plus pixel noise.
-pub fn usps_raw<R: Rng + ?Sized>(rng: &mut R) -> Dataset {
-    usps_raw_scaled(rng, 1.0)
-}
-
-/// [`usps_raw`] with a sample-count multiplier (for fast tests).
+/// `scale` multiplies the sample count (1.0 is the published 7 291).
 pub fn usps_raw_scaled<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> Dataset {
     let cfg = if (scale - 1.0).abs() < 1e-12 {
         usps_latent_config()
@@ -219,17 +215,11 @@ pub fn usps_raw_scaled<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> Dataset {
     Dataset::new("USPS", points, latent.labels, latent.n_classes)
 }
 
-/// Number of principal components the paper keeps for USPS.
+/// Number of principal components the paper keeps for USPS: the raw
+/// replica goes through [`project_with_pca`] to this many dimensions, as the
+/// paper preprocesses USPS ("PCA is used to project sample space into 39
+/// dimensional subspace, retaining 95 % of the samples' components").
 pub const USPS_PCA_DIMS: usize = 39;
-
-/// Generate the USPS replica and project it to [`USPS_PCA_DIMS`] dimensions
-/// with PCA, exactly as the paper preprocesses USPS ("PCA is used to project
-/// sample space into 39 dimensional subspace, retaining 95 % of the samples\'
-/// components").
-pub fn usps<R: Rng + ?Sized>(rng: &mut R) -> Dataset {
-    let raw = usps_raw(rng);
-    project_with_pca(raw, USPS_PCA_DIMS)
-}
 
 /// Project a dataset onto its leading `k` principal components.
 ///

@@ -1,11 +1,14 @@
 //! The reusable seating engine: the collapsed CRF Gibbs moves over an
 //! [`HdpState`].
 //!
-//! Every move is expressed *per group*, so the two drivers can share it:
+//! Every move is expressed *per group*, so the one driver, [`crate::Hdp`],
+//! sweeps whichever groups lie past its frozen prefix:
 //!
-//! * [`crate::Hdp`] sweeps every group (full transductive sampling), and
-//! * [`crate::BatchSession`] sweeps only its test group, leaving the frozen
-//!   training seating untouched (warm-start serving).
+//! * none are frozen for fit and cold serving (full transductive
+//!   sampling), and
+//! * every training group is frozen in a warm session from
+//!   [`crate::PosteriorSnapshot::session`], which sweeps only its test
+//!   group and leaves the training seating untouched.
 //!
 //! A batch-restricted sweep can still do everything the model allows —
 //! batch items may join training dishes (that is the collective decision)

@@ -37,7 +37,7 @@ mod watchdog;
 
 pub use concentration::{resample_alpha, resample_gamma};
 pub use sampler::Hdp;
-pub use session::{BatchSession, PosteriorSnapshot};
+pub use session::PosteriorSnapshot;
 pub use state::{DishId, DishSummary, GroupSummary, HdpConfig};
 pub use trace::{
     SweepTrace, ALPHA_METRIC, GAMMA_METRIC, SEAT_MOVES_METRIC, SWEEPS_METRIC, SWEEP_TIME_METRIC,

@@ -9,8 +9,13 @@
 //! base measure, so the only state is the seating arrangement plus O(d²)
 //! sufficient statistics per dish. The moves themselves live in the seating
 //! engine (`engine.rs`, `impl HdpState`); this type owns the state, drives
-//! full sweeps over every group, and can checkpoint a converged arrangement
-//! into a [`PosteriorSnapshot`] for warm-start serving.
+//! sweeps over every group past its frozen prefix, and can checkpoint a
+//! converged arrangement into a [`PosteriorSnapshot`] for warm-start serving.
+//!
+//! The frozen prefix is what makes one type serve both schedules: a sampler
+//! from [`Hdp::new`] freezes nothing (fit and cold serving reseat every
+//! group), while a warm session from [`PosteriorSnapshot::session`] freezes
+//! every training group and reseats only the appended test batch.
 
 use std::sync::Arc;
 
@@ -28,6 +33,8 @@ use crate::{HdpError, Result};
 pub struct Hdp {
     state: HdpState,
     config: HdpConfig,
+    /// Groups `0..frozen` keep their seating: sweeps never reseat them.
+    frozen: usize,
     initialized: bool,
     /// Sweeps completed by this sampler (the `sweep` index of traces).
     sweeps_done: usize,
@@ -91,6 +98,7 @@ impl Hdp {
                 scratch: Default::default(),
             },
             config,
+            frozen: 0,
             initialized: false,
             sweeps_done: 0,
             last_sweep_wall_ns: 0,
@@ -98,13 +106,15 @@ impl Hdp {
         })
     }
 
-    /// Rebuild a sampler from checkpointed parts (see
-    /// [`PosteriorSnapshot::restore`]). The state is assumed fully seated.
-    pub(crate) fn from_parts(state: HdpState, config: HdpConfig) -> Self {
+    /// A warm session over checkpointed parts (see
+    /// [`PosteriorSnapshot::session`]): groups `0..frozen` are seated and
+    /// stay so; the groups after them are unseated until the first sweep.
+    pub(crate) fn from_parts(state: HdpState, config: HdpConfig, frozen: usize) -> Self {
         Self {
             state,
             config,
-            initialized: true,
+            frozen,
+            initialized: false,
             sweeps_done: 0,
             last_sweep_wall_ns: 0,
             last_sweep_moves: 0,
@@ -120,15 +130,17 @@ impl Hdp {
         }
     }
 
-    /// One full Gibbs sweep (tables, then dishes, then concentrations).
+    /// One Gibbs sweep over every group past the frozen prefix: tables
+    /// (Eq. 7), then dishes (Eq. 8), then the concentrations. The first
+    /// call runs a sequential CRF seating pass over those groups first.
     pub fn sweep<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let started = std::time::Instant::now();
         let moves_before = self.state.seat_moves;
         self.ensure_initialized(rng);
-        for j in 0..self.state.groups.len() {
+        for j in self.frozen..self.state.groups.len() {
             self.state.seat_group_items(j, rng);
         }
-        for j in 0..self.state.groups.len() {
+        for j in self.frozen..self.state.groups.len() {
             self.state.resample_group_dishes(j, rng);
         }
         if self.config.resample_concentrations {
@@ -149,22 +161,12 @@ impl Hdp {
         self.build_trace(self.state.joint_log_likelihood())
     }
 
-    /// [`Self::sweep`] under the divergence watchdog: runs one sweep, then
-    /// consumes the thread's poison flag and audits concentrations and the
-    /// joint log-likelihood. Calling this `iterations` times consumes the
-    /// exact RNG stream of [`Self::run`] (initialization happens inside the
-    /// first sweep either way). An `Err` means the sampler state can no
-    /// longer be trusted and should be discarded.
-    pub fn sweep_checked<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-    ) -> std::result::Result<(), crate::Divergence> {
-        self.sweep_checked_traced(rng).map(|_| ())
-    }
-
-    /// [`Self::sweep_checked`], returning the [`SweepTrace`] on a healthy
-    /// sweep. The trace's log-likelihood doubles as the watchdog's
-    /// finiteness audit, so tracing adds no extra likelihood evaluation.
+    /// [`Self::sweep_traced`] under the divergence watchdog: runs one
+    /// sweep, then consumes the thread's poison flag and audits the
+    /// concentrations and the trace's joint log-likelihood, so the audit
+    /// adds no extra likelihood evaluation. Calling this `iterations` times
+    /// consumes the exact RNG stream of [`Self::run`]. An `Err` means the
+    /// sampler state can no longer be trusted and should be discarded.
     pub fn sweep_checked_traced<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -196,7 +198,7 @@ impl Hdp {
             return;
         }
         self.initialized = true;
-        for j in 0..self.state.groups.len() {
+        for j in self.frozen..self.state.groups.len() {
             self.state.seat_group_items(j, rng);
         }
     }
@@ -261,11 +263,6 @@ impl Hdp {
         self.state.dish_summaries()
     }
 
-    /// Posterior predictive log-density of a point under one dish.
-    pub fn dish_predictive_logpdf(&self, dish: DishId, x: &[f64]) -> f64 {
-        self.state.bank.predictive_one(self.state.dish(dish).slot, x)
-    }
-
     /// Joint log marginal likelihood of all data given the current seating
     /// (sum of per-dish closed-form marginals) — a convergence diagnostic.
     pub fn joint_log_likelihood(&self) -> f64 {
@@ -285,6 +282,11 @@ impl Hdp {
     /// The base-measure parameters.
     pub fn params(&self) -> &NiwParams {
         &self.state.params
+    }
+
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> &HdpState {
+        &self.state
     }
 }
 

@@ -5,9 +5,10 @@
 //! with the full training set, so serving `B` batches cold costs
 //! `B × iterations × (N_train + N_batch)` seating moves. A
 //! [`PosteriorSnapshot`] freezes the converged training arrangement once;
-//! each [`BatchSession`] then clones the snapshot (sharing the training
-//! observations behind `Arc`s), appends *only* its test group, and reseats
-//! just that group for a handful of sweeps. Per batch the cost drops to
+//! each batch's [`PosteriorSnapshot::session`] then clones the snapshot
+//! (sharing the training observations behind `Arc`s), appends *only* its
+//! test group, and returns an [`Hdp`] whose frozen prefix is every training
+//! group, so its sweeps reseat just the test group. Per batch the cost drops to
 //! `O(sweeps × N_batch)` seating moves against the frozen training
 //! posterior.
 //!
@@ -24,23 +25,19 @@
 
 use std::sync::Arc;
 
-use rand::Rng;
-
 use osr_stats::NiwParams;
 
 use crate::sampler::validate_group;
 use crate::state::{DishId, DishSummary, GroupSummary, HdpConfig, HdpState};
-use crate::trace::{self, SweepTrace};
-use crate::watchdog::{self, Divergence};
 use crate::{Hdp, Result};
 
 /// An immutable checkpoint of a converged sampler: the seating arrangement,
 /// every dish's NIW sufficient statistics, and the concentrations.
 ///
 /// Produced by [`Hdp::snapshot`]; consumed by [`PosteriorSnapshot::session`]
-/// (warm-start serving) and [`PosteriorSnapshot::restore`] (resume full
-/// sampling). Cloning is cheap in the data dimension: group observations
-/// are shared, only bookkeeping and O(K·d²) dish statistics are copied.
+/// (warm-start serving). Cloning is cheap in the data dimension: group
+/// observations are shared, only bookkeeping and O(K·d²) dish statistics
+/// are copied.
 #[derive(Debug, Clone)]
 pub struct PosteriorSnapshot {
     state: HdpState,
@@ -163,13 +160,6 @@ impl PosteriorSnapshot {
         }
     }
 
-    /// Rebuild a full sampler from the checkpoint (the inverse of
-    /// [`Hdp::snapshot`]): the restored sampler continues sweeping *all*
-    /// groups from the frozen arrangement.
-    pub fn restore(&self) -> Hdp {
-        Hdp::from_parts(self.state.clone(), self.config)
-    }
-
     /// Append this checkpoint's sections (base measure, config, seating,
     /// dish bank) to a durable snapshot container. The byte output is a
     /// pure function of the checkpoint's canonical state: writing the same
@@ -195,191 +185,23 @@ impl PosteriorSnapshot {
     }
 
     /// Open a warm serving session: clone the checkpoint, append `batch` as
-    /// one more group, and return a session that reseats only that group.
+    /// one more group (the last), and return a sampler whose frozen prefix
+    /// is every training group, so its sweeps reseat only the batch. The
+    /// batch may still join training dishes (the collective decision) or
+    /// nucleate new ones; dish statistics change inside this private clone
+    /// only.
     ///
     /// # Errors
     /// Rejects an empty batch, dimension mismatches against the base
     /// measure, and non-finite values.
-    pub fn session(&self, batch: Vec<Vec<f64>>) -> Result<BatchSession> {
-        let batch_group = self.state.groups.len();
-        validate_group(batch_group, &batch, self.state.params.dim())?;
+    pub fn session(&self, batch: Vec<Vec<f64>>) -> Result<Hdp> {
+        let frozen = self.state.groups.len();
+        validate_group(frozen, &batch, self.state.params.dim())?;
         let mut state = self.state.clone();
         state.assignment.push(vec![usize::MAX; batch.len()]);
         state.tables.push(Vec::new());
         state.groups.push(Arc::new(batch));
-        Ok(BatchSession {
-            state,
-            config: self.config,
-            batch_group,
-            initialized: false,
-            sweeps_done: 0,
-            last_sweep_wall_ns: 0,
-            last_sweep_moves: 0,
-        })
-    }
-}
-
-/// One warm-start serving session: a private clone of a
-/// [`PosteriorSnapshot`] with a single test batch appended as the last
-/// group. Sweeps reseat only the batch group — training items never move,
-/// training tables never empty, so the checkpointed class structure is
-/// invariant while the batch still enjoys the full collective decision
-/// (its points may join training dishes or nucleate new ones).
-#[derive(Debug, Clone)]
-pub struct BatchSession {
-    state: HdpState,
-    config: HdpConfig,
-    batch_group: usize,
-    initialized: bool,
-    /// Warm sweeps completed by this session (the `sweep` index of traces).
-    sweeps_done: usize,
-    /// Wall-time of the most recent sweep, nanoseconds.
-    last_sweep_wall_ns: u64,
-    /// Seating decisions taken in the most recent sweep.
-    last_sweep_moves: u64,
-}
-
-impl BatchSession {
-    /// Index of the batch group (training groups are `0..batch_group`).
-    pub fn batch_group(&self) -> usize {
-        self.batch_group
-    }
-
-    /// Number of points in the batch.
-    pub fn batch_len(&self) -> usize {
-        self.state.groups[self.batch_group].len()
-    }
-
-    /// One warm Gibbs sweep over the batch group only: reseat every batch
-    /// item (Eq. 7), resample every batch table's dish (Eq. 8), then the
-    /// concentrations. The first call runs a sequential CRF seating pass
-    /// first, exactly like [`Hdp::run`] does for the full problem.
-    pub fn sweep<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        #[cfg(feature = "fault-inject")]
-        if osr_stats::faults::hit(osr_stats::faults::sites::ENGINE_SWEEP)
-            == Some(osr_stats::faults::Fault::Diverge)
-        {
-            osr_stats::divergence::poison("injected: engine sweep divergence");
-        }
-        let started = std::time::Instant::now();
-        let moves_before = self.state.seat_moves;
-        self.ensure_initialized(rng);
-        self.state.seat_group_items(self.batch_group, rng);
-        self.state.resample_group_dishes(self.batch_group, rng);
-        if self.config.resample_concentrations {
-            self.state.resample_concentrations(&self.config, rng);
-        }
-        self.sweeps_done += 1;
-        self.last_sweep_wall_ns = started.elapsed().as_nanos() as u64;
-        self.last_sweep_moves = self.state.seat_moves - moves_before;
-        trace::record_sweep(&self.state, self.last_sweep_wall_ns, self.last_sweep_moves);
-    }
-
-    /// [`Self::sweep`] plus a [`SweepTrace`] of the post-sweep state.
-    pub fn sweep_traced<R: Rng + ?Sized>(&mut self, rng: &mut R) -> SweepTrace {
-        self.sweep(rng);
-        self.build_trace(self.state.joint_log_likelihood())
-    }
-
-    /// [`Self::sweep`] under the divergence watchdog: runs one sweep, then
-    /// consumes the thread's poison flag and audits concentrations and the
-    /// joint log-likelihood. An `Err` means the session state can no longer
-    /// be trusted — the caller should discard the session and retry the
-    /// batch with a fresh seed or fall back to degraded frozen inference.
-    pub fn sweep_checked<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-    ) -> std::result::Result<(), Divergence> {
-        self.sweep_checked_traced(rng).map(|_| ())
-    }
-
-    /// [`Self::sweep_checked`], returning the [`SweepTrace`] on a healthy
-    /// sweep. The trace's log-likelihood doubles as the watchdog's
-    /// finiteness audit, so tracing adds no extra likelihood evaluation.
-    pub fn sweep_checked_traced<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-    ) -> std::result::Result<SweepTrace, Divergence> {
-        self.sweep(rng);
-        let trace = self.build_trace(self.state.joint_log_likelihood());
-        watchdog::check_health_with_ll(&self.state, trace.log_likelihood)?;
-        Ok(trace)
-    }
-
-    fn build_trace(&self, log_likelihood: f64) -> SweepTrace {
-        trace::build_trace(
-            &self.state,
-            self.sweeps_done - 1,
-            self.last_sweep_wall_ns,
-            self.last_sweep_moves,
-            log_likelihood,
-        )
-    }
-
-    /// Run `sweeps` warm sweeps (the short `decision_sweeps` schedule of
-    /// the serving layer).
-    pub fn run<R: Rng + ?Sized>(&mut self, sweeps: usize, rng: &mut R) {
-        for _ in 0..sweeps {
-            self.sweep(rng);
-        }
-    }
-
-    fn ensure_initialized<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        if self.initialized {
-            return;
-        }
-        self.initialized = true;
-        self.state.seat_group_items(self.batch_group, rng);
-    }
-
-    /// Dish currently explaining batch item `i`.
-    ///
-    /// # Panics
-    /// Panics before the first sweep.
-    pub fn dish_of(&self, item: usize) -> DishId {
-        self.state.dish_of(self.batch_group, item)
-    }
-
-    /// Number of live dishes (shared training dishes plus any the batch
-    /// nucleated).
-    pub fn n_dishes(&self) -> usize {
-        self.state.n_dishes()
-    }
-
-    /// Current top-level concentration γ.
-    pub fn gamma(&self) -> f64 {
-        self.state.gamma
-    }
-
-    /// Current group-level concentration α₀.
-    pub fn alpha(&self) -> f64 {
-        self.state.alpha
-    }
-
-    /// Per-dish item counts within one group (training or batch), sorted by
-    /// descending count.
-    pub fn group_summary(&self, group: usize) -> GroupSummary {
-        self.state.group_summary(group)
-    }
-
-    /// Summaries of every live dish, sorted by id.
-    pub fn dish_summaries(&self) -> Vec<DishSummary> {
-        self.state.dish_summaries()
-    }
-
-    /// Joint log marginal likelihood of the session's current state.
-    pub fn joint_log_likelihood(&self) -> f64 {
-        self.state.joint_log_likelihood()
-    }
-
-    /// Exhaustive state audit (tests run this after sweeps).
-    ///
-    /// # Panics
-    /// Panics on any bookkeeping inconsistency.
-    pub fn check_invariants(&self) {
-        if self.initialized {
-            self.state.check_invariants();
-        }
+        Ok(Hdp::from_parts(state, self.config, frozen))
     }
 }
 
@@ -423,24 +245,31 @@ mod tests {
         hdp
     }
 
+    /// `n` warm sweeps of a session.
+    fn warm_sweeps(sess: &mut Hdp, n: usize, rng: &mut StdRng) {
+        for _ in 0..n {
+            sess.sweep(rng);
+        }
+    }
+
     #[test]
-    fn snapshot_restore_roundtrip_preserves_the_arrangement() {
+    fn session_opens_on_the_checkpointed_arrangement() {
         let mut rng = StdRng::seed_from_u64(1);
         let hdp = trained(&mut rng);
         let snap = hdp.snapshot();
-        let restored = snap.restore();
-        restored.check_invariants();
-        assert_eq!(restored.n_dishes(), hdp.n_dishes());
-        assert_eq!(restored.total_tables(), hdp.total_tables());
+        snap.state.check_invariants();
+        let mut sess = snap.session(vec![vec![0.0, 0.0]]).unwrap();
+        assert_eq!(sess.n_groups(), 3);
+        assert_eq!(sess.n_dishes(), hdp.n_dishes());
+        assert_eq!(sess.total_tables(), hdp.total_tables());
         for j in 0..2 {
             for i in 0..40 {
-                assert_eq!(restored.dish_of(j, i), hdp.dish_of(j, i));
+                assert_eq!(sess.dish_of(j, i), hdp.dish_of(j, i));
             }
         }
-        // The restored sampler is live: it can keep sweeping.
-        let mut resumed = snap.restore();
-        resumed.sweep(&mut rng);
-        resumed.check_invariants();
+        // The session is live: it seats its batch and keeps sweeping.
+        warm_sweeps(&mut sess, 2, &mut rng);
+        sess.check_invariants();
     }
 
     #[test]
@@ -485,11 +314,11 @@ mod tests {
         let serve = |s: &PosteriorSnapshot| {
             let mut rng = StdRng::seed_from_u64(77);
             let mut sess = s.session(probe.clone()).unwrap();
-            sess.run(3, &mut rng);
-            (0..probe.len()).map(|i| sess.dish_of(i)).collect::<Vec<_>>()
+            warm_sweeps(&mut sess, 3, &mut rng);
+            (0..probe.len()).map(|i| sess.dish_of(2, i)).collect::<Vec<_>>()
         };
         assert_eq!(serve(&snap), serve(&decoded));
-        decoded.restore().check_invariants();
+        decoded.state.check_invariants();
     }
 
     /// The MAP rule [`PosteriorSnapshot::map_dishes`] implements, computed
@@ -572,8 +401,8 @@ mod tests {
         // Snapshot, its clones, and sessions all point at the same group
         // buffers — no deep copy of the training set anywhere.
         assert!(Arc::ptr_eq(&snap.state.groups[0], &snap.clone().state.groups[0]));
-        assert!(Arc::ptr_eq(&snap.state.groups[0], &sess.state.groups[0]));
-        assert!(Arc::ptr_eq(&snap.state.groups[1], &sess.state.groups[1]));
+        assert!(Arc::ptr_eq(&snap.state.groups[0], &sess.state().groups[0]));
+        assert!(Arc::ptr_eq(&snap.state.groups[1], &sess.state().groups[1]));
     }
 
     #[test]
@@ -583,7 +412,7 @@ mod tests {
         let snap = hdp.snapshot();
         let batch = blob(&mut rng, &[-6.0, 0.0], 15, 0.5);
         let mut sess = snap.session(batch).unwrap();
-        sess.run(5, &mut rng);
+        warm_sweeps(&mut sess, 5, &mut rng);
         sess.check_invariants();
         // Training composition is bit-identical to the checkpoint.
         for j in 0..2 {
@@ -602,9 +431,9 @@ mod tests {
         let dominant = snap.group_summary(0).dish_counts[0].0;
         let batch = blob(&mut rng, &[-6.0, 0.0], 20, 0.5);
         let mut sess = snap.session(batch).unwrap();
-        sess.run(3, &mut rng);
+        warm_sweeps(&mut sess, 3, &mut rng);
         let on_dominant =
-            (0..20).filter(|&i| sess.dish_of(i) == dominant).count();
+            (0..20).filter(|&i| sess.dish_of(2, i) == dominant).count();
         assert!(on_dominant >= 16, "only {on_dominant}/20 joined the training dish");
     }
 
@@ -617,10 +446,10 @@ mod tests {
             snap.dish_summaries().iter().map(|d| d.id).collect();
         let batch = blob(&mut rng, &[0.0, 9.0], 20, 0.5);
         let mut sess = snap.session(batch).unwrap();
-        sess.run(3, &mut rng);
+        warm_sweeps(&mut sess, 3, &mut rng);
         sess.check_invariants();
         let new_points = (0..20)
-            .filter(|&i| !training_dishes.contains(&sess.dish_of(i)))
+            .filter(|&i| !training_dishes.contains(&sess.dish_of(2, i)))
             .count();
         assert!(new_points >= 16, "only {new_points}/20 left the training dishes");
         assert!(sess.n_dishes() > training_dishes.len());
@@ -635,8 +464,8 @@ mod tests {
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut sess = snap.session(batch.clone()).unwrap();
-            sess.run(4, &mut rng);
-            (0..10).map(|i| sess.dish_of(i)).collect::<Vec<_>>()
+            warm_sweeps(&mut sess, 4, &mut rng);
+            (0..10).map(|i| sess.dish_of(2, i)).collect::<Vec<_>>()
         };
         assert_eq!(run(11), run(11));
     }
@@ -657,6 +486,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let hdp = trained(&mut rng);
         let sess = hdp.snapshot().session(vec![vec![0.0, 0.0]]).unwrap();
-        let _ = sess.dish_of(0);
+        let _ = sess.dish_of(2, 0);
     }
 }

@@ -1,11 +1,11 @@
 //! Per-sweep observability: the [`SweepTrace`] record and the sampler's
 //! global metrics.
 //!
-//! Every Gibbs sweep — full-franchise ([`crate::Hdp::sweep`]) or warm batch
-//! ([`crate::BatchSession::sweep`]) — reports into the process-wide metrics
-//! registry (sweep count, seat-move count, wall-time histogram, current
-//! concentrations), and the `*_traced` sweep variants additionally return a
-//! [`SweepTrace`] snapshot of the sampler's convergence-relevant state.
+//! Every Gibbs sweep ([`crate::Hdp::sweep`]) — full-franchise or warm
+//! batch — reports into the process-wide metrics registry (sweep count,
+//! seat-move count, wall-time histogram, current concentrations), and the
+//! `*_traced` sweep variants additionally return a [`SweepTrace`] snapshot
+//! of the sampler's convergence-relevant state.
 //!
 //! Traces are the substrate of the golden-trace determinism suite, so the
 //! serialized form must be a pure function of `(data, config, seed)`:

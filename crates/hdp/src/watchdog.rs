@@ -6,8 +6,8 @@
 //! or the joint log-likelihood may leave the finite range. The deep
 //! numerical code never panics on these — it poisons the thread-local
 //! [`osr_stats::divergence`] flag and substitutes a structurally valid
-//! fallback — and the checked sweep entry points ([`crate::Hdp::sweep_checked`],
-//! [`crate::BatchSession::sweep_checked`]) turn the flag plus a post-sweep
+//! fallback — and the checked sweep entry point
+//! ([`crate::Hdp::sweep_checked_traced`]) turns the flag plus a post-sweep
 //! state audit into a typed [`Divergence`] verdict. The serving layer treats
 //! a divergent sweep as a failed attempt: retry with a re-derived seed, or
 //! degrade to frozen inference.

@@ -3,9 +3,10 @@
 //! Self-contained stand-in for the subset of the `proptest 1.x` API the
 //! workspace's test suites use. The build environment has no access to
 //! crates.io, so the real `proptest` cannot be fetched; this shim keeps the
-//! same surface — [`Strategy`], `prop::collection::vec`, [`Just`],
-//! `prop_map`, `prop_oneof!`, `prop_compose!`, the `proptest!` test macro and
-//! the `prop_assert*` family — backed by a deterministic random-case runner.
+//! same surface — [`Strategy`](strategy::Strategy), `prop::collection::vec`,
+//! [`Just`](strategy::Just), `prop_map`, `prop_oneof!`, `prop_compose!`, the
+//! `proptest!` test macro and the `prop_assert*` family — backed by a
+//! deterministic random-case runner.
 //!
 //! Differences from the real crate, deliberately accepted:
 //!

@@ -7,7 +7,7 @@
 //! non-generic enums with unit, tuple, or struct variants. Anything else is
 //! rejected with a compile-time panic naming the unsupported construct.
 //!
-//! Generated code targets the shim's [`Value`] tree (`serde::Value`) and uses
+//! Generated code targets the shim's `serde::Value` tree and uses
 //! serde's externally-tagged enum representation: unit variants serialize as
 //! a bare string, payload variants as a single-key object.
 

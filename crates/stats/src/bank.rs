@@ -28,7 +28,7 @@
 //! per-dish constants are refreshed once per add/remove (the same
 //! transcendental count the legacy path paid per *evaluation*), with the
 //! count-dependent transcendentals memoized in a bit-validated lattice cache
-//! ([`CountConstants`]); scoring reduces to the fused solve, a sequential
+//! (`CountConstants`); scoring reduces to the fused solve, a sequential
 //! squared norm, and a single `ln`.
 //!
 //! # The kernels and their numerics contracts

@@ -102,7 +102,8 @@ pub mod sites {
     pub const ATTEMPT: &str = "serving::attempt";
     /// Before each Gibbs sweep of a serve attempt (warm or cold).
     pub const SWEEP: &str = "serving::sweep";
-    /// Inside the seating engine's per-sweep body (`BatchSession`/`Hdp`).
+    /// At the top of the sampler's checked sweep entry
+    /// (`Hdp::sweep_checked_traced`), so fit's unchecked burn-in never hits it.
     pub const ENGINE_SWEEP: &str = "engine::sweep";
     /// Inside the NIW rank-1 downdate where the jitter-ladder rescue lives.
     pub const CHOLESKY: &str = "stats::cholesky";

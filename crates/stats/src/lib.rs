@@ -33,7 +33,7 @@
 //!   that durable posterior checkpoints are written in,
 //! * [`divergence`] — the thread-local numerical-divergence flag polled by
 //!   the serving watchdog,
-//! * [`faults`] — the deterministic fault-injection harness (only with the
+//! * `faults` — the deterministic fault-injection harness (only with the
 //!   `fault-inject` cargo feature).
 
 #![warn(missing_docs)]

@@ -328,14 +328,6 @@ impl NiwPosterior {
             - (self.nu / 2.0) * self.psi_chol.log_det()
             + (dd / 2.0) * (params.kappa0.ln() - self.kappa.ln())
     }
-
-    /// Marginal log-density of a single point under the *prior* — the
-    /// `p(x_ji)` term in Eq. 7/8 for brand-new tables/dishes. Equivalent to
-    /// `NiwPosterior::from_prior(params).predictive_logpdf(x)` but stated
-    /// here for discoverability.
-    pub fn prior_predictive_logpdf(params: &NiwParams, x: &[f64]) -> f64 {
-        Self::from_prior(params).predictive_logpdf(x)
-    }
 }
 
 /// Factor an SPD-up-to-roundoff matrix, adding exponentially growing jitter

@@ -335,11 +335,6 @@ impl Enc {
         self.buf.push(v);
     }
 
-    /// Append a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full verification gate: release build, every test suite in the workspace,
-# and a warnings-as-errors clippy pass over every workspace crate (including
-# the vendored dependency shims) — then the same test + clippy gate again
-# with the deterministic fault-injection harness compiled in, which unlocks
-# the serving stack's robustness acceptance suite (tests/fault_injection.rs).
+# and warnings-as-errors clippy and rustdoc passes over every workspace crate
+# (including the vendored dependency shims) — then the same test + clippy +
+# rustdoc gate again with the deterministic fault-injection harness compiled
+# in, which unlocks the serving stack's robustness acceptance suite
+# (tests/fault_injection.rs).
 #
 # On top of the two workspace passes come a release-mode pass of the
 # front-end suites and the byte-diff gates: an end-to-end determinism check
@@ -19,6 +20,9 @@ cargo build --release
 cargo build --offline --release --manifest-path e2ebench/Cargo.toml
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
+# Every intra-doc link must resolve, and public docs must not link private
+# items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # Workspace invariant linter: determinism, panic-freedom on serving paths,
 # unsafe hygiene, atomic orderings, fault-site registration. The JSON
@@ -38,6 +42,11 @@ fi
 # and front-end suites, and every crate's unit tests.
 cargo test -q --features fault-inject
 cargo clippy --workspace --all-targets --features fault-inject -- -D warnings
+# The rustdoc gate once more over private items and the feature-gated
+# modules, so the docs of private modules (the sampler's engine, trace and
+# watchdog, the serving attempt) cannot link stale items silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q --document-private-items \
+    --features fault-inject
 
 # Bench-schema staleness: the committed serving benchmark report must carry
 # the kernel-invocation counters the SoA refactor added (PR 6) and the

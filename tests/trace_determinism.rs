@@ -6,9 +6,10 @@
 //! 1. **Committed goldens** — the first and last [`SweepTrace`] of a seeded
 //!    fit, its convergence diagnostics, and the full batch-trace JSONL
 //!    streams of a seeded `classify_batches` run (warm-start and cold-start
-//!    serving) are compared byte-for-byte against files in `tests/goldens/`. Any change to the sampler's RNG
-//!    consumption, the seating order, or the trace schema shows up as a
-//!    golden diff. Regenerate deliberately with `UPDATE_GOLDENS=1`.
+//!    serving) are compared byte-for-byte against files in
+//!    `tests/goldens/`. Any change to the sampler's RNG consumption, the
+//!    seating order, or the trace schema shows up as a golden diff.
+//!    Regenerate deliberately with `UPDATE_GOLDENS=1`.
 //! 2. **Worker-count independence** — the same stream must come out of 1,
 //!    2, and 8 workers.
 //! 3. **Run-to-run identity** — two identical seeded runs in one process
