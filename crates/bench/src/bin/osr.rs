@@ -92,6 +92,23 @@ fn spec_for(name: &str, iters: usize) -> Option<MethodSpec> {
     })
 }
 
+/// The `(known, unknown)` class split out of `n_classes`. A zero request
+/// takes the default: roughly half the classes known, half of the remainder
+/// unknown. `Err` carries a budget that does not fit (fewer than 2 known, or
+/// more classes than the file has).
+fn class_budget(
+    n_classes: usize,
+    known: usize,
+    unknown: usize,
+) -> Result<(usize, usize), (usize, usize)> {
+    let known = if known > 0 { known } else { (n_classes / 2).max(2) };
+    let unknown = if unknown > 0 { unknown } else { n_classes.saturating_sub(known).min(known) };
+    if known.saturating_add(unknown) > n_classes || known < 2 {
+        return Err((known, unknown));
+    }
+    Ok((known, unknown))
+}
+
 fn main() {
     let args = parse_args();
     if args.list {
@@ -122,18 +139,11 @@ fn main() {
         data.dim()
     );
 
-    // Default split: roughly half the classes known, half of the remainder
-    // unknown.
-    let known = if args.known > 0 { args.known } else { (data.n_classes / 2).max(2) };
-    let unknown =
-        if args.unknown > 0 { args.unknown } else { (data.n_classes - known).min(known) };
-    if known + unknown > data.n_classes || known < 2 {
-        eprintln!(
-            "bad class budget: {known} known + {unknown} unknown of {} classes",
-            data.n_classes
-        );
-        std::process::exit(1)
-    }
+    let (known, unknown) =
+        class_budget(data.n_classes, args.known, args.unknown).unwrap_or_else(|(k, u)| {
+            eprintln!("bad class budget: {k} known + {u} unknown of {} classes", data.n_classes);
+            std::process::exit(1)
+        });
     let config = ExperimentConfig {
         split: SplitConfig::new(known, unknown),
         trials: args.trials,
@@ -181,5 +191,23 @@ fn main() {
             }
             Err(e) => eprintln!("{}: failed: {e}", spec.name()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::class_budget;
+
+    #[test]
+    fn class_budget_defaults_and_rejects_without_overflow() {
+        assert_eq!(class_budget(5, 0, 0), Ok((2, 2)));
+        assert_eq!(class_budget(10, 3, 0), Ok((3, 3)));
+        assert_eq!(class_budget(5, 3, 2), Ok((3, 2)));
+        // More known classes than the file has: rejected with the budget as
+        // asked, not an overflow in the default unknown count.
+        assert_eq!(class_budget(5, 8, 0), Err((8, 0)));
+        assert_eq!(class_budget(5, 1, 1), Err((1, 1)));
+        assert_eq!(class_budget(5, 3, 3), Err((3, 3)));
+        assert_eq!(class_budget(5, usize::MAX, 1), Err((usize::MAX, 1)));
     }
 }

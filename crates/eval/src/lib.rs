@@ -20,7 +20,6 @@
 pub mod experiment;
 pub mod methods;
 pub mod metrics;
-pub mod report;
 pub mod tuning;
 
 /// Errors produced by the evaluation harness.

@@ -10,31 +10,22 @@
 // Test code: the crate-level unwrap/expect ban targets serving paths.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
 use std::sync::{Arc, OnceLock};
 
+use common::blob;
 use hdp_osr::baselines::{BaselineSpec, ServedBaseline};
 use hdp_osr::core::{
     batch_trace_id, derive_batch_seed, BatchServer, CollectiveModel, HdpOsr, HdpOsrConfig,
     RingSink, ServedVia, ServingMode, TraceRecord, CDOSR_METHOD,
 };
 use hdp_osr::dataset::protocol::TrainSet;
-use hdp_osr::stats::sampling;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const SEED: u64 = 777;
-
-fn blob(rng: &mut StdRng, cx: f64, cy: f64, n: usize) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|_| {
-            vec![
-                cx + 0.5 * sampling::standard_normal(rng),
-                cy + 0.5 * sampling::standard_normal(rng),
-            ]
-        })
-        .collect()
-}
 
 /// Two separated known classes plus three batches (known / unknown / mixed).
 fn train_and_batches() -> (TrainSet, Vec<Vec<Vec<f64>>>) {

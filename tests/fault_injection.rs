@@ -13,9 +13,12 @@
 
 #![cfg(feature = "fault-inject")]
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use common::blob;
 use hdp_osr::baselines::{BaselineSpec, OsnnParams, ServedBaseline};
 use hdp_osr::core::{
     derive_batch_seed, BatchServer, ClassifyOutcome, DegradeReason, HdpOsr, HdpOsrConfig,
@@ -25,23 +28,11 @@ use hdp_osr::core::{
 use hdp_osr::dataset::protocol::TrainSet;
 use hdp_osr::stats::counters;
 use hdp_osr::stats::faults::{install, sites, Fault, FaultPlan};
-use hdp_osr::stats::sampling;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Serializes every test in this binary: fault plans are process-global.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn blob(rng: &mut StdRng, cx: f64, cy: f64, n: usize) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|_| {
-            vec![
-                cx + 0.5 * sampling::standard_normal(rng),
-                cy + 0.5 * sampling::standard_normal(rng),
-            ]
-        })
-        .collect()
-}
 
 /// A warm-start model over two separated classes, plus four test batches
 /// mixing known and unknown points.

@@ -9,33 +9,22 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
+
 use std::sync::Arc;
 
+use common::{blob, check_golden};
 use hdp_osr::core::{
     flush_trace_id, FlushTrigger, Frontend, FrontendConfig, HdpOsr, HdpOsrConfig, ModelRegistry,
     RingSink, ServePolicy, ServingMode, TraceRecord, TraceSink,
 };
 use hdp_osr::dataset::protocol::TrainSet;
-use hdp_osr::stats::sampling;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const BASE_SEED: u64 = 7_001;
 const MAX_BATCH: usize = 4;
 const MAX_DELAY_NS: u64 = 1_000;
-
-fn blob(rng: &mut StdRng, cx: f64, cy: f64, n: usize) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|_| {
-            vec![
-                cx + 0.5 * sampling::standard_normal(rng),
-                cy + 0.5 * sampling::standard_normal(rng),
-            ]
-        })
-        .collect()
-}
 
 /// A small warm CD-OSR model per tenant, from a literal seed, so every
 /// micro-batch exercises the real collective-decision ladder.
@@ -73,23 +62,6 @@ const SCRIPT: [(&str, [f64; 2], u64); 7] = [
     ("beta", [0.1, 9.0], 140),
     ("acme", [6.3, 0.0], 150),
 ];
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        fs::create_dir_all(path.parent().expect("goldens dir has a parent")).expect("mkdir");
-        fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden `{name}` ({e}); regenerate with UPDATE_GOLDENS=1")
-    });
-    assert_eq!(actual, expected, "golden `{name}` drifted; see tests/goldens/");
-}
 
 /// Coalesce and dispatch the script at `workers`, returning the sink's
 /// JSONL lines in flush-sequence order plus the flush summaries.

@@ -20,32 +20,23 @@
 // Test code: the crate-level unwrap/expect ban targets serving paths.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
+use common::blob;
 use hdp_osr::baselines::{BaselineSpec, OsnnParams, ServedBaseline};
 use hdp_osr::core::{
     flush_seed, flush_trace_id, FlushTrigger, Frontend, FrontendConfig, ModelRegistry, OsrError,
     Prediction, ServePolicy,
 };
 use hdp_osr::dataset::protocol::TrainSet;
-use hdp_osr::stats::sampling;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const TENANTS: [&str; 3] = ["acme", "beta", "corp"];
-
-fn blob(rng: &mut StdRng, cx: f64, cy: f64, n: usize) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|_| {
-            vec![
-                cx + 0.5 * sampling::standard_normal(rng),
-                cy + 0.5 * sampling::standard_normal(rng),
-            ]
-        })
-        .collect()
-}
 
 /// One shared deterministic model (OSNN adapter) serving every tenant:
 /// per-instance, no RNG consumption, so cases stay fast and bit-stable.

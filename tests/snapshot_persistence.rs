@@ -11,67 +11,22 @@
 //!    (truncation, bit-flips, version skew, foreign method, trailing
 //!    garbage) yields a typed [`SnapshotError`], never a panic.
 //! 3. **Fleet identity** — several `BatchServer` replicas loading the *same
-//!    snapshot file* and serving the same traffic emit byte-identical trace
-//!    streams (committed golden: `tests/goldens/replica_stream.jsonl`), and
-//!    partitioning the traffic across replicas reproduces the exact
-//!    outcomes of one replica serving everything.
+//!    snapshot file* and serving the same traffic emit the writer model's
+//!    trace stream byte for byte (committed golden:
+//!    `tests/goldens/batch_stream.jsonl`), and partitioning the traffic
+//!    across replicas reproduces the exact outcomes of one replica serving
+//!    everything.
+
+mod common;
 
 use std::fs;
-use std::path::PathBuf;
-use std::sync::Arc;
 
+use common::{check_golden, model_and_batches, trace_lines, SEED};
 use hdp_osr::core::{
-    derive_batch_seed, BatchServer, HdpOsr, HdpOsrConfig, OsrError, RingSink, ServingMode,
-    SnapshotStore,
+    derive_batch_seed, BatchServer, HdpOsr, OsrError, ServingMode, SnapshotStore,
 };
 use hdp_osr::core::snapshot::{decode_model, encode_model};
-use hdp_osr::dataset::protocol::TrainSet;
-use hdp_osr::stats::sampling;
 use hdp_osr::stats::snapshot::{SnapshotError, SnapshotWriter, SNAPSHOT_FORMAT_VERSION};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-const SEED: u64 = 20_26;
-
-fn blob(rng: &mut StdRng, cx: f64, cy: f64, n: usize) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|_| {
-            vec![
-                cx + 0.5 * sampling::standard_normal(rng),
-                cy + 0.5 * sampling::standard_normal(rng),
-            ]
-        })
-        .collect()
-}
-
-/// The suite's fixed scene — deliberately identical to the golden-trace
-/// suite's: two separated known classes, four batches (known / known /
-/// unknown / mixed). Everything derives from literal seeds.
-fn model_and_batches() -> (HdpOsr, Vec<Vec<Vec<f64>>>) {
-    let mut rng = StdRng::seed_from_u64(314);
-    let train = TrainSet {
-        class_ids: vec![1, 2],
-        classes: vec![blob(&mut rng, -6.0, 0.0, 40), blob(&mut rng, 6.0, 0.0, 40)],
-    };
-    let config = HdpOsrConfig {
-        iterations: 12,
-        decision_sweeps: 3,
-        serving: ServingMode::WarmStart,
-        ..Default::default()
-    };
-    let model = HdpOsr::fit(&config, &train).expect("clean fit");
-    let batches = vec![
-        blob(&mut rng, -6.0, 0.0, 12),
-        blob(&mut rng, 6.0, 0.0, 12),
-        blob(&mut rng, 0.0, 9.0, 12),
-        {
-            let mut mixed = blob(&mut rng, -6.0, 0.0, 6);
-            mixed.extend(blob(&mut rng, 0.0, 9.0, 6));
-            mixed
-        },
-    ];
-    (model, batches)
-}
 
 /// A store in its own per-test directory: tests run concurrently, and a
 /// shared directory would let one test's directory scan see another test's
@@ -88,45 +43,9 @@ fn remove_temp_store(store: &SnapshotStore) {
     }
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(name)
-}
-
-/// Compare `actual` against the committed golden, or rewrite the golden
-/// when `UPDATE_GOLDENS` is set.
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        fs::create_dir_all(path.parent().expect("goldens dir has a parent")).expect("mkdir");
-        fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden `{name}` ({e}); regenerate with UPDATE_GOLDENS=1")
-    });
-    assert_eq!(actual, expected, "golden `{name}` drifted; see tests/goldens/");
-}
-
-/// Serve the batches on `model` and return the JSONL trace stream.
-fn trace_stream(model: &HdpOsr, batches: &[Vec<Vec<f64>>], workers: usize) -> String {
-    let sink = Arc::new(RingSink::new(64));
-    let results = BatchServer::with_workers(model, workers)
-        .with_trace_sink(sink.clone())
-        .classify_batches(batches, SEED);
-    for result in &results {
-        result.as_ref().expect("healthy batch");
-    }
-    let mut out = String::new();
-    for record in sink.records() {
-        out.push_str(&record.to_jsonl());
-        out.push('\n');
-    }
-    out
-}
-
 #[test]
 fn save_load_resave_round_trip_is_byte_identical() {
-    let (model, _) = model_and_batches();
+    let (model, _) = model_and_batches(ServingMode::WarmStart);
     let store = temp_store("round_trip");
     let info = store.save(&model).expect("healthy save");
     assert_eq!(info.format_version, SNAPSHOT_FORMAT_VERSION);
@@ -152,7 +71,7 @@ fn save_load_resave_round_trip_is_byte_identical() {
 
 #[test]
 fn every_corruption_mode_is_a_typed_error_never_a_panic() {
-    let (model, _) = model_and_batches();
+    let (model, _) = model_and_batches(ServingMode::WarmStart);
     let good = encode_model(&model).expect("encode");
 
     // Truncation at every prefix length: always a typed error.
@@ -206,7 +125,7 @@ fn every_corruption_mode_is_a_typed_error_never_a_panic() {
 
 #[test]
 fn save_is_atomic_and_leaves_no_temp_residue() {
-    let (model, _) = model_and_batches();
+    let (model, _) = model_and_batches(ServingMode::WarmStart);
     let store = temp_store("atomic");
     store.save(&model).expect("first save");
     store.save(&model).expect("second save over the first");
@@ -223,20 +142,7 @@ fn save_is_atomic_and_leaves_no_temp_residue() {
     // A failed save (cold model has nothing to persist) must not clobber
     // the last-good file.
     let before = store.load_bytes().unwrap();
-    let mut rng = StdRng::seed_from_u64(314);
-    let train = TrainSet {
-        class_ids: vec![1, 2],
-        classes: vec![blob(&mut rng, -6.0, 0.0, 40), blob(&mut rng, 6.0, 0.0, 40)],
-    };
-    let cold = HdpOsr::fit(
-        &HdpOsrConfig {
-            iterations: 12,
-            serving: ServingMode::ColdStart,
-            ..Default::default()
-        },
-        &train,
-    )
-    .expect("cold fit");
+    let (cold, _) = model_and_batches(ServingMode::ColdStart);
     assert!(matches!(store.save(&cold), Err(OsrError::Snapshot(_))));
     assert_eq!(store.load_bytes().unwrap(), before, "failed save touched last-good");
     remove_temp_store(&store);
@@ -244,35 +150,36 @@ fn save_is_atomic_and_leaves_no_temp_residue() {
 
 #[test]
 fn replica_fleet_loading_one_snapshot_serves_byte_identical_streams() {
-    let (model, batches) = model_and_batches();
+    let (model, batches) = model_and_batches(ServingMode::WarmStart);
     let store = temp_store("fleet");
     store.save(&model).expect("healthy save");
 
     // Three replicas, each a fresh process-like load of the same file,
     // serving the same traffic under different worker counts: the streams
-    // must be byte-identical to each other and to the committed golden.
+    // must be byte-identical to each other and to the committed batch golden
+    // that the golden-trace suite pins for the writer model.
     let replicas: Vec<HdpOsr> =
         (0..3).map(|_| store.load().expect("replica load")).collect();
-    let streams: Vec<String> = replicas
+    let streams: Vec<Vec<String>> = replicas
         .iter()
         .zip([1usize, 2, 8])
-        .map(|(replica, workers)| trace_stream(replica, &batches, workers))
+        .map(|(replica, workers)| trace_lines(replica, &batches, workers))
         .collect();
     assert_eq!(streams[0], streams[1], "replica 1 diverged from replica 0");
     assert_eq!(streams[0], streams[2], "replica 2 diverged from replica 0");
 
     // The fleet must also match the *writer* serving the same traffic: a
     // reloaded replica is indistinguishable from the original model.
-    let writer_stream = trace_stream(&model, &batches, 2);
+    let writer_stream = trace_lines(&model, &batches, 2);
     assert_eq!(streams[0], writer_stream, "replica diverged from the writer model");
 
-    check_golden("replica_stream.jsonl", &streams[0]);
+    check_golden("batch_stream.jsonl", &streams[0].join("\n"));
     remove_temp_store(&store);
 }
 
 #[test]
 fn partitioned_traffic_across_replicas_matches_one_replica_serving_all() {
-    let (model, batches) = model_and_batches();
+    let (model, batches) = model_and_batches(ServingMode::WarmStart);
     let store = temp_store("partition");
     store.save(&model).expect("healthy save");
 
@@ -306,7 +213,7 @@ fn partitioned_traffic_across_replicas_matches_one_replica_serving_all() {
 
 #[test]
 fn snapshot_info_inspection_is_cheap_and_accurate() {
-    let (model, _) = model_and_batches();
+    let (model, _) = model_and_batches(ServingMode::WarmStart);
     let store = temp_store("inspect");
     let saved = store.save(&model).expect("save");
     let inspected = store.inspect().expect("inspect");

@@ -13,105 +13,21 @@
 //! 2. **Worker-count independence** — the same stream must come out of 1,
 //!    2, and 8 workers.
 //! 3. **Run-to-run identity** — two identical seeded runs in one process
-//!    produce identical streams.
+//!    produce identical streams, and two fits of the scene produce
+//!    identical `Fit` records, all of their sweeps included.
 
-use std::fs;
-use std::path::PathBuf;
-use std::sync::Arc;
+mod common;
 
-use hdp_osr::core::{
-    batch_trace_id, BatchServer, HdpOsr, HdpOsrConfig, RingSink, ServingMode, TraceRecord,
+use common::{
+    check_golden, model_and_batches, trace_lines, DECISION_SWEEPS, ITERATIONS, SEED,
 };
-use hdp_osr::dataset::protocol::TrainSet;
-use hdp_osr::stats::sampling;
+use hdp_osr::core::{batch_trace_id, HdpOsr, ServingMode, TraceRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const SEED: u64 = 20_26;
-const ITERATIONS: usize = 12;
-const DECISION_SWEEPS: usize = 3;
-
-fn blob(rng: &mut StdRng, cx: f64, cy: f64, n: usize) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|_| {
-            vec![
-                cx + 0.5 * sampling::standard_normal(rng),
-                cy + 0.5 * sampling::standard_normal(rng),
-            ]
-        })
-        .collect()
-}
-
-/// The suite's fixed scene: two separated known classes, four batches
-/// (known / known / unknown / mixed). Everything derives from literal seeds,
-/// so the traces below are reproducible in any order and any process.
-fn model_and_batches() -> (HdpOsr, Vec<Vec<Vec<f64>>>) {
-    model_and_batches_served(ServingMode::WarmStart)
-}
-
-/// [`model_and_batches`] with the model fitted for `serving`.
-fn model_and_batches_served(serving: ServingMode) -> (HdpOsr, Vec<Vec<Vec<f64>>>) {
-    let mut rng = StdRng::seed_from_u64(314);
-    let train = TrainSet {
-        class_ids: vec![1, 2],
-        classes: vec![blob(&mut rng, -6.0, 0.0, 40), blob(&mut rng, 6.0, 0.0, 40)],
-    };
-    let config = HdpOsrConfig {
-        iterations: ITERATIONS,
-        decision_sweeps: DECISION_SWEEPS,
-        serving,
-        ..Default::default()
-    };
-    let model = HdpOsr::fit(&config, &train).expect("clean fit");
-    let batches = vec![
-        blob(&mut rng, -6.0, 0.0, 12),
-        blob(&mut rng, 6.0, 0.0, 12),
-        blob(&mut rng, 0.0, 9.0, 12),
-        {
-            let mut mixed = blob(&mut rng, -6.0, 0.0, 6);
-            mixed.extend(blob(&mut rng, 0.0, 9.0, 6));
-            mixed
-        },
-    ];
-    (model, batches)
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(name)
-}
-
-/// Compare `actual` against the committed golden, or rewrite the golden
-/// when `UPDATE_GOLDENS` is set.
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        fs::create_dir_all(path.parent().expect("goldens dir has a parent")).expect("mkdir");
-        fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden `{name}` ({e}); regenerate with UPDATE_GOLDENS=1")
-    });
-    assert_eq!(actual, expected, "golden `{name}` drifted; see tests/goldens/");
-}
-
-/// Serve the suite's batches and return the sink's JSONL lines, one per
-/// batch, in batch-index order.
-fn trace_lines(model: &HdpOsr, batches: &[Vec<Vec<f64>>], workers: usize) -> Vec<String> {
-    let sink = Arc::new(RingSink::new(64));
-    let results = BatchServer::with_workers(model, workers)
-        .with_trace_sink(sink.clone())
-        .classify_batches(batches, SEED);
-    for (idx, result) in results.iter().enumerate() {
-        let outcome = result.as_ref().expect("healthy batch");
-        assert_eq!(outcome.trace_id, batch_trace_id(SEED, idx), "outcome/trace id mismatch");
-    }
-    sink.records().iter().map(TraceRecord::to_jsonl).collect()
-}
-
 #[test]
 fn fit_trace_matches_committed_goldens() {
-    let (model, _) = model_and_batches();
+    let (model, _) = model_and_batches(ServingMode::WarmStart);
     let report = model.fit_report().expect("warm fit keeps its report");
     assert_eq!(report.trace.len(), ITERATIONS, "one trace per burn-in sweep");
     assert_eq!(report.train_seed, 42, "the default train seed");
@@ -126,7 +42,7 @@ fn fit_trace_matches_committed_goldens() {
 
 #[test]
 fn fit_report_surfaces_sane_convergence_diagnostics() {
-    let (model, _) = model_and_batches();
+    let (model, _) = model_and_batches(ServingMode::WarmStart);
     let report = model.fit_report().expect("warm fit keeps its report");
     let d = &report.diagnostics;
     assert_eq!(d.n, ITERATIONS);
@@ -147,19 +63,19 @@ fn fit_report_surfaces_sane_convergence_diagnostics() {
 
 #[test]
 fn batch_trace_stream_matches_committed_golden() {
-    let (model, batches) = model_and_batches();
+    let (model, batches) = model_and_batches(ServingMode::WarmStart);
     let stream = trace_lines(&model, &batches, 2).join("\n");
     check_golden("batch_stream.jsonl", &stream);
     // The same scene under cold-start serving: every batch pays the full
     // transductive burn-in, and the stream pins that path too.
-    let (cold, batches) = model_and_batches_served(ServingMode::ColdStart);
+    let (cold, batches) = model_and_batches(ServingMode::ColdStart);
     let stream = trace_lines(&cold, &batches, 2).join("\n");
     check_golden("cold_batch_stream.jsonl", &stream);
 }
 
 #[test]
 fn batch_traces_are_identical_across_worker_counts() {
-    let (model, batches) = model_and_batches();
+    let (model, batches) = model_and_batches(ServingMode::WarmStart);
     let one = trace_lines(&model, &batches, 1);
     assert_eq!(one.len(), batches.len(), "one record per batch");
     assert_eq!(one, trace_lines(&model, &batches, 2), "1 vs 2 workers");
@@ -168,13 +84,21 @@ fn batch_traces_are_identical_across_worker_counts() {
 
 #[test]
 fn identical_seeded_runs_produce_identical_streams() {
-    let (model, batches) = model_and_batches();
+    let (model, batches) = model_and_batches(ServingMode::WarmStart);
     assert_eq!(trace_lines(&model, &batches, 4), trace_lines(&model, &batches, 4));
+
+    // The fit goldens pin only the first and last sweep; two fits must
+    // agree on every sweep of the whole record.
+    let (refit, _) = model_and_batches(ServingMode::WarmStart);
+    let fit_line = |m: &HdpOsr| {
+        TraceRecord::Fit(m.fit_report().expect("warm fit keeps its report").clone()).to_jsonl()
+    };
+    assert_eq!(fit_line(&model), fit_line(&refit), "fit record drifted between fits");
 }
 
 #[test]
 fn batch_records_roundtrip_and_carry_the_decision_sweeps() {
-    let (model, batches) = model_and_batches();
+    let (model, batches) = model_and_batches(ServingMode::WarmStart);
     for (idx, line) in trace_lines(&model, &batches, 2).iter().enumerate() {
         let record = TraceRecord::from_jsonl(line).expect("stream lines parse back");
         let TraceRecord::Batch(trace) = record else {
@@ -200,7 +124,7 @@ fn batch_records_roundtrip_and_carry_the_decision_sweeps() {
 
 #[test]
 fn adhoc_classification_is_tagged_adhoc() {
-    let (model, batches) = model_and_batches();
+    let (model, batches) = model_and_batches(ServingMode::WarmStart);
     let mut rng = StdRng::seed_from_u64(5);
     let outcome = model.classify_detailed(&batches[0], &mut rng).expect("healthy batch");
     assert_eq!(outcome.trace_id, "adhoc");
