@@ -98,7 +98,7 @@ fn bench_hdp_sweep(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut hdp =
-                    Hdp::new(params.clone(), HdpConfig::default(), groups.clone()).unwrap();
+                    Hdp::new(params.clone(), HdpConfig::default(), &groups).unwrap();
                 let mut r = StdRng::seed_from_u64(3);
                 hdp.sweep(&mut r); // initialize
                 (hdp, r)

@@ -1,13 +1,19 @@
 //! Snapshot persistence cost — encode/save/decode/load vs. posterior size.
 //!
-//! Fits warm models with a growing class menu (each class adds dishes and
-//! sufficient statistics to the checkpoint), then measures the four legs of
-//! the durability path:
+//! Fits warm models with a growing class menu on 2-D blobs (each class adds
+//! dishes and sufficient statistics to the checkpoint), plus one
+//! LETTER-shaped tenant of the repository benchmark (`letter_config()
+//! .scaled(0.1)`, a 10-known split, d = 16, ≈100 KB), and measures the legs
+//! of the durability path:
 //!
 //! * **encode** — [`encode_model`]: canonical bytes in memory (pure CPU);
 //! * **save** — [`SnapshotStore::save`]: temp write + fsync + atomic rename
 //!   (dominated by the disk barrier, so it gets fewer samples);
+//! * **read** — `fs::read` of the file alone;
+//! * **parse** — [`SnapshotFile::parse`]: container framing and every
+//!   section CRC, no section decoded;
 //! * **decode** — [`decode_model`]: parse + checksum + posterior rebuild;
+//! * **drop** — freeing a decoded model (what a registry eviction pays);
 //! * **load** — [`SnapshotStore::load`]: read-back + decode.
 //!
 //! Medians plus bytes-on-disk per scene are written to
@@ -17,12 +23,12 @@
 //! cargo bench -p osr-bench --bench snapshot
 //! ```
 
-use criterion::measure;
+use criterion::{measure, BatchSize};
 use hdp_osr_core::snapshot::{decode_model, encode_model};
 use hdp_osr_core::{HdpOsr, HdpOsrConfig, ServingMode, SnapshotStore};
-use osr_dataset::protocol::TrainSet;
+use osr_dataset::protocol::{OpenSetSplit, SplitConfig, TrainSet};
 use osr_stats::sampling;
-use osr_stats::snapshot::SNAPSHOT_FORMAT_VERSION;
+use osr_stats::snapshot::{SnapshotFile, SNAPSHOT_FORMAT_VERSION};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -36,13 +42,18 @@ const SEED: u64 = 2026;
 
 #[derive(Serialize)]
 struct SceneReport {
+    /// `blobs` (2-D toy) or `letter` (a benchmark tenant).
+    scene: &'static str,
     classes: usize,
     dim: usize,
     n_dishes: usize,
     bytes_on_disk: usize,
     encode_median_us: f64,
     save_median_us: f64,
+    read_median_us: f64,
+    parse_median_us: f64,
     decode_median_us: f64,
+    drop_median_us: f64,
     load_median_us: f64,
     cpu_samples: usize,
     disk_samples: usize,
@@ -81,19 +92,35 @@ fn scene(rng: &mut StdRng, classes: usize) -> TrainSet {
     TrainSet { class_ids: (1..=classes).collect(), classes: blobs }
 }
 
-fn bench_scene(classes: usize) -> SceneReport {
+/// One tenant of the repository benchmark: a 10-known + 5-unknown split of
+/// the LETTER replica (`letter_config().scaled(0.1)`, d = 16).
+fn letter_tenant() -> TrainSet {
+    let mut rng = StdRng::seed_from_u64(42);
+    let data = osr_dataset::synthetic::letter_config().scaled(0.1).generate(&mut rng);
+    let mut split_rng = StdRng::seed_from_u64(SEED);
+    OpenSetSplit::sample(&data, &SplitConfig::new(10, 5), &mut split_rng)
+        .expect("10 + 5 split of the LETTER replica")
+        .train
+}
+
+fn blob_scene(classes: usize) -> SceneReport {
     let mut rng = StdRng::seed_from_u64(SEED ^ classes as u64);
-    let train = scene(&mut rng, classes);
     let config = HdpOsrConfig {
         iterations: 12,
         decision_sweeps: 3,
         serving: ServingMode::WarmStart,
         ..Default::default()
     };
-    let model = HdpOsr::fit(&config, &train).expect("warm fit for bench scene");
+    bench_scene("blobs", &scene(&mut rng, classes), &config)
+}
+
+fn bench_scene(name: &'static str, train: &TrainSet, config: &HdpOsrConfig) -> SceneReport {
+    let classes = train.n_classes();
+    let model = HdpOsr::fit(config, train).expect("warm fit for bench scene");
     let n_dishes = model.snapshot().expect("warm model has a snapshot").n_dishes();
 
-    let path = std::env::temp_dir().join(format!("osr_bench_snap_{}_{classes}.bin", std::process::id()));
+    let path = std::env::temp_dir()
+        .join(format!("osr_bench_snap_{}_{name}_{classes}.bin", std::process::id()));
     let store = SnapshotStore::new(&path);
     let info = store.save(&model).expect("initial save");
     let bytes = store.load_bytes().expect("read-back bytes");
@@ -103,21 +130,32 @@ fn bench_scene(classes: usize) -> SceneReport {
     assert_eq!(encode_model(&reloaded).expect("re-encode"), bytes);
 
     let encode = measure(CPU_SAMPLES, |b| b.iter(|| encode_model(black_box(&model)).unwrap()));
+    let read = measure(CPU_SAMPLES, |b| b.iter(|| std::fs::read(black_box(&path)).unwrap()));
+    let parse = measure(CPU_SAMPLES, |b| b.iter(|| SnapshotFile::parse(black_box(&bytes)).is_ok()));
     let decode = measure(CPU_SAMPLES, |b| b.iter(|| decode_model(black_box(&bytes)).unwrap()));
+    let free = measure(CPU_SAMPLES, |b| {
+        b.iter_batched(|| decode_model(&bytes).unwrap(), std::mem::drop, BatchSize::SmallInput)
+    });
     let save = measure(DISK_SAMPLES, |b| b.iter(|| store.save(black_box(&model)).unwrap()));
     let load = measure(DISK_SAMPLES, |b| b.iter(|| store.load().unwrap()));
     let _ = std::fs::remove_file(&path);
 
     SceneReport {
+        scene: name,
         classes,
         dim: model.dim(),
         n_dishes,
         bytes_on_disk: info.bytes,
         encode_median_us: us(encode.median),
         save_median_us: us(save.median),
+        read_median_us: us(read.median),
+        parse_median_us: us(parse.median),
         decode_median_us: us(decode.median),
+        drop_median_us: us(free.median),
         load_median_us: us(load.median),
-        cpu_samples: encode.samples.min(decode.samples),
+        cpu_samples: [read, parse, decode, free]
+            .iter()
+            .fold(encode.samples, |n, s| n.min(s.samples)),
         disk_samples: save.samples.min(load.samples),
     }
 }
@@ -127,18 +165,29 @@ fn main() {
         schema: "snapshot-bench-v1",
         snapshot_format_version: SNAPSHOT_FORMAT_VERSION,
         seed: SEED,
-        scenes: [2, 4, 8].into_iter().map(bench_scene).collect(),
+        scenes: [2, 4, 8]
+            .into_iter()
+            .map(blob_scene)
+            .chain([bench_scene("letter", &letter_tenant(), &HdpOsrConfig::default())])
+            .collect(),
     };
     for s in &report.scenes {
         eprintln!(
-            "classes={:>2} dishes={:>3} {:>7} B: encode {:>8.1} us, save {:>8.1} us, \
-             decode {:>8.1} us, load {:>8.1} us",
+            "{:<6} classes={:>2} d={:>2} dishes={:>3} {:>7} B: encode {:>8.1} us, \
+             save {:>8.1} us, read {:>8.1} us, parse {:>8.1} us, decode {:>8.1} us, \
+             drop {:>8.1} us, \
+             load {:>8.1} us",
+            s.scene,
             s.classes,
+            s.dim,
             s.n_dishes,
             s.bytes_on_disk,
             s.encode_median_us,
             s.save_median_us,
+            s.read_median_us,
+            s.parse_median_us,
             s.decode_median_us,
+            s.drop_median_us,
             s.load_median_us,
         );
     }

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use osr_dataset::protocol::TrainSet;
-use osr_hdp::{HdpConfig, PosteriorSnapshot};
+use osr_hdp::{HdpConfig, Points, PosteriorSnapshot};
 use osr_linalg::Matrix;
 use osr_stats::NiwParams;
 
@@ -127,7 +127,7 @@ impl HdpOsrConfig {
 pub struct HdpOsr {
     config: HdpOsrConfig,
     params: NiwParams,
-    classes: Vec<Arc<Vec<Vec<f64>>>>,
+    classes: Vec<Arc<Points>>,
     dim: usize,
     warm: Option<Arc<WarmState>>,
 }
@@ -168,10 +168,18 @@ impl HdpOsr {
         let params = build_niw_with_jitter(mu0, config.beta, nu, pooled)?;
         let (classes, warm) = match config.serving {
             ServingMode::WarmStart => {
-                let warm = WarmState::build(&params, config, train.classes.clone())?;
+                let warm = WarmState::build(&params, config, &train.classes)?;
                 (warm.snapshot.shared_groups().to_vec(), Some(Arc::new(warm)))
             }
-            ServingMode::ColdStart => (train.classes.iter().cloned().map(Arc::new).collect(), None),
+            ServingMode::ColdStart => {
+                let classes = train
+                    .classes
+                    .iter()
+                    .enumerate()
+                    .map(|(j, c)| Points::from_group(j, dim, c).map(Arc::new))
+                    .collect::<osr_hdp::Result<_>>()?;
+                (classes, None)
+            }
         };
         Ok(Self { config: *config, params, classes, dim, warm })
     }
@@ -196,7 +204,7 @@ impl HdpOsr {
     /// run folds each class into its dominant dish. A warm model's groups
     /// are the checkpoint's own ([`PosteriorSnapshot::shared_groups`]), not
     /// copies.
-    pub fn classes(&self) -> &[Arc<Vec<Vec<f64>>>] {
+    pub fn classes(&self) -> &[Arc<Points>] {
         &self.classes
     }
 

@@ -23,7 +23,8 @@
 //!
 //! [`ServingMode::ColdStart`] is the escape hatch reproducing the original
 //! behaviour exactly: no snapshot is kept and every batch pays the full
-//! transductive burn-in with the training groups deep-copied in.
+//! transductive burn-in, reseating the training groups (shared, not
+//! copied) together with the batch.
 //!
 //! # Failure model
 //!
@@ -60,7 +61,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use osr_dataset::protocol::TrainSet;
-use osr_hdp::{DishId, GroupSummary, Hdp, PosteriorSnapshot, SweepTrace};
+use osr_hdp::{DishId, GroupSummary, Hdp, Points, PosteriorSnapshot, SweepTrace};
 use osr_stats::NiwParams;
 
 use crate::admission;
@@ -133,12 +134,12 @@ impl WarmState {
     /// checkpoint the converged state, tracing every sweep so the fit ships
     /// with convergence diagnostics. The traced loop consumes the exact RNG
     /// stream of `Hdp::run`, so checkpoints are unchanged by tracing.
-    /// The checkpoint takes ownership of `classes`; the fitted model then
-    /// shares them through [`PosteriorSnapshot::shared_groups`].
+    /// The checkpoint flattens `classes` into its own groups; the fitted
+    /// model then shares them through [`PosteriorSnapshot::shared_groups`].
     pub fn build(
         params: &NiwParams,
         config: &HdpOsrConfig,
-        classes: Vec<Vec<Vec<f64>>>,
+        classes: &[Vec<Vec<f64>>],
     ) -> Result<Self> {
         let n_classes = classes.len();
         let mut hdp = Hdp::new(params.clone(), config.hdp_config(), classes)?;
@@ -288,8 +289,8 @@ pub(crate) fn sweep_fault_delay() {
 ///
 /// * **Opening.** Warm: a session on the fit-time checkpoint, training
 ///   groups frozen. Cold ([`ServingMode::ColdStart`], the original
-///   transductive schedule): a fresh sampler over deep copies of the
-///   training groups plus the batch, every group reseated.
+///   transductive schedule): a fresh sampler over the model's training
+///   groups (shared, not copied) plus the batch, every group reseated.
 /// * **Sweeps before the first vote.** Warm: 1. Cold: the full `iterations`
 ///   burn-in (the exact RNG stream of `Hdp::run`). Either way votes are
 ///   then cast on `decision_sweeps` states.
@@ -317,12 +318,15 @@ impl<'m> HdpAttempt<'m> {
         let config = model.config();
         let warm = model.warm();
         let (hdp, first_vote) = match warm {
-            Some(warm) => (warm.snapshot.session(test.to_vec()), 1),
+            Some(warm) => (warm.snapshot.session(test), 1),
             None => {
-                let mut groups: Vec<Vec<Vec<f64>>> =
-                    model.classes().iter().map(|c| c.to_vec()).collect();
-                groups.push(test.to_vec());
-                (Hdp::new(model.params().clone(), config.hdp_config(), groups), config.iterations)
+                let classes = model.classes();
+                let hdp = Points::from_group(classes.len(), model.dim(), test).and_then(|batch| {
+                    let mut groups = classes.to_vec();
+                    groups.push(Arc::new(batch));
+                    Hdp::from_groups(model.params().clone(), config.hdp_config(), groups)
+                });
+                (hdp, config.iterations)
             }
         };
         let hdp = hdp.map_err(|e| AttemptError::Fatal(e.into()))?;
@@ -555,12 +559,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// The calling thread is the first worker: it spawns `min(workers, n) − 1`
 /// scoped helpers and runs the same claim loop itself, so a one-item round
-/// spawns no thread. Workers claim indices from a shared atomic counter
-/// (work stealing), so stragglers do not hold up the round. Each item runs
-/// under its own `catch_unwind`, and the thread-local divergence flag is
-/// scrubbed after every item — and once on entry, so the caller's thread
-/// starts as clean as a fresh helper — so neither a panic nor leftover
-/// poison can reach the next item a worker claims.
+/// spawns no thread. Workers claim the next index from one shared atomic
+/// counter (no per-worker queues to steal from), so a worker that finishes
+/// early takes the next item and stragglers do not hold up the round. Each
+/// item runs under its own `catch_unwind`, and the thread-local divergence
+/// flag is scrubbed after every item — and once on entry, so the caller's
+/// thread starts as clean as a fresh helper — so neither a panic nor
+/// leftover poison can reach the next item a worker claims.
 pub(crate) fn fan_out<I: Sync, T: Send>(
     items: &[I],
     workers: usize,

@@ -204,7 +204,7 @@ impl HdpState {
         // (possibly under a new dish) below.
         let members = std::mem::take(&mut self.tables[j][ti].members);
         let group = Arc::clone(&self.groups[j]);
-        let block_refs: Vec<&[f64]> = members.iter().map(|&m| group[m].as_slice()).collect();
+        let block_refs: Vec<&[f64]> = members.iter().map(|&m| &group[m]).collect();
         let mut sc = std::mem::take(&mut self.scratch);
         self.bank.compute_block_stats(&block_refs, &mut sc.stats);
 

@@ -29,6 +29,7 @@
 mod concentration;
 mod engine;
 mod persist;
+mod points;
 mod sampler;
 mod session;
 mod state;
@@ -36,6 +37,7 @@ mod trace;
 mod watchdog;
 
 pub use concentration::{resample_alpha, resample_gamma};
+pub use points::Points;
 pub use sampler::Hdp;
 pub use session::PosteriorSnapshot;
 pub use state::{DishId, DishSummary, GroupSummary, HdpConfig};

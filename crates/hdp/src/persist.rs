@@ -21,6 +21,7 @@ use osr_stats::snapshot::{Dec, Enc, SnapResult, SnapshotError, SnapshotFile, Sna
 use osr_stats::{DishBank, NiwParams};
 
 use crate::state::{DishMenu, HdpConfig, HdpState, Table};
+use crate::Points;
 
 /// Section id of the base-measure hyperparameters (NIW prior).
 pub const SEC_PARAMS: u32 = 1;
@@ -100,9 +101,7 @@ fn encode_seating(state: &HdpState, enc: &mut Enc) {
     enc.put_usize(state.groups.len());
     for (group, assignment) in state.groups.iter().zip(&state.assignment) {
         enc.put_usize(group.len());
-        for point in group.iter() {
-            enc.put_f64_slice(point);
-        }
+        enc.put_f64_slice(group.as_flat());
         debug_assert_eq!(group.len(), assignment.len());
         for &table in assignment {
             enc.put_u64(if table == usize::MAX { UNSEATED } else { table as u64 });
@@ -134,16 +133,15 @@ fn decode_seating(
     let mut groups = Vec::with_capacity(n_groups);
     let mut assignment = Vec::with_capacity(n_groups);
     for j in 0..n_groups {
+        // `count` has checked that `len` rows of `d` coordinates plus their
+        // seats fit in the section, so the product cannot overflow.
         let len = dec.count(8 * (d + 1), "group length")?;
-        let mut points = Vec::with_capacity(len);
-        for i in 0..len {
-            let point = dec.f64_vec(d, "group point")?;
-            if point.iter().any(|v| !v.is_finite()) {
-                return Err(SnapshotError::Malformed(format!(
-                    "group {j} point {i} has a non-finite coordinate"
-                )));
-            }
-            points.push(point);
+        let points = dec.f64_vec(len * d, "group point")?;
+        if let Some(c) = points.iter().position(|v| !v.is_finite()) {
+            return Err(SnapshotError::Malformed(format!(
+                "group {j} point {} has a non-finite coordinate",
+                c / d
+            )));
         }
         let mut seats = Vec::with_capacity(len);
         for _ in 0..len {
@@ -158,7 +156,7 @@ fn decode_seating(
                 })?
             });
         }
-        groups.push(Arc::new(points));
+        groups.push(Arc::new(Points::from_flat(d, len, points)));
         assignment.push(seats);
     }
     let mut tables = Vec::with_capacity(n_groups);
@@ -207,6 +205,10 @@ fn decode_seating(
 /// twin of `HdpState::check_invariants` — corruption that survives the CRCs
 /// (i.e. a buggy or hostile writer) surfaces here as
 /// [`SnapshotError::Malformed`].
+///
+/// Linear in the seating: each group's tables mark the members they list
+/// (a member must sit at the table that lists it, and only once), and every
+/// seated item must then be marked.
 fn validate_seating(state: &HdpState) -> SnapResult<()> {
     let malformed = |msg: String| Err(SnapshotError::Malformed(msg));
     if state.tables.len() != state.groups.len() {
@@ -216,7 +218,11 @@ fn validate_seating(state: &HdpState) -> SnapResult<()> {
             state.groups.len()
         ));
     }
-    for (j, (group, seats)) in state.groups.iter().zip(&state.assignment).enumerate() {
+    let mut n_tables_by_dish = vec![0usize; state.menu.n_ids()];
+    let mut listed = Vec::new();
+    for (j, ((group, seats), tables)) in
+        state.groups.iter().zip(&state.assignment).zip(&state.tables).enumerate()
+    {
         if group.len() != seats.len() {
             return malformed(format!(
                 "group {j}: {} assignment entries for {} points",
@@ -224,24 +230,8 @@ fn validate_seating(state: &HdpState) -> SnapResult<()> {
                 group.len()
             ));
         }
-        for (i, &t) in seats.iter().enumerate() {
-            if t != usize::MAX {
-                if t >= state.tables[j].len() {
-                    return malformed(format!(
-                        "group {j} item {i} sits at table {t} of {}",
-                        state.tables[j].len()
-                    ));
-                }
-                if !state.tables[j][t].members.contains(&i) {
-                    return malformed(format!(
-                        "group {j} item {i} is not among table {t}'s members"
-                    ));
-                }
-            }
-        }
-    }
-    let mut n_tables_by_dish = vec![0usize; state.menu.n_ids()];
-    for (j, tables) in state.tables.iter().enumerate() {
+        listed.clear();
+        listed.resize(seats.len(), false);
         for (t, table) in tables.iter().enumerate() {
             match state.menu.get(table.dish) {
                 Some(_) => n_tables_by_dish[table.dish] += 1,
@@ -256,9 +246,27 @@ fn validate_seating(state: &HdpState) -> SnapResult<()> {
                 return malformed(format!("group {j} table {t} has no members"));
             }
             for &i in &table.members {
-                if i >= state.groups[j].len() || state.assignment[j][i] != t {
+                if seats.get(i) != Some(&t) {
                     return malformed(format!(
                         "group {j} table {t} lists member {i} that is not seated there"
+                    ));
+                }
+                if std::mem::replace(&mut listed[i], true) {
+                    return malformed(format!("group {j} table {t} lists member {i} twice"));
+                }
+            }
+        }
+        for (i, (&t, &is_listed)) in seats.iter().zip(&listed).enumerate() {
+            if t != usize::MAX {
+                if t >= tables.len() {
+                    return malformed(format!(
+                        "group {j} item {i} sits at table {t} of {}",
+                        tables.len()
+                    ));
+                }
+                if !is_listed {
+                    return malformed(format!(
+                        "group {j} item {i} is not among table {t}'s members"
                     ));
                 }
             }
@@ -288,4 +296,105 @@ fn validate_seating(state: &HdpState) -> SnapResult<()> {
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Hdp;
+    use osr_linalg::Matrix;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A converged two-group state over 2-D blobs, every table of group 0
+    /// with at least one member and one table with two or more.
+    fn trained() -> (HdpState, HdpConfig) {
+        let mut rng = StdRng::seed_from_u64(31);
+        let blob = |rng: &mut StdRng, cx: f64| -> Vec<Vec<f64>> {
+            (0..20)
+                .map(|_| {
+                    vec![
+                        cx + 0.5 * osr_stats::sampling::standard_normal(rng),
+                        0.5 * osr_stats::sampling::standard_normal(rng),
+                    ]
+                })
+                .collect()
+        };
+        let groups = [blob(&mut rng, -5.0), blob(&mut rng, 5.0)];
+        let params =
+            NiwParams::new(vec![0.0, 0.0], 1.0, 5.0, Matrix::identity(2)).unwrap();
+        let config = HdpConfig { iterations: 5, ..Default::default() };
+        let mut hdp = Hdp::new(params, config, &groups).unwrap();
+        hdp.run(&mut rng);
+        (hdp.state().clone(), config)
+    }
+
+    /// Encode `state` into a container whose CRCs are all valid.
+    fn encode(state: &HdpState, config: &HdpConfig) -> Vec<u8> {
+        let mut w = SnapshotWriter::new("cdosr", state.params.dim());
+        write_sections(state, config, &mut w);
+        w.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> SnapResult<(HdpState, HdpConfig)> {
+        read_sections(&SnapshotFile::parse(bytes)?)
+    }
+
+    /// The `Malformed` message a crafted state decodes to.
+    fn malformed(state: &HdpState, config: &HdpConfig) -> String {
+        match decode(&encode(state, config)) {
+            Err(SnapshotError::Malformed(msg)) => msg,
+            Err(other) => panic!("expected Malformed, got {other:?}"),
+            Ok(_) => panic!("a corrupt seating decoded"),
+        }
+    }
+
+    #[test]
+    fn seating_round_trips_byte_identically() {
+        let (state, config) = trained();
+        let bytes = encode(&state, &config);
+        let (decoded, decoded_config) = decode(&bytes).unwrap();
+        decoded.check_invariants();
+        assert_eq!(decoded.groups, state.groups);
+        assert_eq!(encode(&decoded, &decoded_config), bytes);
+    }
+
+    #[test]
+    fn a_member_listed_twice_is_malformed() {
+        let (mut state, config) = trained();
+        let table = &mut state.tables[0][0];
+        table.members.push(table.members[0]);
+        let msg = malformed(&state, &config);
+        assert!(msg.contains("group 0 table 0 lists member") && msg.contains("twice"), "{msg}");
+    }
+
+    #[test]
+    fn a_seated_item_missing_from_every_member_list_is_malformed() {
+        let (mut state, config) = trained();
+        let t = state.tables[0].iter().position(|t| t.members.len() >= 2).unwrap();
+        let dropped = state.tables[0][t].members.pop().unwrap();
+        let msg = malformed(&state, &config);
+        assert_eq!(msg, format!("group 0 item {dropped} is not among table {t}'s members"));
+    }
+
+    #[test]
+    fn a_member_index_out_of_range_is_malformed() {
+        let (mut state, config) = trained();
+        let len = state.groups[1].len();
+        state.tables[1][0].members.push(len + 3);
+        let msg = malformed(&state, &config);
+        let want = format!("group 1 table 0 lists member {} that is not seated there", len + 3);
+        assert_eq!(msg, want);
+    }
+
+    #[test]
+    fn a_non_finite_coordinate_names_its_group_and_point() {
+        let (mut state, config) = trained();
+        let mut flat = state.groups[1].as_flat().to_vec();
+        flat[5 * 2 + 1] = f64::NAN;
+        let len = state.groups[1].len();
+        state.groups[1] = Arc::new(Points::from_flat(2, len, flat));
+        let msg = malformed(&state, &config);
+        assert_eq!(msg, "group 1 point 5 has a non-finite coordinate");
+    }
 }

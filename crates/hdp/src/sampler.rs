@@ -26,7 +26,7 @@ use osr_stats::NiwParams;
 use crate::session::PosteriorSnapshot;
 use crate::state::{DishId, DishSummary, GroupSummary, HdpConfig, HdpState};
 use crate::trace::{self, SweepTrace};
-use crate::{HdpError, Result};
+use crate::{HdpError, Points, Result};
 
 /// A Hierarchical Dirichlet Process mixture over a fixed set of groups.
 #[derive(Debug, Clone)]
@@ -44,19 +44,15 @@ pub struct Hdp {
     last_sweep_moves: u64,
 }
 
-/// Validate one group against the base measure's dimension; shared between
-/// [`Hdp::new`] and [`PosteriorSnapshot::session`](crate::PosteriorSnapshot::session).
-pub(crate) fn validate_group(j: usize, group: &[Vec<f64>], d: usize) -> Result<()> {
+/// Reject an empty group or one holding a non-finite value; the group's
+/// dimension is its constructor's to check ([`Points::from_group`]).
+/// Shared between [`Hdp::new`] and
+/// [`PosteriorSnapshot::session`](crate::PosteriorSnapshot::session).
+pub(crate) fn validate_group(j: usize, group: &Points) -> Result<()> {
     if group.is_empty() {
         return Err(HdpError::InvalidGroups(format!("group {j} is empty")));
     }
-    if let Some(bad) = group.iter().find(|x| x.len() != d) {
-        return Err(HdpError::InvalidGroups(format!(
-            "group {j} has a point of dimension {} (expected {d})",
-            bad.len()
-        )));
-    }
-    if group.iter().any(|x| !osr_linalg::vector::all_finite(x)) {
+    if !osr_linalg::vector::all_finite(group.as_flat()) {
         return Err(HdpError::InvalidGroups(format!("group {j} contains non-finite values")));
     }
     Ok(())
@@ -64,19 +60,52 @@ pub(crate) fn validate_group(j: usize, group: &[Vec<f64>], d: usize) -> Result<(
 
 impl Hdp {
     /// Build a sampler over `groups` (each group a set of `d`-dimensional
-    /// observations) with base measure `params`.
+    /// observations) with base measure `params`. Each group is flattened
+    /// into one buffer.
     ///
     /// # Errors
-    /// Rejects empty group lists, empty groups, dimension mismatches and
-    /// invalid configuration.
-    pub fn new(params: NiwParams, config: HdpConfig, groups: Vec<Vec<Vec<f64>>>) -> Result<Self> {
+    /// Rejects empty group lists, empty groups, dimension mismatches,
+    /// non-finite values and invalid configuration.
+    pub fn new(params: NiwParams, config: HdpConfig, groups: &[Vec<Vec<f64>>]) -> Result<Self> {
+        let d = params.dim();
+        let groups = groups
+            .iter()
+            .enumerate()
+            .map(|(j, g)| Points::from_group(j, d, g).map(Arc::new))
+            .collect::<Result<Vec<_>>>()?;
+        Self::over_groups(params, config, groups)
+    }
+
+    /// [`Self::new`] over groups that are already flat, sharing their
+    /// buffers with the caller: cold serving reseats a fitted model's
+    /// training groups plus one batch this way without copying a point.
+    ///
+    /// # Errors
+    /// As [`Self::new`].
+    pub fn from_groups(
+        params: NiwParams,
+        config: HdpConfig,
+        groups: Vec<Arc<Points>>,
+    ) -> Result<Self> {
+        let d = params.dim();
+        if let Some((j, g)) = groups.iter().enumerate().find(|(_, g)| g.dim() != d) {
+            return Err(HdpError::InvalidGroups(format!(
+                "group {j} has points of dimension {} (expected {d})",
+                g.dim()
+            )));
+        }
+        Self::over_groups(params, config, groups)
+    }
+
+    /// Shared tail of [`Self::new`] and [`Self::from_groups`], over groups
+    /// whose dimension is already checked against `params`.
+    fn over_groups(params: NiwParams, config: HdpConfig, groups: Vec<Arc<Points>>) -> Result<Self> {
         config.validate()?;
         if groups.is_empty() {
             return Err(HdpError::InvalidGroups("no groups".into()));
         }
-        let d = params.dim();
         for (j, g) in groups.iter().enumerate() {
-            validate_group(j, g, d)?;
+            validate_group(j, g)?;
         }
         let assignment = groups.iter().map(|g| vec![usize::MAX; g.len()]).collect();
         let n_groups = groups.len();
@@ -87,7 +116,7 @@ impl Hdp {
         Ok(Self {
             state: HdpState {
                 params,
-                groups: groups.into_iter().map(Arc::new).collect(),
+                groups,
                 assignment,
                 tables: vec![Vec::new(); n_groups],
                 menu: Default::default(),
@@ -326,15 +355,27 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         let p = niw(2, 1.0);
-        assert!(Hdp::new(p.clone(), test_config(1), vec![]).is_err());
-        assert!(Hdp::new(p.clone(), test_config(1), vec![vec![]]).is_err());
-        assert!(Hdp::new(p.clone(), test_config(1), vec![vec![vec![0.0]]]).is_err());
+        assert!(Hdp::new(p.clone(), test_config(1), &[]).is_err());
+        assert!(Hdp::new(p.clone(), test_config(1), &[vec![]]).is_err());
+        assert!(Hdp::new(p.clone(), test_config(1), &[vec![vec![0.0]]]).is_err());
         assert!(
-            Hdp::new(p.clone(), test_config(1), vec![vec![vec![f64::NAN, 0.0]]]).is_err()
+            Hdp::new(p.clone(), test_config(1), &[vec![vec![f64::NAN, 0.0]]]).is_err()
         );
         let mut cfg = test_config(1);
         cfg.iterations = 0;
-        assert!(Hdp::new(p, cfg, vec![vec![vec![0.0, 0.0]]]).is_err());
+        assert!(Hdp::new(p, cfg, &[vec![vec![0.0, 0.0]]]).is_err());
+    }
+
+    #[test]
+    fn from_groups_shares_its_buffers_and_validates_them() {
+        let flat = |d: usize, rows: &[Vec<f64>]| Arc::new(Points::from_group(0, d, rows).unwrap());
+        let g = flat(2, &[vec![0.0, 0.0], vec![1.0, 1.0]]);
+        let hdp = Hdp::from_groups(niw(2, 1.0), test_config(1), vec![Arc::clone(&g)]).unwrap();
+        assert!(Arc::ptr_eq(&hdp.state().groups[0], &g), "from_groups copied a group");
+        for bad in [flat(2, &[]), flat(3, &[vec![0.0; 3]]), flat(2, &[vec![f64::NAN, 0.0]])] {
+            assert!(Hdp::from_groups(niw(2, 1.0), test_config(1), vec![bad]).is_err());
+        }
+        assert!(Hdp::from_groups(niw(2, 1.0), test_config(1), vec![]).is_err());
     }
 
     #[test]
@@ -342,7 +383,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let g1 = blob(&mut rng, &[0.0, 0.0], 30, 0.5);
         let g2 = blob(&mut rng, &[5.0, 5.0], 30, 0.5);
-        let mut hdp = Hdp::new(niw(2, 1.0), test_config(1), vec![g1, g2]).unwrap();
+        let mut hdp = Hdp::new(niw(2, 1.0), test_config(1), &[g1, g2]).unwrap();
         for _ in 0..8 {
             hdp.sweep(&mut rng);
             hdp.check_invariants();
@@ -354,7 +395,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut group = blob(&mut rng, &[-8.0, 0.0], 40, 0.5);
         group.extend(blob(&mut rng, &[8.0, 0.0], 40, 0.5));
-        let mut hdp = Hdp::new(niw(2, 1.0), test_config(10), vec![group]).unwrap();
+        let mut hdp = Hdp::new(niw(2, 1.0), test_config(10), &[group]).unwrap();
         hdp.run(&mut rng);
         hdp.check_invariants();
         // The two spatial clusters must not share a dish.
@@ -370,7 +411,7 @@ mod tests {
         // put the bulk of both on one shared dish.
         let g1 = blob(&mut rng, &[3.0, -2.0], 50, 0.4);
         let g2 = blob(&mut rng, &[3.0, -2.0], 50, 0.4);
-        let mut hdp = Hdp::new(niw(2, 1.0), test_config(10), vec![g1, g2]).unwrap();
+        let mut hdp = Hdp::new(niw(2, 1.0), test_config(10), &[g1, g2]).unwrap();
         hdp.run(&mut rng);
         let top1 = hdp.group_summary(0).dish_counts[0].0;
         let top2 = hdp.group_summary(1).dish_counts[0].0;
@@ -384,7 +425,7 @@ mod tests {
         let g2 = blob(&mut rng, &[6.0, 0.0], 40, 0.5);
         // Paper-style large γ.
         let cfg = HdpConfig { gamma_prior: (100.0, 1.0), ..test_config(10) };
-        let mut hdp = Hdp::new(niw(2, 1.0), cfg, vec![g1, g2]).unwrap();
+        let mut hdp = Hdp::new(niw(2, 1.0), cfg, &[g1, g2]).unwrap();
         hdp.run(&mut rng);
         let d1: std::collections::HashSet<_> =
             hdp.group_summary(0).dish_counts.iter().map(|&(d, _)| d).collect();
@@ -398,7 +439,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g1 = blob(&mut rng, &[0.0, 0.0], 25, 0.6);
         let g2 = blob(&mut rng, &[4.0, 4.0], 25, 0.6);
-        let mut hdp = Hdp::new(niw(2, 1.0), test_config(5), vec![g1, g2]).unwrap();
+        let mut hdp = Hdp::new(niw(2, 1.0), test_config(5), &[g1, g2]).unwrap();
         hdp.run(&mut rng);
         let total_from_dishes: usize = hdp.dish_summaries().iter().map(|d| d.n_items).sum();
         assert_eq!(total_from_dishes, 50);
@@ -416,7 +457,7 @@ mod tests {
         };
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut hdp = Hdp::new(niw(2, 1.0), test_config(3), data.clone()).unwrap();
+            let mut hdp = Hdp::new(niw(2, 1.0), test_config(3), &data).unwrap();
             hdp.run(&mut rng);
             (0..2).flat_map(|j| (0..20).map(move |i| (j, i)))
                 .map(|(j, i)| hdp.dish_of(j, i))
@@ -430,7 +471,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut group = blob(&mut rng, &[-10.0, 0.0], 30, 0.3);
         group.extend(blob(&mut rng, &[10.0, 0.0], 30, 0.3));
-        let mut hdp = Hdp::new(niw(2, 1.0), test_config(1), vec![group]).unwrap();
+        let mut hdp = Hdp::new(niw(2, 1.0), test_config(1), &[group]).unwrap();
         hdp.sweep(&mut rng);
         let early = hdp.joint_log_likelihood();
         assert!(early.is_finite());
@@ -448,7 +489,7 @@ mod tests {
     fn concentrations_stay_positive() {
         let mut rng = StdRng::seed_from_u64(8);
         let g = blob(&mut rng, &[0.0, 0.0], 40, 1.0);
-        let mut hdp = Hdp::new(niw(2, 1.0), test_config(5), vec![g]).unwrap();
+        let mut hdp = Hdp::new(niw(2, 1.0), test_config(5), &[g]).unwrap();
         hdp.run(&mut rng);
         assert!(hdp.gamma() > 0.0 && hdp.gamma().is_finite());
         assert!(hdp.alpha() > 0.0 && hdp.alpha().is_finite());
@@ -458,7 +499,7 @@ mod tests {
     #[should_panic(expected = "has not run yet")]
     fn dish_of_requires_a_run() {
         let hdp =
-            Hdp::new(niw(2, 1.0), test_config(1), vec![vec![vec![0.0, 0.0]]]).unwrap();
+            Hdp::new(niw(2, 1.0), test_config(1), &[vec![vec![0.0, 0.0]]]).unwrap();
         let _ = hdp.dish_of(0, 0);
     }
 
@@ -466,7 +507,7 @@ mod tests {
     #[should_panic(expected = "snapshot: sampler has not run yet")]
     fn snapshot_requires_a_run() {
         let hdp =
-            Hdp::new(niw(2, 1.0), test_config(1), vec![vec![vec![0.0, 0.0]]]).unwrap();
+            Hdp::new(niw(2, 1.0), test_config(1), &[vec![vec![0.0, 0.0]]]).unwrap();
         let _ = hdp.snapshot();
     }
 
@@ -474,7 +515,7 @@ mod tests {
     fn single_group_single_point() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut hdp =
-            Hdp::new(niw(2, 1.0), test_config(2), vec![vec![vec![1.0, -1.0]]]).unwrap();
+            Hdp::new(niw(2, 1.0), test_config(2), &[vec![vec![1.0, -1.0]]]).unwrap();
         hdp.run(&mut rng);
         hdp.check_invariants();
         assert_eq!(hdp.n_dishes(), 1);

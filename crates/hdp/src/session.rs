@@ -29,7 +29,7 @@ use osr_stats::NiwParams;
 
 use crate::sampler::validate_group;
 use crate::state::{DishId, DishSummary, GroupSummary, HdpConfig, HdpState};
-use crate::{Hdp, Result};
+use crate::{Hdp, Points, Result};
 
 /// An immutable checkpoint of a converged sampler: the seating arrangement,
 /// every dish's NIW sufficient statistics, and the concentrations.
@@ -89,11 +89,11 @@ impl PosteriorSnapshot {
         self.state.dish_of(group, item)
     }
 
-    /// The observations of every training group (one row per item), behind
-    /// the `Arc`s the checkpoint itself holds — lets a consumer share its
-    /// per-class training data with the checkpoint instead of copying it,
-    /// including after a durable load.
-    pub fn shared_groups(&self) -> &[Arc<Vec<Vec<f64>>>] {
+    /// The observations of every training group (one row per item, one
+    /// buffer per group), behind the `Arc`s the checkpoint itself holds —
+    /// lets a consumer share its per-class training data with the
+    /// checkpoint instead of copying it, including after a durable load.
+    pub fn shared_groups(&self) -> &[Arc<Points>] {
         &self.state.groups
     }
 
@@ -185,18 +185,19 @@ impl PosteriorSnapshot {
     }
 
     /// Open a warm serving session: clone the checkpoint, append `batch` as
-    /// one more group (the last), and return a sampler whose frozen prefix
-    /// is every training group, so its sweeps reseat only the batch. The
-    /// batch may still join training dishes (the collective decision) or
-    /// nucleate new ones; dish statistics change inside this private clone
-    /// only.
+    /// one more group (the last, flattened into one buffer), and return a
+    /// sampler whose frozen prefix is every training group, so its sweeps
+    /// reseat only the batch. The batch may still join training dishes (the
+    /// collective decision) or nucleate new ones; dish statistics change
+    /// inside this private clone only.
     ///
     /// # Errors
     /// Rejects an empty batch, dimension mismatches against the base
     /// measure, and non-finite values.
-    pub fn session(&self, batch: Vec<Vec<f64>>) -> Result<Hdp> {
+    pub fn session(&self, batch: &[Vec<f64>]) -> Result<Hdp> {
         let frozen = self.state.groups.len();
-        validate_group(frozen, &batch, self.state.params.dim())?;
+        let batch = Points::from_group(frozen, self.state.params.dim(), batch)?;
+        validate_group(frozen, &batch)?;
         let mut state = self.state.clone();
         state.assignment.push(vec![usize::MAX; batch.len()]);
         state.tables.push(Vec::new());
@@ -240,7 +241,7 @@ mod tests {
     fn trained(rng: &mut StdRng) -> Hdp {
         let g1 = blob(rng, &[-6.0, 0.0], 40, 0.5);
         let g2 = blob(rng, &[6.0, 0.0], 40, 0.5);
-        let mut hdp = Hdp::new(niw(2), config(), vec![g1, g2]).unwrap();
+        let mut hdp = Hdp::new(niw(2), config(), &[g1, g2]).unwrap();
         hdp.run(rng);
         hdp
     }
@@ -258,7 +259,7 @@ mod tests {
         let hdp = trained(&mut rng);
         let snap = hdp.snapshot();
         snap.state.check_invariants();
-        let mut sess = snap.session(vec![vec![0.0, 0.0]]).unwrap();
+        let mut sess = snap.session(&[vec![0.0, 0.0]]).unwrap();
         assert_eq!(sess.n_groups(), 3);
         assert_eq!(sess.n_dishes(), hdp.n_dishes());
         assert_eq!(sess.total_tables(), hdp.total_tables());
@@ -313,7 +314,7 @@ mod tests {
         assert_eq!(snap.map_dishes(&probe), decoded.map_dishes(&probe));
         let serve = |s: &PosteriorSnapshot| {
             let mut rng = StdRng::seed_from_u64(77);
-            let mut sess = s.session(probe.clone()).unwrap();
+            let mut sess = s.session(&probe).unwrap();
             warm_sweeps(&mut sess, 3, &mut rng);
             (0..probe.len()).map(|i| sess.dish_of(2, i)).collect::<Vec<_>>()
         };
@@ -397,7 +398,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let hdp = trained(&mut rng);
         let snap = hdp.snapshot();
-        let sess = snap.session(vec![vec![0.0, 0.0]]).unwrap();
+        let sess = snap.session(&[vec![0.0, 0.0]]).unwrap();
         // Snapshot, its clones, and sessions all point at the same group
         // buffers — no deep copy of the training set anywhere.
         assert!(Arc::ptr_eq(&snap.state.groups[0], &snap.clone().state.groups[0]));
@@ -411,7 +412,7 @@ mod tests {
         let hdp = trained(&mut rng);
         let snap = hdp.snapshot();
         let batch = blob(&mut rng, &[-6.0, 0.0], 15, 0.5);
-        let mut sess = snap.session(batch).unwrap();
+        let mut sess = snap.session(&batch).unwrap();
         warm_sweeps(&mut sess, 5, &mut rng);
         sess.check_invariants();
         // Training composition is bit-identical to the checkpoint.
@@ -430,7 +431,7 @@ mod tests {
         let snap = hdp.snapshot();
         let dominant = snap.group_summary(0).dish_counts[0].0;
         let batch = blob(&mut rng, &[-6.0, 0.0], 20, 0.5);
-        let mut sess = snap.session(batch).unwrap();
+        let mut sess = snap.session(&batch).unwrap();
         warm_sweeps(&mut sess, 3, &mut rng);
         let on_dominant =
             (0..20).filter(|&i| sess.dish_of(2, i) == dominant).count();
@@ -445,7 +446,7 @@ mod tests {
         let training_dishes: std::collections::HashSet<DishId> =
             snap.dish_summaries().iter().map(|d| d.id).collect();
         let batch = blob(&mut rng, &[0.0, 9.0], 20, 0.5);
-        let mut sess = snap.session(batch).unwrap();
+        let mut sess = snap.session(&batch).unwrap();
         warm_sweeps(&mut sess, 3, &mut rng);
         sess.check_invariants();
         let new_points = (0..20)
@@ -463,7 +464,7 @@ mod tests {
         let batch = blob(&mut rng, &[-6.0, 1.0], 10, 0.6);
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut sess = snap.session(batch.clone()).unwrap();
+            let mut sess = snap.session(&batch).unwrap();
             warm_sweeps(&mut sess, 4, &mut rng);
             (0..10).map(|i| sess.dish_of(2, i)).collect::<Vec<_>>()
         };
@@ -475,9 +476,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let hdp = trained(&mut rng);
         let snap = hdp.snapshot();
-        assert!(snap.session(vec![]).is_err());
-        assert!(snap.session(vec![vec![1.0]]).is_err());
-        assert!(snap.session(vec![vec![f64::INFINITY, 0.0]]).is_err());
+        assert!(snap.session(&[]).is_err());
+        assert!(snap.session(&[vec![1.0]]).is_err());
+        assert!(snap.session(&[vec![f64::INFINITY, 0.0]]).is_err());
     }
 
     #[test]
@@ -485,7 +486,7 @@ mod tests {
     fn session_dish_of_requires_a_sweep() {
         let mut rng = StdRng::seed_from_u64(8);
         let hdp = trained(&mut rng);
-        let sess = hdp.snapshot().session(vec![vec![0.0, 0.0]]).unwrap();
+        let sess = hdp.snapshot().session(&[vec![0.0, 0.0]]).unwrap();
         let _ = sess.dish_of(2, 0);
     }
 }

@@ -14,6 +14,8 @@ use serde::{Deserialize, Serialize};
 use osr_stats::snapshot::{Dec, Enc, SnapResult};
 use osr_stats::{BlockStats, DishBank, NiwParams, Slot};
 
+use crate::Points;
+
 /// Stable identifier of a dish (global mixture component / HDP-OSR
 /// *subclass*). Dish ids are never reused within a sampler's lifetime, so
 /// they can be reported across iterations (the `S_k` labels of the paper's
@@ -256,10 +258,11 @@ impl DishMenu {
 pub(crate) struct HdpState {
     /// Base measure H.
     pub params: NiwParams,
-    /// Item data: `groups[j][i]` is observation `x_ji`. Each group is held
-    /// behind an `Arc` so that snapshot/session clones share the points
-    /// instead of deep-copying them; the engine never mutates observations.
-    pub groups: Vec<Arc<Vec<Vec<f64>>>>,
+    /// Item data: `groups[j][i]` is observation `x_ji`. Each group is one
+    /// row-major buffer behind an `Arc`, so snapshot/session clones share
+    /// the points instead of deep-copying them; the engine never mutates
+    /// observations.
+    pub groups: Vec<Arc<Points>>,
     /// `assignment[j][i]` = index into `tables[j]` (usize::MAX = unseated,
     /// only during initialization).
     pub assignment: Vec<Vec<usize>>,
@@ -496,7 +499,9 @@ mod tests {
         let bank = DishBank::new(&params);
         HdpState {
             params,
-            groups: vec![Arc::new(vec![vec![0.0, 0.0], vec![1.0, 1.0]])],
+            groups: vec![Arc::new(
+                Points::from_group(0, 2, &[vec![0.0, 0.0], vec![1.0, 1.0]]).unwrap(),
+            )],
             assignment: vec![vec![usize::MAX, usize::MAX]],
             tables: vec![vec![]],
             menu: DishMenu::default(),
@@ -587,8 +592,8 @@ mod tests {
     fn invariants_accept_consistent_state() {
         let mut s = empty_state();
         let dish = s.new_dish();
-        let x0 = s.groups[0][0].clone();
-        let x1 = s.groups[0][1].clone();
+        let x0 = s.groups[0][0].to_vec();
+        let x1 = s.groups[0][1].to_vec();
         s.dish_add(dish, &x0);
         s.dish_add(dish, &x1);
         *s.n_tables_mut(dish) = 1;
@@ -613,8 +618,8 @@ mod tests {
     fn invariants_catch_table_count_drift() {
         let mut s = empty_state();
         let dish = s.new_dish();
-        let x0 = s.groups[0][0].clone();
-        let x1 = s.groups[0][1].clone();
+        let x0 = s.groups[0][0].to_vec();
+        let x1 = s.groups[0][1].to_vec();
         s.dish_add(dish, &x0);
         s.dish_add(dish, &x1);
         *s.n_tables_mut(dish) = 2; // lie
@@ -628,7 +633,7 @@ mod tests {
     fn invariants_catch_double_seating() {
         let mut s = empty_state();
         let dish = s.new_dish();
-        let x0 = s.groups[0][0].clone();
+        let x0 = s.groups[0][0].to_vec();
         s.dish_add(dish, &x0);
         s.dish_add(dish, &x0);
         *s.n_tables_mut(dish) = 1;

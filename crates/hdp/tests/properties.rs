@@ -51,7 +51,7 @@ proptest! {
     #[test]
     fn invariants_hold_after_every_sweep((d, groups, seed) in random_groups()) {
         let cfg = HdpConfig { iterations: 1, ..Default::default() };
-        let mut hdp = Hdp::new(params(d), cfg, groups.clone()).unwrap();
+        let mut hdp = Hdp::new(params(d), cfg, &groups).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..4 {
             hdp.sweep(&mut rng);
@@ -76,7 +76,7 @@ proptest! {
     #[test]
     fn table_and_dish_counts_are_coherent((d, groups, seed) in random_groups()) {
         let cfg = HdpConfig { iterations: 2, ..Default::default() };
-        let mut hdp = Hdp::new(params(d), cfg, groups.clone()).unwrap();
+        let mut hdp = Hdp::new(params(d), cfg, &groups).unwrap();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         hdp.run(&mut rng);
 
@@ -101,7 +101,7 @@ proptest! {
     #[test]
     fn joint_likelihood_is_finite_throughout((d, groups, seed) in random_groups()) {
         let cfg = HdpConfig { iterations: 1, ..Default::default() };
-        let mut hdp = Hdp::new(params(d), cfg, groups).unwrap();
+        let mut hdp = Hdp::new(params(d), cfg, &groups).unwrap();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1234);
         for _ in 0..3 {
             hdp.sweep(&mut rng);
@@ -116,7 +116,7 @@ proptest! {
     fn runs_are_reproducible((d, groups, seed) in random_groups()) {
         let cfg = HdpConfig { iterations: 2, ..Default::default() };
         let run = |s: u64| {
-            let mut hdp = Hdp::new(params(d), cfg, groups.clone()).unwrap();
+            let mut hdp = Hdp::new(params(d), cfg, &groups).unwrap();
             let mut rng = StdRng::seed_from_u64(s);
             hdp.run(&mut rng);
             (0..groups.len())

@@ -543,9 +543,9 @@ impl DishBank {
             }
             bank.kappa[slot] = kappa;
             bank.nu[slot] = nu;
-            let mu = dec.f64_vec(d, "DishBank mu")?;
-            bank.mu[slot * d..(slot + 1) * d].copy_from_slice(&mu);
-            let chol = dec.f64_vec(tri, "DishBank chol")?;
+            dec.f64_into(&mut bank.mu[slot * d..(slot + 1) * d], "DishBank mu")?;
+            let chol = &mut bank.chol[slot * tri..(slot + 1) * tri];
+            dec.f64_into(chol, "DishBank chol")?;
             // Column-packed diagonals lead their columns; the predictive
             // constants take their lns, so they must be finite and positive.
             let mut off = 0;
@@ -559,9 +559,7 @@ impl DishBank {
                 }
                 off += d - j;
             }
-            bank.chol[slot * tri..(slot + 1) * tri].copy_from_slice(&chol);
-            let psi = dec.f64_vec(tri, "DishBank psi")?;
-            bank.psi[slot * tri..(slot + 1) * tri].copy_from_slice(&psi);
+            dec.f64_into(&mut bank.psi[slot * tri..(slot + 1) * tri], "DishBank psi")?;
         }
         let n_free = dec.count(8, "DishBank free-list")?;
         let n_dead = n_slots - bank.live.iter().filter(|&&l| l).count();

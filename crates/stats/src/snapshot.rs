@@ -371,6 +371,13 @@ impl Enc {
     }
 }
 
+/// The `f64` whose exact bit pattern is the 8 little-endian bytes `c`.
+fn f64_from_le(c: &[u8]) -> f64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(c);
+    f64::from_bits(u64::from_le_bytes(a))
+}
+
 /// Bounds-checked little-endian cursor over a section payload. Every read
 /// that would run past the end returns [`SnapshotError::Truncated`] instead
 /// of panicking.
@@ -461,17 +468,26 @@ impl<'a> Dec<'a> {
 
     /// Read `n` `f64`s into a fresh vector.
     pub fn f64_vec(&mut self, n: usize, context: &'static str) -> SnapResult<Vec<f64>> {
-        let bytes = self.take(n.checked_mul(8).ok_or_else(|| {
+        let bytes = self.f64_bytes(n, context)?;
+        Ok(bytes.chunks_exact(8).map(f64_from_le).collect())
+    }
+
+    /// Read `out.len()` `f64`s into `out`, in place. On error `out` is
+    /// left untouched.
+    pub fn f64_into(&mut self, out: &mut [f64], context: &'static str) -> SnapResult<()> {
+        let bytes = self.f64_bytes(out.len(), context)?;
+        for (v, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            *v = f64_from_le(c);
+        }
+        Ok(())
+    }
+
+    /// Take the bytes of `n` `f64`s.
+    fn f64_bytes(&mut self, n: usize, context: &'static str) -> SnapResult<&'a [u8]> {
+        let len = n.checked_mul(8).ok_or_else(|| {
             SnapshotError::Malformed(format!("{context}: length {n} overflows"))
-        })?, context)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                let mut a = [0u8; 8];
-                a.copy_from_slice(c);
-                f64::from_bits(u64::from_le_bytes(a))
-            })
-            .collect())
+        })?;
+        self.take(len, context)
     }
 
     /// Read a strict `0`/`1` bool byte.

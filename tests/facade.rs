@@ -43,7 +43,7 @@ fn hdp_is_reachable() {
     let p = NiwParams::new(vec![0.0; 2], 1.0, 4.0, Matrix::identity(2)).unwrap();
     let groups = vec![vec![vec![0.0, 0.0], vec![0.1, 0.1], vec![5.0, 5.0]]];
     let cfg = HdpConfig { iterations: 2, ..Default::default() };
-    let mut hdp = Hdp::new(p, cfg, groups).unwrap();
+    let mut hdp = Hdp::new(p, cfg, &groups).unwrap();
     hdp.run(&mut StdRng::seed_from_u64(1));
     assert!(hdp.n_dishes() >= 1);
 }

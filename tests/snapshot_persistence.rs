@@ -25,8 +25,10 @@ use common::{check_golden, model_and_batches, trace_lines, SEED};
 use hdp_osr::core::{
     derive_batch_seed, BatchServer, HdpOsr, OsrError, ServingMode, SnapshotStore,
 };
-use hdp_osr::core::snapshot::{decode_model, encode_model};
-use hdp_osr::stats::snapshot::{SnapshotError, SnapshotWriter, SNAPSHOT_FORMAT_VERSION};
+use hdp_osr::core::snapshot::{decode_model, encode_model, SEC_CORE_CONFIG};
+use hdp_osr::stats::snapshot::{
+    SnapshotError, SnapshotFile, SnapshotWriter, SNAPSHOT_FORMAT_VERSION,
+};
 
 /// A store in its own per-test directory: tests run concurrently, and a
 /// shared directory would let one test's directory scan see another test's
@@ -121,6 +123,100 @@ fn every_corruption_mode_is_a_typed_error_never_a_panic() {
     // error.
     let empty = SnapshotWriter::new("cdosr", 2).finish();
     assert!(matches!(decode_model(&empty), Err(SnapshotError::MissingSection { .. })));
+}
+
+/// One table of a seating section: its dish and its member list.
+type WireTable = (u64, Vec<u64>);
+
+/// Rewrite group 0's table list inside a seating section payload of
+/// `d`-dimensional points, leaving every other byte as it was. `edit` gets
+/// the tables and the group's point count.
+fn edit_group0_tables(
+    seating: &[u8],
+    d: usize,
+    edit: impl FnOnce(&mut Vec<WireTable>, u64),
+) -> Vec<u8> {
+    let u64_at = |pos: usize| u64::from_le_bytes(seating[pos..pos + 8].try_into().unwrap());
+    // Groups: count, then per group its length, its points and its seats.
+    let n_groups = u64_at(0) as usize;
+    let mut pos = 8;
+    let mut len0 = 0;
+    for j in 0..n_groups {
+        let len = u64_at(pos);
+        if j == 0 {
+            len0 = len;
+        }
+        pos += 8 + len as usize * (d + 1) * 8;
+    }
+    // Group 0's tables: count, then per table its dish and member list.
+    let start = pos;
+    let n_tables = u64_at(pos);
+    pos += 8;
+    let mut tables = Vec::new();
+    for _ in 0..n_tables {
+        let dish = u64_at(pos);
+        let n = u64_at(pos + 8) as usize;
+        pos += 16;
+        tables.push((dish, (0..n).map(|k| u64_at(pos + 8 * k)).collect()));
+        pos += 8 * n;
+    }
+    edit(&mut tables, len0);
+    let mut out = seating[..start].to_vec();
+    out.extend((tables.len() as u64).to_le_bytes());
+    for (dish, members) in &tables {
+        out.extend(dish.to_le_bytes());
+        out.extend((members.len() as u64).to_le_bytes());
+        members.iter().for_each(|m| out.extend(m.to_le_bytes()));
+    }
+    out.extend_from_slice(&seating[pos..]);
+    out
+}
+
+/// A copy of the container `good` with group 0's tables edited and every
+/// CRC restamped, so only the seating audit can reject it.
+fn with_edited_seating(good: &[u8], edit: impl FnOnce(&mut Vec<WireTable>, u64)) -> Vec<u8> {
+    // The order the writer emits: the core config, then the HDP sections
+    // (params 1, sampler config 2, seating 3, bank 4).
+    const SEATING: u32 = 3;
+    let file = SnapshotFile::parse(good).unwrap();
+    let seating = edit_group0_tables(file.section(SEATING).unwrap(), file.dim(), edit);
+    let mut w = SnapshotWriter::new(file.method(), file.dim());
+    for id in [SEC_CORE_CONFIG, 1, 2, SEATING, 4] {
+        let payload = file.section(id).unwrap();
+        w.section(id, if id == SEATING { seating.clone() } else { payload.to_vec() });
+    }
+    w.finish()
+}
+
+#[test]
+fn crafted_seating_corruptions_load_as_malformed() {
+    let (model, _) = model_and_batches(ServingMode::WarmStart);
+    let good = encode_model(&model).expect("encode");
+    // The rewrite itself is exact: a no-op edit reproduces the container.
+    assert_eq!(with_edited_seating(&good, |_, _| {}), good);
+
+    let store = temp_store("crafted_seating");
+    store.save(&model).expect("save");
+    let duplicate = with_edited_seating(&good, |tables, _| {
+        let first = tables[0].1[0];
+        tables[0].1.push(first);
+    });
+    let unlisted = with_edited_seating(&good, |tables, _| {
+        let table = tables.iter_mut().find(|t| t.1.len() >= 2).expect("a shared table");
+        table.1.pop();
+    });
+    let out_of_range = with_edited_seating(&good, |tables, len| tables[0].1.push(len + 3));
+    for (name, bytes) in
+        [("duplicate", duplicate), ("unlisted", unlisted), ("out of range", out_of_range)]
+    {
+        fs::write(store.path(), &bytes).unwrap();
+        match store.load() {
+            Err(OsrError::Snapshot(SnapshotError::Malformed(_))) => {}
+            Err(other) => panic!("{name} member: expected Malformed, got {other:?}"),
+            Ok(_) => panic!("{name} member: a corrupt seating loaded"),
+        }
+    }
+    remove_temp_store(&store);
 }
 
 #[test]
