@@ -18,8 +18,11 @@
 //!   panics.
 //!
 //! What is persisted: the converged posterior checkpoint (seating, dish
-//! bank, concentrations), the training groups, and the full
-//! [`HdpOsrConfig`]. What is deliberately **not** persisted: the fit-time
+//! bank, concentrations), the training groups, and the [`HdpOsrConfig`]
+//! fields the checkpoint does not already hold. The sampler schedule is
+//! read back from the checkpoint's own config section, and a loaded model
+//! serves [`ServingMode::WarmStart`], the only mode that can be saved.
+//! What is deliberately **not** persisted: the fit-time
 //! sweep trace and convergence diagnostics — they are observability about
 //! how the checkpoint was reached, not serving state, so a reloaded model's
 //! [`crate::HdpOsr::fit_report`] carries an empty trace while every serve
@@ -31,7 +34,7 @@ use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 
-use osr_hdp::PosteriorSnapshot;
+use osr_hdp::{HdpConfig, PosteriorSnapshot};
 use osr_stats::snapshot::{
     Dec, Enc, SnapResult, SnapshotError, SnapshotFile, SnapshotWriter,
 };
@@ -43,7 +46,8 @@ use crate::observability::FitReport;
 use crate::serving::{self, ServingMode, WarmState};
 use crate::{OsrError, Result};
 
-/// Section id of the serving-layer configuration ([`HdpOsrConfig`]).
+/// Section id of the serving-layer configuration: the [`HdpOsrConfig`]
+/// fields outside the sampler schedule.
 /// Core-owned section ids live at 64+; the HDP posterior sections occupy
 /// the low ids (see `osr-hdp`'s persist module).
 pub const SEC_CORE_CONFIG: u32 = 64;
@@ -258,25 +262,13 @@ pub fn decode_model(bytes: &[u8]) -> SnapResult<HdpOsr> {
             got: file.method().to_string(),
         });
     }
+    let snap = PosteriorSnapshot::read_sections(&file)?;
     let mut dec = Dec::new(file.section(SEC_CORE_CONFIG)?);
-    let config = decode_config(&mut dec)?;
+    let config = decode_config(&mut dec, snap.config())?;
     dec.finish("core config section")?;
     config
         .validate()
         .map_err(|e| SnapshotError::Malformed(format!("HdpOsrConfig: {e}")))?;
-
-    let snap = PosteriorSnapshot::read_sections(&file)?;
-    let hdp_config = config.hdp_config();
-    let snap_config = snap.config();
-    if snap_config.iterations != hdp_config.iterations
-        || snap_config.gamma_prior != hdp_config.gamma_prior
-        || snap_config.alpha_prior != hdp_config.alpha_prior
-        || snap_config.resample_concentrations != hdp_config.resample_concentrations
-    {
-        return Err(SnapshotError::Malformed(
-            "serving config disagrees with the checkpoint's sampler config".to_string(),
-        ));
-    }
 
     let n_classes = snap.n_groups();
     if n_classes == 0 {
@@ -294,45 +286,33 @@ pub fn decode_model(bytes: &[u8]) -> SnapResult<HdpOsr> {
     Ok(HdpOsr::from_snapshot_parts(config, warm))
 }
 
+/// Write the serving-layer fields of `config`. The sampler schedule
+/// (iterations, priors, concentration resampling) is the HDP config
+/// section's, and the serving mode is implied: only a warm model has a
+/// checkpoint to write.
 fn encode_config(config: &HdpOsrConfig, enc: &mut Enc) {
     enc.put_f64(config.beta);
     enc.put_f64(config.nu_offset);
     enc.put_f64(config.rho);
     enc.put_f64(config.varrho);
-    enc.put_usize(config.iterations);
-    enc.put_f64(config.gamma_prior.0);
-    enc.put_f64(config.gamma_prior.1);
-    enc.put_f64(config.alpha_prior.0);
-    enc.put_f64(config.alpha_prior.1);
-    enc.put_bool(config.resample_concentrations);
     enc.put_usize(config.decision_sweeps);
-    enc.put_u8(match config.serving {
-        ServingMode::WarmStart => 0,
-        ServingMode::ColdStart => 1,
-    });
     enc.put_u64(config.train_seed);
 }
 
-fn decode_config(dec: &mut Dec<'_>) -> SnapResult<HdpOsrConfig> {
+/// Inverse of [`encode_config`], filling the sampler schedule from the
+/// checkpoint's `hdp` config and serving [`ServingMode::WarmStart`].
+fn decode_config(dec: &mut Dec<'_>, hdp: &HdpConfig) -> SnapResult<HdpOsrConfig> {
     Ok(HdpOsrConfig {
         beta: dec.f64("beta")?,
         nu_offset: dec.f64("nu_offset")?,
         rho: dec.f64("rho")?,
         varrho: dec.f64("varrho")?,
-        iterations: dec.usize("iterations")?,
-        gamma_prior: (dec.f64("gamma_prior shape")?, dec.f64("gamma_prior rate")?),
-        alpha_prior: (dec.f64("alpha_prior shape")?, dec.f64("alpha_prior rate")?),
-        resample_concentrations: dec.bool("resample_concentrations")?,
+        iterations: hdp.iterations,
+        gamma_prior: hdp.gamma_prior,
+        alpha_prior: hdp.alpha_prior,
+        resample_concentrations: hdp.resample_concentrations,
         decision_sweeps: dec.usize("decision_sweeps")?,
-        serving: match dec.u8("serving mode")? {
-            0 => ServingMode::WarmStart,
-            1 => ServingMode::ColdStart,
-            other => {
-                return Err(SnapshotError::Malformed(format!(
-                    "serving mode byte {other} is not a known mode"
-                )))
-            }
-        },
+        serving: ServingMode::WarmStart,
         train_seed: dec.u64("train_seed")?,
     })
 }
@@ -401,30 +381,23 @@ mod tests {
             alpha_prior: (5.0, 0.5),
             resample_concentrations: false,
             decision_sweeps: 2,
-            serving: ServingMode::ColdStart,
+            serving: ServingMode::WarmStart,
             train_seed: 0xDEAD_BEEF,
         };
         let mut enc = Enc::new();
         encode_config(&config, &mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Dec::new(&bytes);
-        let back = decode_config(&mut dec).unwrap();
+        let back = decode_config(&mut dec, &config.hdp_config()).unwrap();
         dec.finish("config").unwrap();
         let mut enc2 = Enc::new();
         encode_config(&back, &mut enc2);
         assert_eq!(bytes, enc2.into_bytes(), "config codec must be bit-stable");
-    }
-
-    #[test]
-    fn config_decode_rejects_unknown_serving_mode() {
-        let mut enc = Enc::new();
-        encode_config(&HdpOsrConfig::default(), &mut enc);
-        let mut bytes = enc.into_bytes();
-        // The serving-mode byte sits after 4 f64 + usize + 4 f64 + bool + usize.
-        let off = 4 * 8 + 8 + 4 * 8 + 1 + 8;
-        bytes[off] = 9;
-        let mut dec = Dec::new(&bytes);
-        assert!(matches!(decode_config(&mut dec), Err(SnapshotError::Malformed(_))));
+        // The schedule comes back from the sampler config it was split into.
+        assert_eq!(back.iterations, 7);
+        assert_eq!(back.gamma_prior, (50.0, 2.0));
+        assert_eq!(back.alpha_prior, (5.0, 0.5));
+        assert!(!back.resample_concentrations);
     }
 
     #[test]
@@ -438,6 +411,8 @@ mod tests {
         assert_eq!(store.inspect().unwrap(), info);
 
         let reloaded = store.load().unwrap();
+        // Only a warm model can be saved, so a loaded one serves warm.
+        assert_eq!(reloaded.config().serving, ServingMode::WarmStart);
         // Re-saving the reloaded model reproduces the file byte-for-byte.
         let original = store.load_bytes().unwrap();
         assert_eq!(encode_model(&reloaded).unwrap(), original);

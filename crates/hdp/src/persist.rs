@@ -3,11 +3,27 @@
 //!
 //! The container framing (magic, version, CRCs) lives in
 //! [`osr_stats::snapshot`]; this module owns only the *section* byte
-//! layouts for the franchise state. Everything serialized here is canonical
-//! observable state — seating, dish statistics, concentrations, the
-//! free-list replay order — while derived quantities (predictive constants,
-//! caches, scratch buffers, the live-dish index) are rebuilt on load
-//! through the exact code paths a freshly trained sampler uses, which is
+//! layouts for the franchise state. Each posterior fact is written once:
+//!
+//! * the base measure and the sampler configuration;
+//! * the dish menu's per-id live flags;
+//! * per group, its points and its tables (each table's dish and member
+//!   list, in the sampler's order);
+//! * the concentrations γ and α₀;
+//! * per live dish, in dish-id order, κₙ, νₙ, μₙ, the packed factor and
+//!   Ψₙ — their bits come from the fit's update history, so they cannot be
+//!   recomputed.
+//!
+//! Everything else is derived in one place, [`read_sections`]: each item's
+//! seat from the member lists, each dish's table and item counts from the
+//! tables, its bank slot from its rank among the live ids, and the
+//! predictive constants, caches and live-dish index through the code paths
+//! a freshly trained sampler uses. A derived value cannot disagree with
+//! the fact it is derived from, so the audit only has to reject what the
+//! sampler itself never produces: a member out of range or listed twice,
+//! an item listed nowhere, an empty table, a table serving a retired dish,
+//! and a live dish no table serves. The seat-move counter is not stored
+//! (only its per-sweep delta is read). Writing canonical state only is
 //! what makes save → load → re-save byte-identical and a reloaded replica
 //! bit-equal to the original.
 //!
@@ -27,15 +43,11 @@ use crate::Points;
 pub const SEC_PARAMS: u32 = 1;
 /// Section id of the sampler configuration.
 pub const SEC_HDP_CONFIG: u32 = 2;
-/// Section id of the seating arrangement (groups, tables, dishes, menu,
-/// concentrations).
+/// Section id of the seating arrangement (dish menu, groups with their
+/// tables, concentrations).
 pub const SEC_SEATING: u32 = 3;
-/// Section id of the dish bank (per-dish NIW sufficient statistics).
+/// Section id of the dish bank (each live dish's NIW posterior).
 pub const SEC_BANK: u32 = 4;
-
-/// `u64` sentinel standing in for `usize::MAX` (an unseated item) on the
-/// wire — the format is 64-bit regardless of host.
-const UNSEATED: u64 = u64::MAX;
 
 /// Append every HDP section to `w`.
 pub(crate) fn write_sections(state: &HdpState, config: &HdpConfig, w: &mut SnapshotWriter) {
@@ -53,17 +65,34 @@ pub(crate) fn write_sections(state: &HdpState, config: &HdpConfig, w: &mut Snaps
     w.section(SEC_HDP_CONFIG, enc.into_bytes());
 
     let mut enc = Enc::new();
-    encode_seating(state, &mut enc);
+    state.menu.encode_into(&mut enc);
+    enc.put_usize(state.groups.len());
+    for (group, tables) in state.groups.iter().zip(&state.tables) {
+        enc.put_usize(group.len());
+        enc.put_f64_slice(group.as_flat());
+        enc.put_usize(tables.len());
+        for table in tables {
+            enc.put_usize(table.dish);
+            enc.put_usize(table.members.len());
+            for &member in &table.members {
+                enc.put_usize(member);
+            }
+        }
+    }
+    enc.put_f64(state.gamma);
+    enc.put_f64(state.alpha);
     w.section(SEC_SEATING, enc.into_bytes());
 
     let mut enc = Enc::new();
-    state.bank.encode_into(&mut enc);
+    state.bank.encode_into(state.menu.live_slots(), &mut enc);
     w.section(SEC_BANK, enc.into_bytes());
 }
 
 /// Decode every HDP section of a verified container back into snapshot
-/// parts, cross-validating the seating bookkeeping so a later sweep can
-/// never panic on state a corrupted-but-CRC-valid writer produced.
+/// parts, deriving the seats, counts and slots the wire leaves out and
+/// auditing the seating so a later sweep can never panic on state a
+/// corrupted-but-CRC-valid writer produced: every such state is
+/// [`SnapshotError::Malformed`].
 pub(crate) fn read_sections(file: &SnapshotFile<'_>) -> SnapResult<(HdpState, HdpConfig)> {
     let mut dec = Dec::new(file.section(SEC_PARAMS)?);
     let params = NiwParams::decode_from(&mut dec)?;
@@ -87,102 +116,81 @@ pub(crate) fn read_sections(file: &SnapshotFile<'_>) -> SnapResult<(HdpState, Hd
         .validate()
         .map_err(|e| SnapshotError::Malformed(format!("HdpConfig: {e}")))?;
 
-    let mut dec = Dec::new(file.section(SEC_BANK)?);
-    let bank = DishBank::decode_from(&mut dec, &params)?;
-    dec.finish("bank section")?;
-
-    let mut dec = Dec::new(file.section(SEC_SEATING)?);
-    let state = decode_seating(&mut dec, params, bank)?;
-    dec.finish("seating section")?;
-    Ok((state, config))
-}
-
-fn encode_seating(state: &HdpState, enc: &mut Enc) {
-    enc.put_usize(state.groups.len());
-    for (group, assignment) in state.groups.iter().zip(&state.assignment) {
-        enc.put_usize(group.len());
-        enc.put_f64_slice(group.as_flat());
-        debug_assert_eq!(group.len(), assignment.len());
-        for &table in assignment {
-            enc.put_u64(if table == usize::MAX { UNSEATED } else { table as u64 });
-        }
-    }
-    for tables in &state.tables {
-        enc.put_usize(tables.len());
-        for table in tables {
-            enc.put_usize(table.dish);
-            enc.put_usize(table.members.len());
-            for &member in &table.members {
-                enc.put_usize(member);
-            }
-        }
-    }
-    state.menu.encode_into(enc);
-    enc.put_f64(state.gamma);
-    enc.put_f64(state.alpha);
-    enc.put_u64(state.seat_moves);
-}
-
-fn decode_seating(
-    dec: &mut Dec<'_>,
-    params: NiwParams,
-    bank: DishBank,
-) -> SnapResult<HdpState> {
+    let malformed = |msg: String| Err(SnapshotError::Malformed(msg));
     let d = params.dim();
-    let n_groups = dec.count(8, "group count")?;
+    let mut dec = Dec::new(file.section(SEC_SEATING)?);
+    let mut menu = DishMenu::decode_from(&mut dec)?;
+    // Items seated at each dish id's tables: the bank's counts `n`.
+    let mut dish_items = vec![0usize; menu.n_ids()];
+    let n_groups = dec.count(2 * 8, "group count")?;
     let mut groups = Vec::with_capacity(n_groups);
     let mut assignment = Vec::with_capacity(n_groups);
+    let mut tables = Vec::with_capacity(n_groups);
     for j in 0..n_groups {
-        // `count` has checked that `len` rows of `d` coordinates plus their
-        // seats fit in the section, so the product cannot overflow.
-        let len = dec.count(8 * (d + 1), "group length")?;
+        // `count` has checked that `len` rows of `d` coordinates fit in
+        // the section, so the product cannot overflow.
+        let len = dec.count(8 * d, "group length")?;
         let points = dec.f64_vec(len * d, "group point")?;
         if let Some(c) = points.iter().position(|v| !v.is_finite()) {
-            return Err(SnapshotError::Malformed(format!(
-                "group {j} point {} has a non-finite coordinate",
-                c / d
-            )));
+            return malformed(format!("group {j} point {} has a non-finite coordinate", c / d));
         }
-        let mut seats = Vec::with_capacity(len);
-        for _ in 0..len {
-            let raw = dec.u64("assignment entry")?;
-            seats.push(if raw == UNSEATED {
-                usize::MAX
-            } else {
-                usize::try_from(raw).map_err(|_| {
-                    SnapshotError::Malformed(format!(
-                        "group {j}: assignment entry {raw} exceeds the host's usize"
-                    ))
-                })?
-            });
-        }
-        groups.push(Arc::new(Points::from_flat(d, len, points)));
-        assignment.push(seats);
-    }
-    let mut tables = Vec::with_capacity(n_groups);
-    for _ in 0..n_groups {
-        let n_tables = dec.count(2 * 8, "table count")?;
+        // Every table lists at least one member: dish, count and member.
+        let n_tables = dec.count(3 * 8, "table count")?;
+        let mut seats = vec![usize::MAX; len];
         let mut group_tables = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
+        for t in 0..n_tables {
             let dish = dec.usize("table dish")?;
+            match menu.n_tables_mut(dish) {
+                Some(served) => *served += 1,
+                None => return malformed(format!("group {j} table {t} serves unknown dish {dish}")),
+            }
             let n_members = dec.count(8, "table member count")?;
+            if n_members == 0 {
+                return malformed(format!("group {j} table {t} has no members"));
+            }
+            dish_items[dish] += n_members;
             let mut members = Vec::with_capacity(n_members);
             for _ in 0..n_members {
-                members.push(dec.usize("table member")?);
+                let i = dec.usize("table member")?;
+                match seats.get_mut(i) {
+                    None => {
+                        return malformed(format!(
+                            "group {j} table {t} lists member {i} of a group of {len}"
+                        ))
+                    }
+                    Some(seat) if *seat != usize::MAX => {
+                        return malformed(format!("group {j} table {t} lists member {i} twice"))
+                    }
+                    Some(seat) => *seat = t,
+                }
+                members.push(i);
             }
             group_tables.push(Table { dish, members });
         }
+        if let Some(i) = seats.iter().position(|&t| t == usize::MAX) {
+            return malformed(format!("group {j} item {i} sits at no table"));
+        }
+        groups.push(Arc::new(Points::from_flat(d, len, points)));
+        assignment.push(seats);
         tables.push(group_tables);
     }
-    let menu = DishMenu::decode_from(dec)?;
     let gamma = dec.f64("gamma")?;
     let alpha = dec.f64("alpha")?;
-    let seat_moves = dec.u64("seat_moves")?;
+    dec.finish("seating section")?;
     if !(gamma.is_finite() && gamma > 0.0 && alpha.is_finite() && alpha > 0.0) {
-        return Err(SnapshotError::Malformed(format!(
-            "concentrations gamma = {gamma}, alpha = {alpha} out of domain"
-        )));
+        return malformed(format!("concentrations gamma = {gamma}, alpha = {alpha} out of domain"));
     }
+    let mut counts = Vec::with_capacity(menu.n_live());
+    for (id, dish) in menu.live() {
+        if dish.n_tables == 0 {
+            return malformed(format!("live dish {id} is served by no table"));
+        }
+        counts.push(dish_items[id]);
+    }
+
+    let mut dec = Dec::new(file.section(SEC_BANK)?);
+    let bank = DishBank::decode_from(&mut dec, &params, &counts)?;
+    dec.finish("bank section")?;
 
     let state = HdpState {
         params,
@@ -193,109 +201,10 @@ fn decode_seating(
         bank,
         gamma,
         alpha,
-        seat_moves,
+        seat_moves: 0,
         scratch: Default::default(),
     };
-    validate_seating(&state)?;
-    Ok(state)
-}
-
-/// Cross-validate the decoded bookkeeping: every index that the seating
-/// engine would later follow unchecked must resolve. This is the non-panicking
-/// twin of `HdpState::check_invariants` — corruption that survives the CRCs
-/// (i.e. a buggy or hostile writer) surfaces here as
-/// [`SnapshotError::Malformed`].
-///
-/// Linear in the seating: each group's tables mark the members they list
-/// (a member must sit at the table that lists it, and only once), and every
-/// seated item must then be marked.
-fn validate_seating(state: &HdpState) -> SnapResult<()> {
-    let malformed = |msg: String| Err(SnapshotError::Malformed(msg));
-    if state.tables.len() != state.groups.len() {
-        return malformed(format!(
-            "{} table lists for {} groups",
-            state.tables.len(),
-            state.groups.len()
-        ));
-    }
-    let mut n_tables_by_dish = vec![0usize; state.menu.n_ids()];
-    let mut listed = Vec::new();
-    for (j, ((group, seats), tables)) in
-        state.groups.iter().zip(&state.assignment).zip(&state.tables).enumerate()
-    {
-        if group.len() != seats.len() {
-            return malformed(format!(
-                "group {j}: {} assignment entries for {} points",
-                seats.len(),
-                group.len()
-            ));
-        }
-        listed.clear();
-        listed.resize(seats.len(), false);
-        for (t, table) in tables.iter().enumerate() {
-            match state.menu.get(table.dish) {
-                Some(_) => n_tables_by_dish[table.dish] += 1,
-                None => {
-                    return malformed(format!(
-                        "group {j} table {t} serves unknown dish {}",
-                        table.dish
-                    ))
-                }
-            }
-            if table.members.is_empty() {
-                return malformed(format!("group {j} table {t} has no members"));
-            }
-            for &i in &table.members {
-                if seats.get(i) != Some(&t) {
-                    return malformed(format!(
-                        "group {j} table {t} lists member {i} that is not seated there"
-                    ));
-                }
-                if std::mem::replace(&mut listed[i], true) {
-                    return malformed(format!("group {j} table {t} lists member {i} twice"));
-                }
-            }
-        }
-        for (i, (&t, &is_listed)) in seats.iter().zip(&listed).enumerate() {
-            if t != usize::MAX {
-                if t >= tables.len() {
-                    return malformed(format!(
-                        "group {j} item {i} sits at table {t} of {}",
-                        tables.len()
-                    ));
-                }
-                if !is_listed {
-                    return malformed(format!(
-                        "group {j} item {i} is not among table {t}'s members"
-                    ));
-                }
-            }
-        }
-    }
-    let mut seen_slots = vec![false; state.bank.n_slots()];
-    for (id, dish) in state.live_dishes() {
-        if dish.slot >= state.bank.n_slots() || !state.bank.is_live(dish.slot) {
-            return malformed(format!("dish {id} occupies dead bank slot {}", dish.slot));
-        }
-        if seen_slots[dish.slot] {
-            return malformed(format!("dish {id} shares bank slot {}", dish.slot));
-        }
-        seen_slots[dish.slot] = true;
-        if dish.n_tables != n_tables_by_dish[id] {
-            return malformed(format!(
-                "dish {id} claims {} tables but {} serve it",
-                dish.n_tables, n_tables_by_dish[id]
-            ));
-        }
-    }
-    if state.bank.n_live() != state.n_dishes() {
-        return malformed(format!(
-            "bank has {} live slots for {} live dishes",
-            state.bank.n_live(),
-            state.n_dishes()
-        ));
-    }
-    Ok(())
+    Ok((state, config))
 }
 
 #[cfg(test)]
@@ -307,15 +216,16 @@ mod tests {
     use rand::SeedableRng;
 
     /// A converged two-group state over 2-D blobs, every table of group 0
-    /// with at least one member and one table with two or more.
+    /// with at least one member and one table with two or more. The fit
+    /// retires dishes, so the bank holds dead slots for decoding to drop.
     fn trained() -> (HdpState, HdpConfig) {
         let mut rng = StdRng::seed_from_u64(31);
         let blob = |rng: &mut StdRng, cx: f64| -> Vec<Vec<f64>> {
             (0..20)
                 .map(|_| {
                     vec![
-                        cx + 0.5 * osr_stats::sampling::standard_normal(rng),
-                        0.5 * osr_stats::sampling::standard_normal(rng),
+                        cx + osr_stats::sampling::standard_normal(rng),
+                        osr_stats::sampling::standard_normal(rng),
                     ]
                 })
                 .collect()
@@ -336,8 +246,12 @@ mod tests {
         w.finish()
     }
 
+    /// Decode `bytes`, auditing every decoded state with the sampler's own
+    /// invariant check (the derived seats, counts and slots included).
     fn decode(bytes: &[u8]) -> SnapResult<(HdpState, HdpConfig)> {
-        read_sections(&SnapshotFile::parse(bytes)?)
+        let decoded = read_sections(&SnapshotFile::parse(bytes)?)?;
+        decoded.0.check_invariants();
+        Ok(decoded)
     }
 
     /// The `Malformed` message a crafted state decodes to.
@@ -352,11 +266,33 @@ mod tests {
     #[test]
     fn seating_round_trips_byte_identically() {
         let (state, config) = trained();
+        // The fit retired a dish, so decoding compacts the bank.
+        assert!(state.bank.n_slots() > state.bank.n_live(), "no dead bank slot to compact");
         let bytes = encode(&state, &config);
         let (decoded, decoded_config) = decode(&bytes).unwrap();
-        decoded.check_invariants();
         assert_eq!(decoded.groups, state.groups);
+        assert_eq!(decoded.assignment, state.assignment);
+        assert_eq!(decoded.bank.n_slots(), state.n_dishes());
+        assert_eq!(decoded.seat_moves, 0);
         assert_eq!(encode(&decoded, &decoded_config), bytes);
+
+        // A warm serve from either state is bit-equal, although a dish the
+        // batch nucleates takes a recycled slot in one bank and a fresh one
+        // in the other.
+        let batch = vec![vec![0.0, 9.0], vec![0.3, 9.2], vec![-5.0, 0.1]];
+        let serve = |state: &HdpState| {
+            let snap = crate::PosteriorSnapshot::from_parts(state.clone(), config);
+            let mut sess = snap.session(&batch).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            for _ in 0..3 {
+                sess.sweep(&mut rng);
+            }
+            let dishes: Vec<_> = (0..batch.len()).map(|i| sess.dish_of(2, i)).collect();
+            (dishes, sess.state().joint_log_likelihood().to_bits(), sess.n_dishes())
+        };
+        let (served, decoded_served) = (serve(&state), serve(&decoded));
+        assert!(served.2 > state.n_dishes(), "the batch nucleated no dish");
+        assert_eq!(served, decoded_served);
     }
 
     #[test]
@@ -374,7 +310,7 @@ mod tests {
         let t = state.tables[0].iter().position(|t| t.members.len() >= 2).unwrap();
         let dropped = state.tables[0][t].members.pop().unwrap();
         let msg = malformed(&state, &config);
-        assert_eq!(msg, format!("group 0 item {dropped} is not among table {t}'s members"));
+        assert_eq!(msg, format!("group 0 item {dropped} sits at no table"));
     }
 
     #[test]
@@ -383,8 +319,29 @@ mod tests {
         let len = state.groups[1].len();
         state.tables[1][0].members.push(len + 3);
         let msg = malformed(&state, &config);
-        let want = format!("group 1 table 0 lists member {} that is not seated there", len + 3);
-        assert_eq!(msg, want);
+        assert_eq!(msg, format!("group 1 table 0 lists member {} of a group of {len}", len + 3));
+    }
+
+    #[test]
+    fn a_live_dish_no_table_serves_is_malformed() {
+        let (mut state, config) = trained();
+        // A dish the menu and the bank both hold, but no table serves.
+        let id = state.new_dish();
+        let msg = malformed(&state, &config);
+        assert_eq!(msg, format!("live dish {id} is served by no table"));
+    }
+
+    #[test]
+    fn a_bank_count_is_derived_from_the_seating() {
+        // A bank whose item count disagrees with the seating cannot be
+        // written down: the count is not on the wire, and the decoded one
+        // is the seating's (`decode` checks the invariants).
+        let (mut state, config) = trained();
+        let (id, x) = (state.dish_of(0, 0), state.groups[0][0].to_vec());
+        state.dish_add(id, &x);
+        let (decoded, _) = decode(&encode(&state, &config)).unwrap();
+        let slot = decoded.dish(id).slot;
+        assert_eq!(decoded.bank.count(slot) + 1, state.bank.count(state.dish(id).slot));
     }
 
     #[test]

@@ -134,20 +134,6 @@ pub(crate) struct DishMenu {
 }
 
 impl DishMenu {
-    /// A menu over id-keyed entries (`None` = retired), with its live
-    /// index built from them.
-    fn from_entries(dishes: Vec<Option<Dish>>) -> Self {
-        let mut menu = Self::default();
-        for (id, dish) in dishes.iter().enumerate() {
-            if let Some(d) = dish {
-                menu.live.push(id);
-                menu.slots.push(d.slot);
-            }
-        }
-        menu.dishes = dishes;
-        menu
-    }
-
     /// One past the largest id ever minted.
     pub fn n_ids(&self) -> usize {
         self.dishes.len()
@@ -206,33 +192,32 @@ impl DishMenu {
         self.slots.remove(p);
     }
 
-    /// Write every id's entry — live flag, then slot and table count — in
-    /// id order (the seating section's menu layout).
+    /// Write every id's live flag, in id order (the seating section's menu
+    /// layout). Slots and table counts are not written: they are storage
+    /// and a count of the tables, both derived on decode.
     pub fn encode_into(&self, enc: &mut Enc) {
         enc.put_usize(self.dishes.len());
         for dish in &self.dishes {
             enc.put_bool(dish.is_some());
-            if let Some(dish) = dish {
-                enc.put_usize(dish.slot);
-                enc.put_usize(dish.n_tables);
-            }
         }
     }
 
-    /// Inverse of [`Self::encode_into`]; rebuilds the live index.
+    /// Inverse of [`Self::encode_into`]: the `k`-th live id occupies bank
+    /// slot `k` and starts with no tables, for the seating decoder to
+    /// count through [`Self::n_tables_mut`]. One byte per id bounds the id
+    /// count by the payload, so a hostile length cannot demand an
+    /// unbounded allocation.
     pub fn decode_from(dec: &mut Dec<'_>) -> SnapResult<Self> {
         let n_ids = dec.count(1, "dish menu length")?;
-        let mut dishes = Vec::with_capacity(n_ids);
+        let mut menu = Self { dishes: Vec::with_capacity(n_ids), ..Self::default() };
         for _ in 0..n_ids {
-            dishes.push(if dec.bool("dish live flag")? {
-                let slot = dec.usize("dish slot")?;
-                let n_tables = dec.usize("dish table count")?;
-                Some(Dish { slot, n_tables })
+            if dec.bool("dish live flag")? {
+                menu.push(menu.n_live());
             } else {
-                None
-            });
+                menu.dishes.push(None);
+            }
         }
-        Ok(Self::from_entries(dishes))
+        Ok(menu)
     }
 
     /// Assert the live index equals a filtered scan of the entries: ids
@@ -279,8 +264,8 @@ pub(crate) struct HdpState {
     pub alpha: f64,
     /// Cumulative count of seating decisions (item reseatings per Eq. 7 plus
     /// table dish resamplings per Eq. 8) since this state was created.
-    /// Cloned along with the state, so a session's per-sweep delta is
-    /// independent of how many sweeps the checkpoint itself ran.
+    /// Only its per-sweep delta is ever read, so a snapshot does not store
+    /// it and a decoded state starts it at 0.
     pub seat_moves: u64,
     /// Per-move scratch buffers (see [`SeatScratch`]); never observable.
     pub scratch: SeatScratch,

@@ -99,7 +99,10 @@
 //!
 //! Slots are dense and reused through a free-list; the sampler's stable,
 //! monotone `DishId`s live one layer up (`osr-hdp`) and map onto slots, so
-//! retirement never moves another dish's data.
+//! retirement never moves another dish's data. Slots are storage only: the
+//! snapshot codec writes no slot number, live flag or free-list, and a
+//! decoded bank holds its dishes in slots `0..K` (see
+//! [`DishBank::encode_into`]).
 
 use osr_linalg::lanes::{axpy4, fused_solve_lower_cols, givens_downdate_col, givens_update_col};
 use osr_linalg::{vector, Cholesky, Matrix};
@@ -458,87 +461,69 @@ impl DishBank {
         self.free.push(slot);
     }
 
-    /// Append the bank's canonical state to a snapshot payload: layout,
-    /// per-slot live flags with the live slots' posterior state (n, κₙ, νₙ,
-    /// μₙ, packed factor, packed Ψₙ), and the free-list in its exact order
-    /// (slot allocation pops the list back-to-front, so the order is part of
-    /// the deterministic replay contract).
+    /// Append the posterior state of the dishes at `slots`, in that order,
+    /// to a snapshot payload: κₙ, νₙ, μₙ, the packed factor and the packed
+    /// Ψₙ of each. These are the only per-dish facts whose bits depend on
+    /// the fit's update history. Everything else is derived on load:
+    /// [`Self::decode_from`] takes the item counts from the caller (the
+    /// seating), lays the dishes out in slots `0..K`, and rebuilds the
+    /// predictive constants through the exact `refresh_constants` sequence.
     ///
-    /// Dead slots contribute only their flag — their stale array contents
-    /// are unobservable (every `alloc` re-stamps the full slot), so omitting
-    /// them makes the byte stream a pure function of observable state and
-    /// save→load→re-save byte-identical. Derived constants (`df`, `base`,
-    /// `exp_ls`, caches, scratch) are never written: [`Self::decode_from`]
-    /// rebuilds them via the exact `refresh_constants` sequence.
-    pub fn encode_into(&self, enc: &mut crate::snapshot::Enc) {
-        enc.put_usize(self.d);
-        enc.put_usize(self.live.len());
-        for slot in 0..self.live.len() {
-            enc.put_bool(self.live[slot]);
-            if !self.live[slot] {
-                continue;
-            }
-            enc.put_usize(self.n[slot]);
+    /// Slot numbers, live flags and the free-list are storage, not
+    /// posterior: every kernel reads a dish through the slot it is handed,
+    /// so a compacted bank scores every dish to the same bits, and writing
+    /// the dishes in a canonical order (the caller's dish-id order) makes
+    /// save → load → re-save byte-identical.
+    pub fn encode_into(&self, slots: &[Slot], enc: &mut crate::snapshot::Enc) {
+        for &slot in slots {
             enc.put_f64(self.kappa[slot]);
             enc.put_f64(self.nu[slot]);
             enc.put_f64_slice(&self.mu[slot * self.d..(slot + 1) * self.d]);
             enc.put_f64_slice(&self.chol[slot * self.tri..(slot + 1) * self.tri]);
             enc.put_f64_slice(&self.psi[slot * self.tri..(slot + 1) * self.tri]);
         }
-        enc.put_usize(self.free.len());
-        for &slot in &self.free {
-            enc.put_usize(slot);
-        }
     }
 
-    /// Decode a bank written by [`Self::encode_into`], rebuilding the prior
-    /// template and every derived constant from `params` and the decoded
-    /// canonical state.
+    /// Decode `counts.len()` dishes written by [`Self::encode_into`] into
+    /// slots `0..counts.len()`, dish `k` having absorbed `counts[k]`
+    /// observations, and rebuild the prior template and every derived
+    /// constant from `params`.
     ///
     /// # Errors
-    /// [`crate::snapshot::SnapshotError::DimensionMismatch`] when the
-    /// payload's dimension disagrees with `params`, and typed errors for
-    /// truncation, non-finite posterior state, or an inconsistent free-list.
+    /// Typed errors for truncation and for non-finite or out-of-domain
+    /// posterior state.
     pub fn decode_from(
         dec: &mut crate::snapshot::Dec<'_>,
         params: &NiwParams,
+        counts: &[usize],
     ) -> crate::snapshot::SnapResult<Self> {
         use crate::snapshot::SnapshotError;
         let mut bank = Self::new(params);
-        let d = dec.count(1, "DishBank dim")?;
-        if d != params.dim() {
-            return Err(SnapshotError::DimensionMismatch {
-                expected: params.dim(),
-                got: d,
-            });
-        }
-        let tri = bank.tri;
-        // Each slot contributes at least its one-byte live flag.
-        let n_slots = dec.count(1, "DishBank slots")?;
-        bank.n = vec![0; n_slots];
-        bank.kappa = vec![0.0; n_slots];
-        bank.nu = vec![0.0; n_slots];
-        bank.mu = vec![0.0; n_slots * d];
-        bank.chol = vec![0.0; n_slots * tri];
-        bank.psi = vec![0.0; n_slots * tri];
-        bank.df = vec![0.0; n_slots];
-        bank.half_df_dd = vec![0.0; n_slots];
-        bank.exp_ls = vec![0.0; n_slots];
-        bank.base = vec![0.0; n_slots];
-        bank.log_det_chol = vec![0.0; n_slots];
-        bank.live = vec![false; n_slots];
-        for slot in 0..n_slots {
-            if !dec.bool("DishBank live flag")? {
-                continue;
-            }
-            bank.live[slot] = true;
-            bank.n[slot] = dec.usize("DishBank n")?;
+        let (d, tri) = (bank.d, bank.tri);
+        let k = counts.len();
+        // The whole payload up front (κ, ν, μ, factor and Ψ per dish): a
+        // count that the section cannot back is a truncation, not an
+        // allocation.
+        let record = 8 * (2 + d + 2 * tri);
+        let mut dec = crate::snapshot::Dec::new(dec.take(k.saturating_mul(record), "DishBank")?);
+        bank.n = counts.to_vec();
+        bank.kappa = vec![0.0; k];
+        bank.nu = vec![0.0; k];
+        bank.mu = vec![0.0; k * d];
+        bank.chol = vec![0.0; k * tri];
+        bank.psi = vec![0.0; k * tri];
+        bank.df = vec![0.0; k];
+        bank.half_df_dd = vec![0.0; k];
+        bank.exp_ls = vec![0.0; k];
+        bank.base = vec![0.0; k];
+        bank.log_det_chol = vec![0.0; k];
+        bank.live = vec![true; k];
+        for slot in 0..k {
             let kappa = dec.f64("DishBank kappa")?;
             let nu = dec.f64("DishBank nu")?;
             if !(kappa.is_finite() && kappa > 0.0 && nu.is_finite()) {
                 return Err(SnapshotError::Malformed(format!(
-                    "DishBank slot {slot}: kappa = {kappa}, nu = {nu} out of \
-                     domain"
+                    "DishBank dish {slot}: kappa = {kappa}, nu = {nu} out of domain"
                 )));
             }
             bank.kappa[slot] = kappa;
@@ -553,39 +538,14 @@ impl DishBank {
                 let diag = chol[off];
                 if !(diag.is_finite() && diag > 0.0) {
                     return Err(SnapshotError::Malformed(format!(
-                        "DishBank slot {slot}: factor diagonal [{j}] = {diag} \
+                        "DishBank dish {slot}: factor diagonal [{j}] = {diag} \
                          is not finite and positive"
                     )));
                 }
                 off += d - j;
             }
             dec.f64_into(&mut bank.psi[slot * tri..(slot + 1) * tri], "DishBank psi")?;
-        }
-        let n_free = dec.count(8, "DishBank free-list")?;
-        let n_dead = n_slots - bank.live.iter().filter(|&&l| l).count();
-        if n_free != n_dead {
-            return Err(SnapshotError::Malformed(format!(
-                "DishBank free-list has {n_free} entries but {n_dead} slots \
-                 are dead"
-            )));
-        }
-        let mut seen = vec![false; n_slots];
-        bank.free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            let slot = dec.usize("DishBank free-list entry")?;
-            if slot >= n_slots || bank.live[slot] || seen[slot] {
-                return Err(SnapshotError::Malformed(format!(
-                    "DishBank free-list entry {slot} is out of range, live, \
-                     or duplicated"
-                )));
-            }
-            seen[slot] = true;
-            bank.free.push(slot);
-        }
-        for slot in 0..n_slots {
-            if bank.live[slot] {
-                bank.refresh_constants(slot);
-            }
+            bank.refresh_constants(slot);
         }
         Ok(bank)
     }
@@ -1483,72 +1443,82 @@ mod tests {
         }
 
         let mut enc = crate::snapshot::Enc::new();
-        bank.encode_into(&mut enc);
+        bank.encode_into(&[s0, s2], &mut enc);
         let bytes = enc.into_bytes();
 
         let mut dec = crate::snapshot::Dec::new(&bytes);
-        let mut bank2 = DishBank::decode_from(&mut dec, &p).unwrap();
+        let mut bank2 = DishBank::decode_from(&mut dec, &p, &[2, 3]).unwrap();
         dec.finish("bank").unwrap();
 
-        assert_eq!(bank2.n_slots(), 3);
+        // The dead slot is gone: the two live dishes sit in slots 0 and 1.
+        assert_eq!(bank2.n_slots(), 2);
         assert_eq!(bank2.n_live(), 2);
-        assert!(!bank2.is_live(s1));
-        // Predictives over the decoded bank are bit-identical.
+        assert_eq!((bank2.count(0), bank2.count(1)), (2, 3));
+        // Predictives over the compacted bank are bit-identical.
         let probe = [0.4, -0.2];
-        for slot in [s0, s2] {
+        for (slot, slot2) in [(s0, 0), (s2, 1)] {
             assert_eq!(
                 bank.predictive_one(slot, &probe).to_bits(),
-                bank2.predictive_one(slot, &probe).to_bits()
+                bank2.predictive_one(slot2, &probe).to_bits()
             );
+            assert_eq!(bank.log_marginal(slot).to_bits(), bank2.log_marginal(slot2).to_bits());
         }
         let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         assert_eq!(
             bank.block_predictive(s0, &refs).to_bits(),
-            bank2.block_predictive(s0, &refs).to_bits()
+            bank2.block_predictive(0, &refs).to_bits()
         );
 
         // Re-encode is byte-identical even though the source bank carried
-        // stale bits in the dead slot and the decoded one carries zeros.
+        // a dead slot with stale bits.
         let mut enc2 = crate::snapshot::Enc::new();
-        bank2.encode_into(&mut enc2);
+        bank2.encode_into(&[0, 1], &mut enc2);
         assert_eq!(bytes, enc2.into_bytes());
 
-        // Allocation replays deterministically: both banks hand out the
-        // freed slot next.
-        assert_eq!(bank.alloc(), bank2.alloc());
+        // A dish nucleated after the load starts from the prior in either
+        // bank, whichever slot it lands in.
+        let (fresh, fresh2) = (bank.alloc(), bank2.alloc());
+        assert_eq!((fresh, fresh2), (s1, 2));
+        assert_eq!(
+            bank.predictive_one(fresh, &probe).to_bits(),
+            bank2.predictive_one(fresh2, &probe).to_bits()
+        );
     }
 
     #[test]
-    fn bank_codec_rejects_dimension_mismatch_and_bad_free_list() {
+    fn bank_codec_rejects_out_of_domain_state_and_truncation() {
         let p = params2();
         let mut bank = DishBank::new(&p);
         let s = bank.alloc();
         bank.add_obs(s, &pts()[0]);
         let mut enc = crate::snapshot::Enc::new();
-        bank.encode_into(&mut enc);
+        bank.encode_into(&[s], &mut enc);
         let bytes = enc.into_bytes();
+        let decode = |bytes: &[u8], counts: &[usize]| {
+            DishBank::decode_from(&mut crate::snapshot::Dec::new(bytes), &p, counts)
+        };
+        assert!(decode(&bytes, &[1]).is_ok());
 
-        // Dimension disagreement with the caller's prior is typed.
-        let p3 = NiwParams::new(vec![0.0; 3], 1.0, 5.0, Matrix::identity(3)).unwrap();
-        let mut dec = crate::snapshot::Dec::new(&bytes);
+        // A count the payload cannot back is a truncation, read before any
+        // per-dish allocation.
         assert!(matches!(
-            DishBank::decode_from(&mut dec, &p3),
-            Err(crate::snapshot::SnapshotError::DimensionMismatch {
-                expected: 3,
-                got: 2
-            })
+            decode(&bytes, &[1, 1]),
+            Err(crate::snapshot::SnapshotError::Truncated { .. })
         ));
-
-        // A free-list pointing at a live slot is rejected, not trusted.
+        // A non-positive κ is rejected, not trusted.
         let mut tampered = bytes.clone();
-        let len = tampered.len();
-        // Overwrite the trailing free-list count (0) with 1 plus a bogus
-        // entry naming the live slot 0.
-        tampered[len - 8..].copy_from_slice(&1u64.to_le_bytes());
-        tampered.extend_from_slice(&0u64.to_le_bytes());
-        let mut dec = crate::snapshot::Dec::new(&tampered);
+        tampered[..8].copy_from_slice(&(-1.0f64).to_bits().to_le_bytes());
         assert!(matches!(
-            DishBank::decode_from(&mut dec, &p),
+            decode(&tampered, &[1]),
+            Err(crate::snapshot::SnapshotError::Malformed(_))
+        ));
+        // So is a factor diagonal the predictive constants cannot take the
+        // log of (the first factor entry follows κ, ν and μ).
+        let mut tampered = bytes.clone();
+        let off = 8 * (2 + 2);
+        tampered[off..off + 8].copy_from_slice(&0.0f64.to_bits().to_le_bytes());
+        assert!(matches!(
+            decode(&tampered, &[1]),
             Err(crate::snapshot::SnapshotError::Malformed(_))
         ));
     }

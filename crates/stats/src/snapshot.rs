@@ -37,8 +37,11 @@ use std::fmt;
 /// Current snapshot container format version. Bump on any layout change;
 /// readers reject every other version with [`SnapshotError::VersionSkew`].
 /// Version 2 dropped the HDP's separate prior-posterior section (id 5): the
-/// dish bank already carries the prior's predictive constants.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// dish bank already carries the prior's predictive constants. Version 3
+/// writes each posterior fact once: per-item seats, dish slots, table and
+/// item counts, the bank's free-list, the serving layer's copy of the
+/// sampler schedule and the seat-move counter are derived on load instead.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// The 8-byte file magic.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OSRSNAP\0";

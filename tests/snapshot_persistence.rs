@@ -100,8 +100,9 @@ fn every_corruption_mode_is_a_typed_error_never_a_panic() {
 
     // A past or future format version (with a consistent header) is version
     // skew: version 1 carried the prior-posterior section this build no
-    // longer writes or reads.
-    for version in [1, SNAPSHOT_FORMAT_VERSION + 1] {
+    // longer writes or reads, and version 2 stored derived seats, slots and
+    // counts beside the facts they derive from.
+    for version in [1, 2, SNAPSHOT_FORMAT_VERSION + 1] {
         let skewed = SnapshotWriter::with_version(version, "cdosr", 2).finish();
         assert!(matches!(
             decode_model(&skewed),
@@ -128,64 +129,107 @@ fn every_corruption_mode_is_a_typed_error_never_a_panic() {
 /// One table of a seating section: its dish and its member list.
 type WireTable = (u64, Vec<u64>);
 
-/// Rewrite group 0's table list inside a seating section payload of
-/// `d`-dimensional points, leaving every other byte as it was. `edit` gets
-/// the tables and the group's point count.
-fn edit_group0_tables(
-    seating: &[u8],
-    d: usize,
-    edit: impl FnOnce(&mut Vec<WireTable>, u64),
-) -> Vec<u8> {
-    let u64_at = |pos: usize| u64::from_le_bytes(seating[pos..pos + 8].try_into().unwrap());
-    // Groups: count, then per group its length, its points and its seats.
-    let n_groups = u64_at(0) as usize;
-    let mut pos = 8;
-    let mut len0 = 0;
-    for j in 0..n_groups {
-        let len = u64_at(pos);
-        if j == 0 {
-            len0 = len;
+/// One group of a seating section: its point count, the raw bytes of its
+/// points, and its tables.
+struct WireGroup {
+    len: u64,
+    points: Vec<u8>,
+    tables: Vec<WireTable>,
+}
+
+/// A seating section taken apart: the menu's live flags, the groups, and
+/// the trailing concentrations (raw bytes).
+struct WireSeating {
+    live: Vec<bool>,
+    groups: Vec<WireGroup>,
+    concentrations: Vec<u8>,
+}
+
+/// Parse a seating section payload of `d`-dimensional points.
+fn parse_seating(bytes: &[u8], d: usize) -> WireSeating {
+    let u64_at = |pos: &mut usize| {
+        let v = u64::from_le_bytes(bytes[*pos..*pos + 8].try_into().unwrap());
+        *pos += 8;
+        v
+    };
+    let mut pos = 0;
+    let n_ids = u64_at(&mut pos) as usize;
+    let live = bytes[pos..pos + n_ids].iter().map(|&b| b == 1).collect();
+    pos += n_ids;
+    let n_groups = u64_at(&mut pos);
+    let mut groups = Vec::new();
+    for _ in 0..n_groups {
+        let len = u64_at(&mut pos);
+        let points = bytes[pos..pos + len as usize * d * 8].to_vec();
+        pos += points.len();
+        let n_tables = u64_at(&mut pos);
+        let tables = (0..n_tables)
+            .map(|_| {
+                let dish = u64_at(&mut pos);
+                let n = u64_at(&mut pos);
+                (dish, (0..n).map(|_| u64_at(&mut pos)).collect())
+            })
+            .collect();
+        groups.push(WireGroup { len, points, tables });
+    }
+    WireSeating { live, groups, concentrations: bytes[pos..].to_vec() }
+}
+
+/// Inverse of [`parse_seating`].
+fn write_seating(seating: &WireSeating) -> Vec<u8> {
+    let mut out = (seating.live.len() as u64).to_le_bytes().to_vec();
+    out.extend(seating.live.iter().map(|&l| u8::from(l)));
+    out.extend((seating.groups.len() as u64).to_le_bytes());
+    for group in &seating.groups {
+        out.extend(group.len.to_le_bytes());
+        out.extend_from_slice(&group.points);
+        out.extend((group.tables.len() as u64).to_le_bytes());
+        for (dish, members) in &group.tables {
+            out.extend(dish.to_le_bytes());
+            out.extend((members.len() as u64).to_le_bytes());
+            members.iter().for_each(|m| out.extend(m.to_le_bytes()));
         }
-        pos += 8 + len as usize * (d + 1) * 8;
     }
-    // Group 0's tables: count, then per table its dish and member list.
-    let start = pos;
-    let n_tables = u64_at(pos);
-    pos += 8;
-    let mut tables = Vec::new();
-    for _ in 0..n_tables {
-        let dish = u64_at(pos);
-        let n = u64_at(pos + 8) as usize;
-        pos += 16;
-        tables.push((dish, (0..n).map(|k| u64_at(pos + 8 * k)).collect()));
-        pos += 8 * n;
-    }
-    edit(&mut tables, len0);
-    let mut out = seating[..start].to_vec();
-    out.extend((tables.len() as u64).to_le_bytes());
-    for (dish, members) in &tables {
-        out.extend(dish.to_le_bytes());
-        out.extend((members.len() as u64).to_le_bytes());
-        members.iter().for_each(|m| out.extend(m.to_le_bytes()));
-    }
-    out.extend_from_slice(&seating[pos..]);
+    out.extend_from_slice(&seating.concentrations);
     out
 }
 
-/// A copy of the container `good` with group 0's tables edited and every
-/// CRC restamped, so only the seating audit can reject it.
-fn with_edited_seating(good: &[u8], edit: impl FnOnce(&mut Vec<WireTable>, u64)) -> Vec<u8> {
+/// A copy of the container `good` with its seating and bank sections
+/// edited and every CRC restamped, so only the decoder's audit can reject
+/// it.
+fn with_edited_posterior(
+    good: &[u8],
+    edit: impl FnOnce(&mut WireSeating, &mut Vec<u8>),
+) -> Vec<u8> {
     // The order the writer emits: the core config, then the HDP sections
     // (params 1, sampler config 2, seating 3, bank 4).
     const SEATING: u32 = 3;
+    const BANK: u32 = 4;
     let file = SnapshotFile::parse(good).unwrap();
-    let seating = edit_group0_tables(file.section(SEATING).unwrap(), file.dim(), edit);
+    let mut seating = parse_seating(file.section(SEATING).unwrap(), file.dim());
+    let mut bank = file.section(BANK).unwrap().to_vec();
+    edit(&mut seating, &mut bank);
     let mut w = SnapshotWriter::new(file.method(), file.dim());
-    for id in [SEC_CORE_CONFIG, 1, 2, SEATING, 4] {
-        let payload = file.section(id).unwrap();
-        w.section(id, if id == SEATING { seating.clone() } else { payload.to_vec() });
+    for id in [SEC_CORE_CONFIG, 1, 2, SEATING, BANK] {
+        w.section(
+            id,
+            match id {
+                SEATING => write_seating(&seating),
+                BANK => bank.clone(),
+                _ => file.section(id).unwrap().to_vec(),
+            },
+        );
     }
     w.finish()
+}
+
+/// [`with_edited_posterior`] on group 0's tables alone; `edit` also gets
+/// the group's point count.
+fn with_edited_seating(good: &[u8], edit: impl FnOnce(&mut Vec<WireTable>, u64)) -> Vec<u8> {
+    with_edited_posterior(good, |seating, _| {
+        let group = &mut seating.groups[0];
+        edit(&mut group.tables, group.len)
+    })
 }
 
 #[test]
@@ -206,14 +250,26 @@ fn crafted_seating_corruptions_load_as_malformed() {
         table.1.pop();
     });
     let out_of_range = with_edited_seating(&good, |tables, len| tables[0].1.push(len + 3));
-    for (name, bytes) in
-        [("duplicate", duplicate), ("unlisted", unlisted), ("out of range", out_of_range)]
-    {
+    // A new highest dish id, live, with a bank record of its own (a copy
+    // of the last dish's, which the highest id owns), that no table serves.
+    let unserved = with_edited_posterior(&good, |seating, bank| {
+        seating.live.push(true);
+        let d = 2;
+        let record = 8 * (2 + d + d * (d + 1));
+        let last = bank[bank.len() - record..].to_vec();
+        bank.extend(last);
+    });
+    for (name, bytes, want) in [
+        ("duplicate member", duplicate, "twice"),
+        ("unlisted member", unlisted, "sits at no table"),
+        ("out of range member", out_of_range, "of a group of"),
+        ("unserved dish", unserved, "is served by no table"),
+    ] {
         fs::write(store.path(), &bytes).unwrap();
         match store.load() {
-            Err(OsrError::Snapshot(SnapshotError::Malformed(_))) => {}
-            Err(other) => panic!("{name} member: expected Malformed, got {other:?}"),
-            Ok(_) => panic!("{name} member: a corrupt seating loaded"),
+            Err(OsrError::Snapshot(SnapshotError::Malformed(msg))) if msg.contains(want) => {}
+            Err(other) => panic!("{name}: expected Malformed(.. {want} ..), got {other:?}"),
+            Ok(_) => panic!("{name}: a corrupt seating loaded"),
         }
     }
     remove_temp_store(&store);
