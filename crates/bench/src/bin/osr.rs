@@ -13,7 +13,6 @@
 //! and reports micro-F-measure and open-set accuracy.
 
 use hdp_osr_core::HdpOsrConfig;
-use osr_baselines::{OneVsSetParams, OsnnParams, PiSvmParams, WOsvmParams, WSvmParams};
 use osr_dataset::csv::read_csv_file;
 use osr_dataset::protocol::SplitConfig;
 use osr_eval::experiment::{run_trials, ExperimentConfig};
@@ -78,20 +77,6 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn spec_for(name: &str, iters: usize) -> Option<MethodSpec> {
-    Some(match name {
-        "hdp-osr" => {
-            MethodSpec::HdpOsr(HdpOsrConfig { iterations: iters, ..Default::default() })
-        }
-        "1-vs-set" => MethodSpec::OneVsSet(OneVsSetParams::default()),
-        "w-osvm" => MethodSpec::WOsvm(WOsvmParams::default()),
-        "w-svm" => MethodSpec::WSvm(WSvmParams::default()),
-        "pi-svm" => MethodSpec::PiSvm(PiSvmParams::default()),
-        "osnn" => MethodSpec::Osnn(OsnnParams::default()),
-        _ => return None,
-    })
-}
-
 /// The `(known, unknown)` class split out of `n_classes`. A zero request
 /// takes the default: roughly half the classes known, half of the remainder
 /// unknown. `Err` carries a budget that does not fit (fewer than 2 known, or
@@ -149,7 +134,6 @@ fn main() {
         trials: args.trials,
         seed: args.seed,
         tune: false,
-        parallel: true,
     };
     eprintln!(
         "{known} known + {unknown} unknown classes (openness {:.1}%), {} trials, seed {}",
@@ -158,20 +142,21 @@ fn main() {
         args.seed
     );
 
-    let methods: Vec<MethodSpec> = if args.method == "all" {
-        ["1-vs-set", "w-osvm", "w-svm", "pi-svm", "osnn", "hdp-osr"]
-            .iter()
-            .filter_map(|m| spec_for(m, args.iters))
-            .collect()
-    } else {
-        match spec_for(&args.method, args.iters) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!("unknown method {:?}; try --list", args.method);
-                std::process::exit(2)
-            }
+    // `--method` is a figure-legend name, lower-cased; the lineup's order is
+    // the order `all` runs in.
+    let lineup = MethodSpec::paper_lineup().into_iter().map(|spec| match spec {
+        MethodSpec::HdpOsr(cfg) => {
+            MethodSpec::HdpOsr(HdpOsrConfig { iterations: args.iters, ..cfg })
         }
-    };
+        other => other,
+    });
+    let methods: Vec<MethodSpec> = lineup
+        .filter(|spec| args.method == "all" || spec.name().to_lowercase() == args.method)
+        .collect();
+    if methods.is_empty() {
+        eprintln!("unknown method {:?}; try --list", args.method);
+        std::process::exit(2)
+    }
 
     println!("method\tf_measure\tf_std\taccuracy\tacc_std\ttrials");
     for spec in methods {

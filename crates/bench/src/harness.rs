@@ -1,6 +1,7 @@
-//! Shared plumbing for the figure/table reproduction binaries.
+//! Shared plumbing for the `replicate` runner: its flags, the table of
+//! openness sweeps behind Figs. 4–9, and the sweep and discovery runs.
 //!
-//! Every binary accepts the same flags:
+//! Every experiment accepts the same flags:
 //!
 //! ```text
 //! --trials N    randomized evaluation splits per point (default 10, paper's value)
@@ -18,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hdp_osr_core::{HdpOsrConfig, ServingMode};
-use osr_dataset::synthetic::SyntheticConfig;
+use osr_dataset::synthetic::{letter_config, pendigits_config, SyntheticConfig};
 use osr_dataset::Dataset;
 use osr_eval::experiment::{openness_sweep, MethodResult};
 use osr_eval::methods::MethodSpec;
@@ -48,10 +49,9 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Parse `std::env::args`, exiting with usage on errors.
-    pub fn from_args() -> Self {
+    /// Parse the flags in `args`, exiting with usage on errors.
+    pub fn parse(args: &[String]) -> Self {
         let mut opts = Self::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
             let take_value = |i: &mut usize| -> String {
@@ -210,7 +210,7 @@ pub fn run_discovery(table: &str, data: &Dataset, opts: &Options) {
     // The broad-prior scale that lets new subclasses nucleate grows with the
     // feature dimension (the prior predictive's normalization cost is
     // O(d·ln ρ)); ρ = 4 suits d ≈ 16, USPS's 39 dims want about twice that.
-    // The figure binaries find this via validation tuning; the discovery
+    // The figure sweeps find this via validation tuning; the discovery
     // tables run untuned, so apply the scaling directly.
     let rho = 4.0 * (data.dim() as f64 / 16.0).max(1.0);
     let config = HdpOsrConfig {
@@ -258,9 +258,13 @@ fn die(msg: String) -> ! {
     std::process::exit(1)
 }
 
-fn usage_exit() -> ! {
+/// Print usage on stderr and exit with code 2.
+pub fn usage_exit() -> ! {
     eprintln!(
-        "flags: --trials N  --seed N  --scale F  --full  --quick  --no-tune  --iters N  --cold"
+        "usage: replicate <experiment> [flags]\n\
+         experiments: letter | usps | pendigits | table1 | table2 | ablation-collective\n\
+         \x20            | ablation-sensitivity\n\
+         flags: --trials N  --seed N  --scale F  --full  --quick  --no-tune  --iters N  --cold"
     );
     std::process::exit(2)
 }
@@ -274,25 +278,119 @@ pub enum Metric {
     Accuracy,
 }
 
-/// Run one figure: an openness sweep of all six methods on `data`,
-/// printing a TSV block and a per-openness summary of `metric`.
-pub fn run_figure(
-    figure: &str,
-    paper_expectation: &str,
-    data: &Dataset,
-    n_known: usize,
-    unknown_counts: &[usize],
-    metric: Metric,
-    opts: &Options,
-) {
+/// One figure plotted from an openness sweep.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// Figure label, as printed in the series heading ("fig4").
+    pub label: &'static str,
+    /// The metric the figure plots.
+    pub metric: Metric,
+    /// The shape the paper reports, printed as the `# paper:` line.
+    pub paper: &'static str,
+}
+
+/// One dataset's openness sweep and the two figures the paper plots from
+/// its trials: F-measure (Figs. 4–6), then accuracy (Figs. 7–9).
+#[derive(Debug, Clone, Copy)]
+pub struct Sweep {
+    /// Experiment name on the `replicate` command line.
+    pub experiment: &'static str,
+    /// The dataset replica at the configured scale.
+    pub dataset: fn(&Options) -> Dataset,
+    /// Known classes.
+    pub n_known: usize,
+    /// Unknown-class counts swept, in order of rising openness.
+    pub unknown_counts: &'static [usize],
+    /// The F-measure figure, then the accuracy figure.
+    pub figures: [Figure; 2],
+}
+
+/// The paper's three openness sweeps (Figs. 4–9).
+///
+/// * LETTER: HDP-OSR comparable to W-SVM / P_I-SVM below ~12 % openness,
+///   significantly above every method past ~12 %, with a notably flat
+///   curve; its accuracy is the highest and degrades the least.
+/// * USPS (PCA → 39 dims): HDP-OSR well above 1-vs-Set / W-SVM / P_I-SVM
+///   as openness grows; OSNN overtakes it past ~12 % (accuracy: ~6 %) but
+///   is clearly worse at openness 0; W-OSVM is so poor the paper omits it.
+/// * PENDIGITS: HDP-OSR much higher than every other method as openness
+///   increases, and almost unchanged across the whole sweep.
+pub const SWEEPS: [Sweep; 3] = [
+    Sweep {
+        experiment: "letter",
+        dataset: |opts| opts.dataset(letter_config()),
+        n_known: 10,
+        unknown_counts: &[0, 2, 4, 8, 12, 16],
+        figures: [
+            Figure {
+                label: "fig4",
+                metric: Metric::FMeasure,
+                paper: "HDP-OSR ≈ W-SVM/PI-SVM at low openness, clearly highest and most \
+                        stable beyond ~12 % openness; OSNN relatively poor on LETTER",
+            },
+            Figure {
+                label: "fig7",
+                metric: Metric::Accuracy,
+                paper: "HDP-OSR clearly highest accuracy as openness increases; stable trend",
+            },
+        ],
+    },
+    Sweep {
+        experiment: "usps",
+        dataset: usps_dataset,
+        n_known: 5,
+        unknown_counts: &[0, 1, 2, 3, 4, 5],
+        figures: [
+            Figure {
+                label: "fig5",
+                metric: Metric::FMeasure,
+                paper: "HDP-OSR ≫ 1-vs-Set/W-SVM/PI-SVM at high openness; OSNN most stable \
+                        and ahead past ~12 %, but weakest at openness 0; W-OSVM very poor",
+            },
+            Figure {
+                label: "fig8",
+                metric: Metric::Accuracy,
+                paper: "OSNN best beyond ~6 % openness, HDP-OSR next; HDP-OSR better at \
+                        openness 0; W-OSVM very poor",
+            },
+        ],
+    },
+    Sweep {
+        experiment: "pendigits",
+        dataset: |opts| opts.dataset(pendigits_config()),
+        n_known: 5,
+        unknown_counts: &[0, 1, 2, 3, 4, 5],
+        figures: [
+            Figure {
+                label: "fig6",
+                metric: Metric::FMeasure,
+                paper: "HDP-OSR much higher than all baselines with increasing openness; \
+                        HDP-OSR curve almost flat",
+            },
+            Figure {
+                label: "fig9",
+                metric: Metric::Accuracy,
+                paper: "HDP-OSR much higher accuracy than all baselines as openness grows; \
+                        very stable on PENDIGITS",
+            },
+        ],
+    },
+];
+
+/// Run one sweep: an openness sweep of all six methods on its dataset,
+/// printing the TSV block once, then each figure's series, chart and
+/// `# paper:` line.
+pub fn run_figure(sweep: &Sweep, opts: &Options) {
+    let Sweep { experiment, n_known, unknown_counts, .. } = *sweep;
+    let data = (sweep.dataset)(opts);
     eprintln!(
-        "[{figure}] {}: {n_known} known classes, unknown sweep {unknown_counts:?}, \
+        "[{experiment}] {}: {n_known} known classes, unknown sweep {unknown_counts:?}, \
          {} trials, seed {}, scale {}, tune={}, serving={:?}",
         data.name, opts.trials, opts.seed, opts.scale, opts.tune, opts.serving_mode()
     );
     let stats = ServingStats::start();
     let rows = openness_sweep(
-        data,
+        &data,
         n_known,
         unknown_counts,
         opts.trials,
@@ -301,17 +399,19 @@ pub fn run_figure(
         &opts.families(),
     )
     .unwrap_or_else(|e| {
-        eprintln!("[{figure}] failed: {e}");
+        eprintln!("[{experiment}] failed: {e}");
         std::process::exit(1)
     });
     // One classified batch per (method, openness, trial); the rate also
     // absorbs tuning overhead when --no-tune is not set.
-    stats.report(figure, rows.len() * opts.trials);
+    stats.report(experiment, rows.len() * opts.trials);
 
     println!("{}", osr_eval::experiment::to_tsv(&rows));
-    print_series(figure, &rows, metric);
-    print_chart(&rows, metric);
-    println!("# paper: {paper_expectation}");
+    for figure in &sweep.figures {
+        print_series(figure.label, &rows, figure.metric);
+        print_chart(&rows, figure.metric);
+        println!("# paper: {}", figure.paper);
+    }
 }
 
 /// Render the sweep as an ASCII line chart (the figure itself).

@@ -1,6 +1,7 @@
 //! Reproduction harness for the paper's evaluation section.
 //!
-//! One binary per figure/table lives in `src/bin/`; shared sweep plumbing is
+//! `src/bin/replicate.rs` runs every figure, table and ablation, and
+//! `src/bin/osr.rs` runs the methods on a CSV file; shared sweep plumbing is
 //! in [`harness`]. Criterion microbenches live in `benches/`.
 
 pub mod chart;

@@ -66,7 +66,7 @@ pub use observability::{
 pub use registry::ModelRegistry;
 pub use osr_hdp::{DishId, PosteriorSnapshot, SweepTrace};
 pub use osr_stats::diagnostics::ChainDiagnostics;
-pub use serving::{derive_batch_seed, BatchServer, ServePolicy, ServingMode};
+pub use serving::{derive_batch_seed, fan_out, BatchServer, ServePolicy, ServingMode};
 pub use snapshot::{SnapshotInfo, SnapshotStore};
 
 /// Errors produced by the HDP-OSR pipeline.

@@ -553,7 +553,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The one dispatch executor of the serving stack: run `serve(i, &items[i])`
+/// The one parallel executor of the workspace — the serving stack's
+/// dispatch and the evaluation harness's trials: run `serve(i, &items[i])`
 /// for every item on up to `workers` threads and return the results in index
 /// order, each `Err` carrying the message of a panic that item raised.
 ///
@@ -566,7 +567,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// flag is scrubbed after every item — and once on entry, so the caller's
 /// thread starts as clean as a fresh helper — so neither a panic nor
 /// leftover poison can reach the next item a worker claims.
-pub(crate) fn fan_out<I: Sync, T: Send>(
+pub fn fan_out<I: Sync, T: Send>(
     items: &[I],
     workers: usize,
     serve: impl Fn(usize, &I) -> T + Sync,

@@ -4,18 +4,18 @@
 //! training set (step 7), then evaluate the winning parameterization on
 //! `trials` freshly randomized train/test splits (step 8; the paper uses
 //! 10), reporting mean ± std of micro-F-measure and open-set accuracy —
-//! the exact series plotted in Figs. 4–9. Trials run in parallel via
-//! crossbeam scoped threads; every trial derives its own RNG from
+//! the exact series plotted in Figs. 4–9. Trials run in parallel on core's
+//! [`fan_out`] executor; every trial derives its own RNG from
 //! `(seed, trial)`, so results are reproducible regardless of thread
 //! scheduling. Every trial — CD-OSR and baseline alike — classifies
 //! through the production `BatchServer` (see [`MethodSpec`]), so the
 //! replication exercises the same serving stack as production traffic.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use hdp_osr_core::fan_out;
 use osr_dataset::protocol::{OpenSetSplit, SplitConfig, ValidationSplit};
 use osr_dataset::Dataset;
 use osr_stats::descriptive::MeanStd;
@@ -37,14 +37,12 @@ pub struct ExperimentConfig {
     /// Run the validation-tuning phase (step 7). When false the *first*
     /// candidate of each method is used as-is.
     pub tune: bool,
-    /// Run trials on multiple threads.
-    pub parallel: bool,
 }
 
 impl ExperimentConfig {
-    /// Paper defaults: 10 trials, tuning on, parallel on.
+    /// Paper defaults: 10 trials, tuning on.
     pub fn new(split: SplitConfig, seed: u64) -> Self {
-        Self { split, trials: 10, seed, tune: true, parallel: true }
+        Self { split, trials: 10, seed, tune: true }
     }
 }
 
@@ -109,19 +107,32 @@ pub fn run_method(
     })
 }
 
-/// Evaluate a fixed specification on `config.trials` randomized splits.
+/// Evaluate a fixed specification on `config.trials` randomized splits,
+/// one worker per available CPU (at most one per trial).
 ///
 /// # Errors
-/// Propagates the first trial failure.
+/// Propagates the first trial failure; a trial that panics fails as an
+/// [`EvalError::Method`] naming the trial.
 pub fn run_trials(
     data: &Dataset,
     config: &ExperimentConfig,
     spec: &MethodSpec,
 ) -> Result<TrialScores> {
-    type TrialCell = Option<Result<(f64, f64)>>;
-    let results: Mutex<Vec<TrialCell>> = Mutex::new(vec![None; config.trials]);
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(config.trials);
+    run_trials_on(data, config, spec, workers)
+}
 
-    let run_one = |trial: usize| -> Result<(f64, f64)> {
+/// [`run_trials`] on exactly `workers` threads of core's [`fan_out`]
+/// executor. Every trial derives its RNG from `(seed, trial)`, so the
+/// scores do not depend on `workers`.
+fn run_trials_on(
+    data: &Dataset,
+    config: &ExperimentConfig,
+    spec: &MethodSpec,
+    workers: usize,
+) -> Result<TrialScores> {
+    let trials: Vec<usize> = (0..config.trials).collect();
+    let results = fan_out(&trials, workers, |_, &trial| -> Result<(f64, f64)> {
         // Trial seeds are disjoint from the tuning seed by construction.
         let mut rng =
             StdRng::seed_from_u64(config.seed.wrapping_add(0x5DEECE66D + trial as u64 * 0x2545F4914F6CDD1D));
@@ -129,35 +140,14 @@ pub fn run_trials(
         let preds = spec.train_and_predict(&split.train, &split.test.points, &mut rng)?;
         let c = OpenSetConfusion::from_slices(&preds, &split.test.truth);
         Ok((c.f_measure(), c.accuracy()))
-    };
-
-    if config.parallel && config.trials > 1 {
-        let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(config.trials);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| loop {
-                    let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if t >= config.trials {
-                        break;
-                    }
-                    let r = run_one(t);
-                    results.lock()[t] = Some(r);
-                });
-            }
-        })
-        .expect("trial worker panicked");
-    } else {
-        for t in 0..config.trials {
-            let r = run_one(t);
-            results.lock()[t] = Some(r);
-        }
-    }
+    });
 
     let mut f_measures = Vec::with_capacity(config.trials);
     let mut accuracies = Vec::with_capacity(config.trials);
-    for r in results.into_inner() {
-        let (f, a) = r.expect("all trials executed")?;
+    for (trial, r) in results.into_iter().enumerate() {
+        let (f, a) = r.unwrap_or_else(|panic| {
+            Err(EvalError::Method(format!("{}: trial {trial} panicked: {panic}", spec.name())))
+        })?;
         f_measures.push(f);
         accuracies.push(a);
     }
@@ -186,7 +176,6 @@ pub fn openness_sweep(
             trials,
             seed,
             tune,
-            parallel: true,
         };
         for family in families {
             rows.push(run_method(data, &config, family)?);
@@ -243,7 +232,6 @@ mod tests {
             trials: 4,
             seed: 7,
             tune: true,
-            parallel: true,
         };
         let r = run_method(&data, &config, &osnn_family()).unwrap();
         assert_eq!(r.method, "OSNN");
@@ -261,11 +249,10 @@ mod tests {
             trials: 3,
             seed: 21,
             tune: false,
-            parallel: true,
         };
         let spec = MethodSpec::Osnn(OsnnParams { sigma: 0.7 });
-        let par = run_trials(&data, &base, &spec).unwrap();
-        let ser = run_trials(&data, &ExperimentConfig { parallel: false, ..base }, &spec).unwrap();
+        let par = run_trials_on(&data, &base, &spec, 3).unwrap();
+        let ser = run_trials_on(&data, &base, &spec, 1).unwrap();
         assert_eq!(par.f_measures, ser.f_measures);
         assert_eq!(par.accuracies, ser.accuracies);
     }
@@ -278,7 +265,6 @@ mod tests {
             trials: 3,
             seed: 5,
             tune: false,
-            parallel: true,
         };
         let spec = MethodSpec::Osnn(OsnnParams { sigma: 0.7 });
         let a = run_trials(&data, &config, &spec).unwrap();
@@ -330,7 +316,6 @@ mod tests {
             trials: 0,
             seed: 0,
             tune: false,
-            parallel: false,
         };
         assert!(run_method(&data, &config, &osnn_family()).is_err());
     }

@@ -72,12 +72,11 @@ impl MethodSpec {
         }
     }
 
-    /// Train on `train` and classify every point of `test` through the
-    /// production [`BatchServer`] (single worker, one batch).
+    /// Train on `train` and classify every point of `test`: [`fit_collective`]
+    /// then [`serve`].
     ///
-    /// The RNG seeds the server; only HDP-OSR actually consumes randomness
-    /// (Gibbs sampling) — the baselines are deterministic given the data.
-    /// Seeding is the caller's responsibility so trials stay reproducible.
+    /// [`fit_collective`]: Self::fit_collective
+    /// [`serve`]: Self::serve
     ///
     /// # Errors
     /// Wraps any training or serving failure with the method name.
@@ -87,14 +86,35 @@ impl MethodSpec {
         test: &[Vec<f64>],
         rng: &mut R,
     ) -> Result<Vec<Prediction>> {
-        let wrap = |e: String| EvalError::Method(format!("{}: {e}", self.name()));
         let model = self.fit_collective(train)?;
+        self.serve(model.as_ref(), test, rng)
+    }
+
+    /// Classify every point of `test` with `model` (fitted from this
+    /// specification) through the production [`BatchServer`] (single
+    /// worker, one batch). Serving reads the model and never changes it, so
+    /// one fit can serve several test sets.
+    ///
+    /// The RNG seeds the server (one draw per non-empty `test`); only
+    /// HDP-OSR actually consumes randomness (Gibbs sampling) — the
+    /// baselines are deterministic given the data, and fitting draws none.
+    /// Seeding is the caller's responsibility so trials stay reproducible.
+    ///
+    /// # Errors
+    /// Wraps any serving failure with the method name.
+    pub fn serve<R: Rng + ?Sized>(
+        &self,
+        model: &dyn CollectiveModel,
+        test: &[Vec<f64>],
+        rng: &mut R,
+    ) -> Result<Vec<Prediction>> {
+        let wrap = |e: String| EvalError::Method(format!("{}: {e}", self.name()));
         if test.is_empty() {
             // The server's admission control rejects empty batches; an empty
             // test set is a valid no-op for an evaluation trial.
             return Ok(Vec::new());
         }
-        let server = BatchServer::with_workers(model.as_ref(), 1);
+        let server = BatchServer::with_workers(model, 1);
         let mut results = server.classify_batches(&[test.to_vec()], rng.next_u64());
         match results.pop() {
             Some(Ok(outcome)) => Ok(outcome.predictions),

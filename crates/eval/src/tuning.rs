@@ -3,9 +3,10 @@
 //! Every candidate parameterization is trained on the fitting set `F` and
 //! scored on *both* validation simulations; the winner maximizes the mean
 //! of the Closed-Set and Open-Set F-measures — the "tradeoff on F-measure"
-//! the paper describes. Grids follow §4.1.2, with coarse defaults so the
-//! full six-method sweep stays tractable on a laptop (the paper's complete
-//! 11 × 12 SVM grids are available via [`Grids::full`]).
+//! the paper describes. Grids follow §4.1.2, coarsened so the six-method
+//! sweep stays tractable on a laptop: the paper's complete grids cross
+//! C ∈ 2⁻⁵…2⁵ with γ ∈ 2⁻⁸…2³ and seven threshold decades, 924 candidates
+//! per SVM family.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,69 +94,6 @@ impl Grids {
 
         Self { candidates }
     }
-
-    /// The paper's full grids (§4.1.2): C ∈ 2⁻⁵…2⁵, γ ∈ 2⁻⁸…2³, thresholds
-    /// 10⁻⁷…10⁻¹, ν ∈ {d, …, d+20} (offset 0…20), ρ ∈ {0.1, …, 1.0}.
-    /// Orders of magnitude slower than [`Grids::coarse`]; provided for
-    /// completeness.
-    pub fn full() -> Self {
-        let cs: Vec<f64> = (-5..=5).map(|e| 2.0f64.powi(e)).collect();
-        let gammas: Vec<f64> = (-8..=3).map(|e| 2.0f64.powi(e)).collect();
-        let deltas: Vec<f64> = (1..=7).map(|e| 10.0f64.powi(-e)).collect();
-
-        let mut candidates = Vec::new();
-        candidates.push(vec![MethodSpec::OneVsSet(OneVsSetParams::default())]);
-        candidates.push(
-            [0.02, 0.05, 0.1, 0.2, 0.4]
-                .iter()
-                .map(|&nu| MethodSpec::WOsvm(WOsvmParams { nu, ..Default::default() }))
-                .collect(),
-        );
-        let mut wsvm = Vec::new();
-        let mut pisvm = Vec::new();
-        for &c in &cs {
-            for &g in &gammas {
-                for &d in &deltas {
-                    wsvm.push(MethodSpec::WSvm(WSvmParams {
-                        c,
-                        gamma: Some(g),
-                        delta_r: d,
-                        ..Default::default()
-                    }));
-                    pisvm.push(MethodSpec::PiSvm(PiSvmParams {
-                        c,
-                        gamma: Some(g),
-                        delta: d,
-                        ..Default::default()
-                    }));
-                }
-            }
-        }
-        candidates.push(wsvm);
-        candidates.push(pisvm);
-        candidates.push(
-            (1..20)
-                .map(|i| MethodSpec::Osnn(OsnnParams { sigma: i as f64 * 0.05 }))
-                .collect(),
-        );
-        candidates.push(
-            (1..=10)
-                .flat_map(|r| {
-                    [0.0, 5.0, 10.0, 20.0].iter().map(move |&nu_off| {
-                        MethodSpec::HdpOsr(HdpOsrConfig {
-                            // ρ grid: 10 values spanning the covariance-scale
-                            // convention (0.8…8.0, i.e. the paper's precision
-                            // ρ ∈ {0.1…1} mapped through the reciprocal).
-                            rho: r as f64 * 0.8,
-                            nu_offset: nu_off,
-                            ..Default::default()
-                        })
-                    })
-                })
-                .collect(),
-        );
-        Self { candidates }
-    }
 }
 
 /// Outcome of tuning one method.
@@ -176,8 +114,8 @@ impl TunedMethod {
     }
 }
 
-/// Tune one method family: train each candidate on `val.fitting`, score on
-/// both simulations, keep the best mean F-measure. Candidates that fail to
+/// Tune one method family: train each candidate once on `val.fitting`, score
+/// that model on both simulations, keep the best mean F-measure. Candidates that fail to
 /// train (degenerate parameterizations) are skipped.
 ///
 /// # Errors
@@ -194,24 +132,23 @@ pub fn tune_method(
     let mut last_err = None;
     for (i, spec) in candidates.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x517C_C1B7_2722_0A95));
-        let closed = match spec.train_and_predict(&val.fitting, &val.closed.points, &mut rng) {
-            Ok(p) => p,
+        // One fit serves both simulations, closed then open, in the order
+        // and with the RNG draws of two separate `train_and_predict` calls.
+        let scored = spec.fit_collective(&val.fitting).and_then(|model| {
+            let closed = spec.serve(model.as_ref(), &val.closed.points, &mut rng)?;
+            let open = spec.serve(model.as_ref(), &val.open.points, &mut rng)?;
+            Ok(TunedMethod {
+                spec: *spec,
+                f_closed: micro_f_measure(&closed, &val.closed.truth),
+                f_open: micro_f_measure(&open, &val.open.truth),
+            })
+        });
+        let cand = match scored {
+            Ok(c) => c,
             Err(e) => {
                 last_err = Some(e);
                 continue;
             }
-        };
-        let open = match spec.train_and_predict(&val.fitting, &val.open.points, &mut rng) {
-            Ok(p) => p,
-            Err(e) => {
-                last_err = Some(e);
-                continue;
-            }
-        };
-        let cand = TunedMethod {
-            spec: *spec,
-            f_closed: micro_f_measure(&closed, &val.closed.truth),
-            f_open: micro_f_measure(&open, &val.open.truth),
         };
         if best.as_ref().is_none_or(|b| cand.score() > b.score()) {
             best = Some(cand);
@@ -279,19 +216,29 @@ mod tests {
     }
 
     #[test]
+    fn tuning_scores_equal_two_separate_fits() {
+        let val = validation();
+        let hdp = MethodSpec::HdpOsr(HdpOsrConfig { iterations: 5, ..Default::default() });
+        let osnn = MethodSpec::Osnn(OsnnParams { sigma: 0.7 });
+        for spec in [hdp, osnn] {
+            // A lone candidate is index 0, so its RNG is seeded with `seed`.
+            let tuned = tune_method(&[spec], &val, 9).unwrap();
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut fit_and_score = |test: &osr_dataset::protocol::TestSet| {
+                let preds = spec.train_and_predict(&val.fitting, &test.points, &mut rng).unwrap();
+                micro_f_measure(&preds, &test.truth)
+            };
+            let (f_closed, f_open) = (fit_and_score(&val.closed), fit_and_score(&val.open));
+            assert_eq!((tuned.f_closed, tuned.f_open), (f_closed, f_open), "{}", spec.name());
+        }
+    }
+
+    #[test]
     fn coarse_grids_cover_all_six_methods() {
         let g = Grids::coarse();
         assert_eq!(g.candidates.len(), 6);
         let names: Vec<&str> = g.candidates.iter().map(|c| c[0].name()).collect();
         assert_eq!(names, vec!["1-vs-Set", "W-OSVM", "W-SVM", "PI-SVM", "OSNN", "HDP-OSR"]);
         assert!(g.candidates.iter().all(|c| !c.is_empty()));
-    }
-
-    #[test]
-    fn full_grids_match_paper_cardinalities() {
-        let g = Grids::full();
-        // W-SVM: 11 C × 12 γ × 7 δ_R = 924.
-        assert_eq!(g.candidates[2].len(), 924);
-        assert_eq!(g.candidates[3].len(), 924);
     }
 }

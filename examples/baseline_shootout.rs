@@ -36,7 +36,7 @@ fn main() {
         "method", "F(closed)", "F(open)", "F-measure (eval)", "accuracy (eval)"
     );
 
-    let eval_cfg = ExperimentConfig { split: split_cfg, trials: 5, seed, tune: false, parallel: true };
+    let eval_cfg = ExperimentConfig { split: split_cfg, trials: 5, seed, tune: false };
     for family in Grids::coarse().candidates {
         let tuned = match tune_method(&family, &validation, seed) {
             Ok(t) => t,

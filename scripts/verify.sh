@@ -6,10 +6,10 @@
 # in, which unlocks the serving stack's robustness acceptance suite
 # (tests/fault_injection.rs).
 #
-# On top of the two workspace passes come the staleness gates of the
-# committed BENCH_*.json reports and one release-mode pass of the suites
-# that pin the committed goldens and the isolation contract, so they also
-# hold on an optimized build.
+# On top of the two workspace passes come a smoke run of the `replicate`
+# runner, the staleness gates of the committed BENCH_*.json reports and one
+# release-mode pass of the suites that pin the committed goldens and the
+# isolation contract, so they also hold on an optimized build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +32,12 @@ if ! cargo run --release -q -p osr-lint -- --format json > results/lint_report.j
     cargo run --release -q -p osr-lint || true
     exit 1
 fi
+
+# The replication runner end to end at smoke scale (one figure pair and one
+# discovery table), so a broken experiment fails the gate. Stdout is not
+# checked here; the serving summaries on stderr stay visible.
+cargo run --release -q -p osr-bench --bin replicate -- pendigits --quick > /dev/null
+cargo run --release -q -p osr-bench --bin replicate -- table2 --quick > /dev/null
 
 # The same gate with the deterministic fault-injection harness compiled in.
 # The root `Cargo.toml` sets `default-members` to every crate, so each of
@@ -84,4 +90,4 @@ require_fields BENCH_snapshot.json snapshot schema n_dishes bytes_on_disk save_m
 cargo test -q --release --features fault-inject --test frontend_golden --test fault_injection \
     --test trace_determinism --test snapshot_persistence
 
-echo "verify: build + tests + clippy + rustdoc + lint + golden traces + snapshot durability green (default and fault-inject)"
+echo "verify: build + tests + clippy + rustdoc + lint + replicate smoke + golden traces + snapshot durability green (default and fault-inject)"
