@@ -217,27 +217,24 @@ impl ServedBaseline {
 }
 
 /// Honor injected faults at the `baseline::classify` site, then report any
-/// pending divergence poison (no-op without the `fault-inject` feature).
+/// pending divergence poison.
 fn baseline_classify_fault() -> std::result::Result<(), AttemptError> {
-    #[cfg(feature = "fault-inject")]
-    {
-        use osr_stats::faults::{hit, sites, Fault};
-        match hit(sites::BASELINE_CLASSIFY) {
-            Some(Fault::Panic { message }) => {
-                // osr-lint: allow(panic-path, injected fault — the server's catch_unwind boundary is the system under test)
-                panic!("{message}");
-            }
-            Some(Fault::Diverge | Fault::CholeskyFail) => {
-                osr_stats::divergence::poison("injected divergence at baseline::classify");
-            }
-            Some(Fault::DelayMs(ms)) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-            Some(Fault::NanPoint { .. } | Fault::Corrupt) | None => {}
+    use osr_stats::faults::{hit, sites, Fault};
+    match hit(sites::BASELINE_CLASSIFY) {
+        Some(Fault::Panic { message }) => {
+            // osr-lint: allow(panic-path, injected fault — the server's catch_unwind boundary is the system under test)
+            panic!("{message}");
         }
-        if let Some(reason) = osr_stats::divergence::take() {
-            return Err(AttemptError::Diverged(reason));
+        Some(Fault::Diverge | Fault::CholeskyFail) => {
+            osr_stats::divergence::poison("injected divergence at baseline::classify");
         }
+        Some(Fault::DelayMs(ms)) => {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        }
+        Some(Fault::NanPoint { .. } | Fault::Corrupt) | None => {}
+    }
+    if let Some(reason) = osr_stats::divergence::take() {
+        return Err(AttemptError::Diverged(reason));
     }
     Ok(())
 }

@@ -6,7 +6,8 @@
 //! ```text
 //! --trials N    randomized evaluation splits per point (default 10, paper's value)
 //! --seed N      master seed (default 42)
-//! --scale F     dataset size multiplier (default 0.3; use --full for 1.0)
+//! --scale F     dataset size multiplier, finite and > 0 (default 0.3; use
+//!               --full for 1.0)
 //! --full        full-size dataset replica (paper scale; slow)
 //! --quick       smoke-test mode: scale 0.1, 3 trials, 10 sweeps, no tuning
 //! --no-tune     skip the validation grid search (use default parameters)
@@ -61,7 +62,13 @@ impl Options {
             match args[i].as_str() {
                 "--trials" => opts.trials = take_value(&mut i).parse().unwrap_or_else(|_| usage_exit()),
                 "--seed" => opts.seed = take_value(&mut i).parse().unwrap_or_else(|_| usage_exit()),
-                "--scale" => opts.scale = take_value(&mut i).parse().unwrap_or_else(|_| usage_exit()),
+                "--scale" => {
+                    opts.scale = take_value(&mut i)
+                        .parse()
+                        .ok()
+                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                        .unwrap_or_else(|| usage_exit())
+                }
                 "--iters" => {
                     opts.iterations = take_value(&mut i).parse().unwrap_or_else(|_| usage_exit())
                 }

@@ -196,19 +196,6 @@ pub fn flush_trace_id(tenant: &str, flush_epoch: u64, seed: u64) -> String {
     format!("flush-{tenant}-{flush_epoch:04}-seed-{seed:016x}")
 }
 
-/// Run `f` with the front-end fault context (flush or request sequence,
-/// attempt 0) published on this thread (no-op without `fault-inject`).
-fn with_frontend_fault_context<T>(_seq: usize, f: impl FnOnce() -> T) -> T {
-    #[cfg(feature = "fault-inject")]
-    {
-        osr_stats::faults::with_context(_seq, 0, f)
-    }
-    #[cfg(not(feature = "fault-inject"))]
-    {
-        f()
-    }
-}
-
 impl Frontend {
     /// A front-end with no queued state.
     ///
@@ -261,18 +248,10 @@ impl Frontend {
         let request_id = self.next_request_id;
         // Any fault installed at the enqueue site forces the shed path, so
         // the typed-overload contract is testable without a real flood.
-        let forced_shed = with_frontend_fault_context(
+        let forced_shed = osr_stats::faults::with_context(
             usize::try_from(request_id).unwrap_or(0),
-            || {
-                #[cfg(feature = "fault-inject")]
-                {
-                    osr_stats::faults::hit(osr_stats::faults::sites::FRONTEND_ENQUEUE).is_some()
-                }
-                #[cfg(not(feature = "fault-inject"))]
-                {
-                    false
-                }
-            },
+            0,
+            || osr_stats::faults::hit(osr_stats::faults::sites::FRONTEND_ENQUEUE).is_some(),
         );
         let should_flush = {
             let queue = self.queues.entry(tenant.to_string()).or_default();
@@ -473,10 +452,8 @@ fn serve_micro_batch(
 ) -> ServedFlush {
     let points: Vec<Vec<f64>> = mb.requests.iter().map(|r| r.point.clone()).collect();
     let flush_seq = usize::try_from(mb.flush_seq).unwrap_or(0);
-    let (result, trace) = with_frontend_fault_context(flush_seq, || {
-        #[cfg(feature = "fault-inject")]
+    let (result, trace) = osr_stats::faults::with_context(flush_seq, 0, || {
         let fault = osr_stats::faults::hit(osr_stats::faults::sites::FRONTEND_FLUSH);
-        #[cfg(feature = "fault-inject")]
         match &fault {
             Some(osr_stats::faults::Fault::Panic { message }) => {
                 // osr-lint: allow(panic-path, injected fault — the dispatch executor's per-item catch_unwind is the system under test)
@@ -491,7 +468,6 @@ fn serve_micro_batch(
         // An injected `Diverge` leaves the thread poisoned after an
         // answered serve: the leak the executor's per-item scrub must
         // catch before this thread claims its next micro-batch.
-        #[cfg(feature = "fault-inject")]
         if fault == Some(osr_stats::faults::Fault::Diverge) {
             osr_stats::divergence::poison("injected: frontend flush divergence");
         }

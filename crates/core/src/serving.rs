@@ -272,10 +272,8 @@ impl ServeCtl {
     }
 }
 
-/// Honor an injected artificial delay at the sweep site (no-op without the
-/// `fault-inject` feature).
+/// Honor an injected artificial delay at the sweep site.
 pub(crate) fn sweep_fault_delay() {
-    #[cfg(feature = "fault-inject")]
     if let Some(osr_stats::faults::Fault::DelayMs(ms)) =
         osr_stats::faults::hit(osr_stats::faults::sites::SWEEP)
     {
@@ -529,19 +527,6 @@ pub fn derive_batch_seed(seed: u64, index: usize) -> u64 {
     seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Run `f` with the fault-injection (batch, attempt) context published on
-/// this thread (no-op without the `fault-inject` feature).
-fn with_fault_context<T>(_batch: usize, _attempt: u32, f: impl FnOnce() -> T) -> T {
-    #[cfg(feature = "fault-inject")]
-    {
-        osr_stats::faults::with_context(_batch, _attempt, f)
-    }
-    #[cfg(not(feature = "fault-inject"))]
-    {
-        f()
-    }
-}
-
 /// Best-effort human-readable panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -738,9 +723,7 @@ pub(crate) fn serve_one(
     let inherited_poison = osr_stats::divergence::is_poisoned();
     // Injected NaN perturbations land *before* admission — proving the
     // admission pass, not the sampler, is what rejects them.
-    #[cfg(feature = "fault-inject")]
     let perturbed: Vec<Vec<f64>>;
-    #[cfg(feature = "fault-inject")]
     let batch: &[Vec<f64>] = {
         let fault = osr_stats::faults::with_context(idx, 0, || {
             osr_stats::faults::hit(osr_stats::faults::sites::ADMISSION)
@@ -776,8 +759,7 @@ pub(crate) fn serve_one(
         }
         // Only the answering attempt's sweeps belong in the trace.
         sweeps.clear();
-        let result = with_fault_context(idx, attempt, || {
-            #[cfg(feature = "fault-inject")]
+        let result = osr_stats::faults::with_context(idx, attempt, || {
             if let Some(osr_stats::faults::Fault::Panic { message }) =
                 osr_stats::faults::hit(osr_stats::faults::sites::ATTEMPT)
             {

@@ -130,7 +130,6 @@ impl SnapshotStore {
         let mut file = fs::File::create(&tmp).map_err(|e| io("creating temp for", e))?;
         file.write_all(bytes).map_err(|e| io("writing temp for", e))?;
         file.sync_all().map_err(|e| io("syncing temp for", e))?;
-        #[cfg(feature = "fault-inject")]
         if osr_stats::faults::hit(osr_stats::faults::sites::SNAPSHOT_SAVE)
             == Some(osr_stats::faults::Fault::Corrupt)
         {
@@ -182,14 +181,12 @@ impl SnapshotStore {
     /// # Errors
     /// [`OsrError::Snapshot`] wrapping `Io` when the file cannot be read.
     pub fn load_bytes(&self) -> Result<Vec<u8>> {
-        #[allow(unused_mut)]
         let mut bytes = fs::read(&self.path).map_err(|e| {
             OsrError::Snapshot(SnapshotError::Io(format!(
                 "reading {}: {e}",
                 self.path.display()
             )))
         })?;
-        #[cfg(feature = "fault-inject")]
         if osr_stats::faults::hit(osr_stats::faults::sites::SNAPSHOT_LOAD)
             == Some(osr_stats::faults::Fault::Corrupt)
         {

@@ -200,7 +200,6 @@ impl Hdp {
         &mut self,
         rng: &mut R,
     ) -> std::result::Result<SweepTrace, crate::Divergence> {
-        #[cfg(feature = "fault-inject")]
         if osr_stats::faults::hit(osr_stats::faults::sites::ENGINE_SWEEP)
             == Some(osr_stats::faults::Fault::Diverge)
         {

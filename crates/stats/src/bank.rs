@@ -595,7 +595,6 @@ impl DishBank {
         let d = self.d;
         assert_eq!(x.len(), d, "DishBank::remove_obs: dimension mismatch");
         assert!(self.n[slot] > 0, "DishBank::remove_obs: no observations to remove");
-        #[cfg(feature = "fault-inject")]
         if crate::faults::hit(crate::faults::sites::CHOLESKY)
             == Some(crate::faults::Fault::CholeskyFail)
         {

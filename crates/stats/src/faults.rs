@@ -1,11 +1,12 @@
-//! Deterministic fault-injection harness (compiled only with the
-//! `fault-inject` cargo feature).
+//! Deterministic fault-injection harness, compiled into every build.
 //!
 //! Production code is sprinkled with *named sites* (see [`sites`]) that call
 //! [`hit`] and, when a matching [`Injection`] is installed, misbehave in a
 //! controlled way: perturb a feature to NaN, poison the divergence flag as if
 //! a Cholesky factorization had failed past the jitter ladder, panic, or
-//! sleep. With the feature disabled every site compiles to nothing.
+//! sleep. While no plan is installed a site costs one relaxed load of a
+//! process-wide armed flag: [`hit`] returns `None` before touching the plan
+//! lock, so serving pays no lock and no allocation for the harness.
 //!
 //! Determinism comes from *matching*, not randomness: an injection names its
 //! site and may pin the batch index and attempt number it fires on. The
@@ -20,6 +21,7 @@
 //! [`install`] clears the plan.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// One way a named site can misbehave.
@@ -105,7 +107,8 @@ pub mod sites {
     /// At the top of the sampler's checked sweep entry
     /// (`Hdp::sweep_checked_traced`), so fit's unchecked burn-in never hits it.
     pub const ENGINE_SWEEP: &str = "engine::sweep";
-    /// Inside the NIW rank-1 downdate where the jitter-ladder rescue lives.
+    /// Inside `DishBank::remove_obs`, the rank-1 NIW downdate where the
+    /// jitter-ladder rescue lives.
     pub const CHOLESKY: &str = "stats::cholesky";
     /// Inside a baseline serve adapter's `finish`, before the per-point
     /// predictions are computed (`osr-baselines`' `CollectiveModel` impl).
@@ -135,6 +138,10 @@ pub mod sites {
 }
 
 static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
+/// Whether a plan is installed: the fast path of [`hit`]. The threads that
+/// serve under a plan are handed their work after [`install`] returns, and
+/// that hand-off orders the store before their loads, so `Relaxed` suffices.
+static ARMED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     static CONTEXT: Cell<Option<(usize, u32)>> = const { Cell::new(None) };
@@ -146,6 +153,7 @@ pub struct ActivePlan(());
 
 impl Drop for ActivePlan {
     fn drop(&mut self) {
+        ARMED.store(false, Ordering::Relaxed);
         *lock_plan() = None;
     }
 }
@@ -159,6 +167,7 @@ fn lock_plan() -> std::sync::MutexGuard<'static, Option<FaultPlan>> {
 /// Install `plan` process-wide, replacing any previous plan.
 pub fn install(plan: FaultPlan) -> ActivePlan {
     *lock_plan() = Some(plan);
+    ARMED.store(true, Ordering::Relaxed);
     ActivePlan(())
 }
 
@@ -181,8 +190,19 @@ pub fn context() -> Option<(usize, u32)> {
 }
 
 /// Return the first installed fault matching `site` under the current
-/// thread's context. Sites call this and act on the returned fault.
+/// thread's context. Sites call this and act on the returned fault; with no
+/// plan installed it returns `None` without taking the plan lock.
+#[inline]
 pub fn hit(site: &str) -> Option<Fault> {
+    if ARMED.load(Ordering::Relaxed) {
+        installed_match(site)
+    } else {
+        None
+    }
+}
+
+#[cold]
+fn installed_match(site: &str) -> Option<Fault> {
     let plan = lock_plan();
     let plan = plan.as_ref()?;
     let ctx = context();
@@ -201,28 +221,34 @@ mod tests {
     use super::*;
 
     // The plan is process-global; this lock serializes the tests below.
+    // They inject only at test-only site names, which no production site
+    // reaches, so a plan installed here cannot fire in a concurrently
+    // running unit test of this crate (e.g. a bank downdate).
     static TEST_LOCK: Mutex<()> = Mutex::new(());
+    const PINNED: &str = "test::pinned";
+    const UNPINNED: &str = "test::unpinned";
+    const UNINSTALLED: &str = "test::uninstalled";
 
     #[test]
     fn matching_respects_site_batch_and_attempt() {
         let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let _plan = install(
             FaultPlan::new()
-                .inject(sites::SWEEP, Some(2), Some(1), Fault::Diverge)
-                .inject(sites::CHOLESKY, None, None, Fault::CholeskyFail),
+                .inject(PINNED, Some(2), Some(1), Fault::Diverge)
+                .inject(UNPINNED, None, None, Fault::CholeskyFail),
         );
 
         // No context: batch/attempt-pinned injections never match.
-        assert_eq!(hit(sites::SWEEP), None);
+        assert_eq!(hit(PINNED), None);
         // Unpinned injections match even without context.
-        assert_eq!(hit(sites::CHOLESKY), Some(Fault::CholeskyFail));
+        assert_eq!(hit(UNPINNED), Some(Fault::CholeskyFail));
 
         with_context(2, 1, || {
-            assert_eq!(hit(sites::SWEEP), Some(Fault::Diverge));
-            assert_eq!(hit(sites::ADMISSION), None);
+            assert_eq!(hit(PINNED), Some(Fault::Diverge));
+            assert_eq!(hit(UNINSTALLED), None);
         });
-        with_context(2, 0, || assert_eq!(hit(sites::SWEEP), None));
-        with_context(1, 1, || assert_eq!(hit(sites::SWEEP), None));
+        with_context(2, 0, || assert_eq!(hit(PINNED), None));
+        with_context(1, 1, || assert_eq!(hit(PINNED), None));
     }
 
     #[test]
@@ -230,20 +256,20 @@ mod tests {
         let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         {
             let _plan = install(FaultPlan::new().inject(
-                sites::ATTEMPT,
+                UNPINNED,
                 None,
                 None,
                 Fault::Panic {
                     message: "boom".into(),
                 },
             ));
-            assert!(hit(sites::ATTEMPT).is_some());
+            assert!(hit(UNPINNED).is_some());
             with_context(0, 0, || {
                 with_context(7, 3, || assert_eq!(context(), Some((7, 3))));
                 assert_eq!(context(), Some((0, 0)));
             });
             assert_eq!(context(), None);
         }
-        assert_eq!(hit(sites::ATTEMPT), None);
+        assert_eq!(hit(UNPINNED), None);
     }
 }

@@ -33,8 +33,9 @@
 //!   that durable posterior checkpoints are written in,
 //! * [`divergence`] — the thread-local numerical-divergence flag polled by
 //!   the serving watchdog,
-//! * `faults` — the deterministic fault-injection harness (only with the
-//!   `fault-inject` cargo feature).
+//! * [`faults`] — the deterministic fault-injection harness (named sites
+//!   that stay inert, at one relaxed load each, until a test installs a
+//!   fault plan).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -44,7 +45,6 @@ pub mod counters;
 pub mod descriptive;
 pub mod diagnostics;
 pub mod divergence;
-#[cfg(feature = "fault-inject")]
 pub mod faults;
 pub mod metrics;
 pub mod mvn;

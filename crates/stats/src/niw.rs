@@ -243,11 +243,6 @@ impl NiwPosterior {
         let d = self.dim();
         assert_eq!(x.len(), d, "NiwPosterior::remove: dimension mismatch");
         assert!(self.n > 0, "NiwPosterior::remove: no observations to remove");
-        #[cfg(feature = "fault-inject")]
-        if crate::faults::hit(crate::faults::sites::CHOLESKY) == Some(crate::faults::Fault::CholeskyFail)
-        {
-            crate::divergence::poison("injected: Ψ downdate not SPD past the jitter ladder");
-        }
         let kappa_new = self.kappa - 1.0;
         // New mean first: μ' = (κ μ − x) / κ'.
         let mut mu_new = vec![0.0; d];

@@ -646,7 +646,6 @@ impl<'a> SnapshotFile<'a> {
             ]);
             // Deterministically falsify this section's verification — the
             // injected equivalent of a bit-flip the CRC catches.
-            #[cfg(feature = "fault-inject")]
             let computed = if crate::faults::hit(crate::faults::sites::SNAPSHOT_CHECKSUM)
                 == Some(crate::faults::Fault::Corrupt)
             {

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Full verification gate: release build, every test suite in the workspace,
-# and warnings-as-errors clippy and rustdoc passes over every workspace crate
-# (including the vendored dependency shims) — then the same test + clippy +
-# rustdoc gate again with the deterministic fault-injection harness compiled
-# in, which unlocks the serving stack's robustness acceptance suite
-# (tests/fault_injection.rs).
+# Full verification gate: release build, one pass of every test suite in the
+# workspace (the fault-injection harness is compiled into every build, so
+# this includes the serving stack's robustness acceptance suite,
+# tests/fault_injection.rs), one warnings-as-errors clippy pass and two
+# rustdoc passes (public, then private items) over every workspace crate,
+# including the vendored dependency shims.
 #
-# On top of the two workspace passes come a smoke run of the `replicate`
-# runner, the staleness gates of the committed BENCH_*.json reports and one
-# release-mode pass of the suites that pin the committed goldens and the
-# isolation contract, so they also hold on an optimized build.
+# On top of that come osr-lint, a smoke run of the `replicate` runner, the
+# staleness gates of the committed BENCH_*.json reports and one release-mode
+# pass of the suites that pin the committed goldens and the isolation
+# contract, so they also hold on an optimized build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,11 +17,20 @@ cargo build --release
 # The repository benchmark is its own package outside the workspace: build
 # it here so a library API change that breaks it fails the gate.
 cargo build --offline --release --manifest-path e2ebench/Cargo.toml
+# The root `Cargo.toml` sets `default-members` to every crate, so this one
+# pass runs every suite in the workspace: the golden traces and
+# observability suites, the bank-equivalence parity properties, the
+# method-agnostic serving parity, the snapshot durability, front-end and
+# fault-injection suites, and every crate's unit tests.
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 # Every intra-doc link must resolve, and public docs must not link private
 # items.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+# Once more over private items, so the docs of private modules (the
+# sampler's engine, trace and watchdog, the serving attempt) cannot link
+# stale items silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q --document-private-items
 
 # Workspace invariant linter: determinism, panic-freedom on serving paths,
 # unsafe hygiene, atomic orderings, fault-site registration. The JSON
@@ -38,20 +47,6 @@ fi
 # checked here; the serving summaries on stderr stay visible.
 cargo run --release -q -p osr-bench --bin replicate -- pendigits --quick > /dev/null
 cargo run --release -q -p osr-bench --bin replicate -- table2 --quick > /dev/null
-
-# The same gate with the deterministic fault-injection harness compiled in.
-# The root `Cargo.toml` sets `default-members` to every crate, so each of
-# the two `cargo test -q` passes runs every suite in the workspace: the
-# golden traces and observability suites, the bank-equivalence parity
-# properties, the method-agnostic serving parity, the snapshot durability
-# and front-end suites, and every crate's unit tests.
-cargo test -q --features fault-inject
-cargo clippy --workspace --all-targets --features fault-inject -- -D warnings
-# The rustdoc gate once more over private items and the feature-gated
-# modules, so the docs of private modules (the sampler's engine, trace and
-# watchdog, the serving attempt) cannot link stale items silently.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q --document-private-items \
-    --features fault-inject
 
 # Bench-schema staleness: each committed benchmark report must carry the
 # fields of its current schema. A missing field means the report predates
@@ -85,9 +80,9 @@ require_fields BENCH_snapshot.json snapshot schema n_dishes bytes_on_disk save_m
 # speed: the optimized build shifts how dispatch workers interleave, and the
 # committed goldens (the front-end coalescing stream, the batch streams and
 # fit traces, and the replica fleet's streams, all asserted byte for byte in
-# both passes above) and the isolation contract must hold under that timing
-# too.
-cargo test -q --release --features fault-inject --test frontend_golden --test fault_injection \
+# the test pass above) and the isolation contract must hold under that
+# timing too.
+cargo test -q --release --test frontend_golden --test fault_injection \
     --test trace_determinism --test snapshot_persistence
 
-echo "verify: build + tests + clippy + rustdoc + lint + replicate smoke + golden traces + snapshot durability green (default and fault-inject)"
+echo "verify: build + tests + clippy + rustdoc + lint + replicate smoke + golden traces + snapshot durability + fault injection green"

@@ -1,5 +1,6 @@
 //! Acceptance suite for the fault-tolerant serving stack, driven by the
-//! deterministic `fault-inject` harness.
+//! deterministic fault-injection harness (`osr_stats::faults`), which every
+//! build compiles in.
 //!
 //! The contract under test: a fault in one batch — a worker panic, a
 //! numerically divergent sampler, a NaN slipped in before admission, an
@@ -10,8 +11,6 @@
 //!
 //! Fault plans are process-global, so every test (including the baseline
 //! runs) serializes on one lock.
-
-#![cfg(feature = "fault-inject")]
 
 mod common;
 
