@@ -79,12 +79,10 @@ impl From<osr_stats::StatsError> for BaselineError {
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, BaselineError>;
 
-/// Common interface of every open-set baseline (and, via an adapter in
-/// `osr-eval`, of HDP-OSR itself).
-pub trait OpenSetClassifier {
-    /// Method name as printed in the paper's figures.
-    fn name(&self) -> &'static str;
-
+/// Common interface of every fitted open-set baseline; a
+/// [`ServedBaseline`] holds one as a trait object. (HDP-OSR serves through
+/// `hdp_osr_core::CollectiveModel` instead.)
+pub trait OpenSetClassifier: std::fmt::Debug + Send + Sync {
     /// Classify one test point.
     fn predict(&self, x: &[f64]) -> Prediction;
 

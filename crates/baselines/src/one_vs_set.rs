@@ -188,10 +188,6 @@ fn refine_slab(pos_scores: &[f64], neg_scores: &[f64], params: &OneVsSetParams) 
 }
 
 impl OpenSetClassifier for OneVsSet {
-    fn name(&self) -> &'static str {
-        "1-vs-Set"
-    }
-
     fn predict(&self, x: &[f64]) -> Prediction {
         let mut best: Option<(usize, f64)> = None;
         for (class, slab) in self.slabs.iter().enumerate() {

@@ -74,10 +74,6 @@ impl Osnn {
 }
 
 impl OpenSetClassifier for Osnn {
-    fn name(&self) -> &'static str {
-        "OSNN"
-    }
-
     fn predict(&self, x: &[f64]) -> Prediction {
         // Nearest neighbour t.
         let mut t_dist = f64::INFINITY;

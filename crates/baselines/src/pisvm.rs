@@ -119,10 +119,6 @@ impl PiSvm {
 }
 
 impl OpenSetClassifier for PiSvm {
-    fn name(&self) -> &'static str {
-        "PI-SVM"
-    }
-
     fn predict(&self, x: &[f64]) -> Prediction {
         let probs = self.inclusion_probabilities(x);
         let best = osr_linalg::vector::argmax(&probs).expect("≥2 classes");

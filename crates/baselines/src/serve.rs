@@ -24,6 +24,7 @@
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
+use serde::{Deserialize, Serialize};
 
 use hdp_osr_core::collective::{
     AttemptError, CollectiveModel, CollectiveSession, ModelCapabilities,
@@ -37,18 +38,19 @@ use crate::{
     WOsvm, WOsvmParams, WSvm, WSvmParams,
 };
 
-/// A fully parameterized baseline, ready to train into a [`ServedBaseline`].
-#[derive(Debug, Clone, Copy)]
+/// A fully parameterized baseline, ready to train into a [`ServedBaseline`]:
+/// the one table of a baseline's identity (trace tag and figure legend).
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub enum BaselineSpec {
-    /// 1-vs-Set machine (method tag `"onevset"`).
+    /// 1-vs-Set machine.
     OneVsSet(OneVsSetParams),
-    /// W-OSVM, the one-class CAP model alone (method tag `"wosvm"`).
+    /// W-OSVM, the one-class CAP model alone.
     WOsvm(WOsvmParams),
-    /// Weibull-calibrated SVM (method tag `"wsvm"`).
+    /// Weibull-calibrated SVM.
     WSvm(WSvmParams),
-    /// Probability-of-inclusion SVM (method tag `"pisvm"`).
+    /// Probability-of-inclusion SVM.
     PiSvm(PiSvmParams),
-    /// Nearest-neighbour distance ratio (method tag `"osnn"`).
+    /// Nearest-neighbour distance ratio.
     Osnn(OsnnParams),
 }
 
@@ -65,6 +67,17 @@ impl BaselineSpec {
         }
     }
 
+    /// Method name as printed in the paper's figure legends.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::OneVsSet(_) => "1-vs-Set",
+            Self::WOsvm(_) => "W-OSVM",
+            Self::WSvm(_) => "W-SVM",
+            Self::PiSvm(_) => "PI-SVM",
+            Self::Osnn(_) => "OSNN",
+        }
+    }
+
     /// Every baseline under its default hyperparameters, in the paper's
     /// figure-legend order.
     pub fn default_lineup() -> Vec<BaselineSpec> {
@@ -78,35 +91,13 @@ impl BaselineSpec {
     }
 }
 
-/// The trained model behind a [`ServedBaseline`].
-#[derive(Debug)]
-enum Fitted {
-    OneVsSet(OneVsSet),
-    WOsvm(WOsvm),
-    WSvm(WSvm),
-    PiSvm(PiSvm),
-    Osnn(Osnn),
-}
-
-impl Fitted {
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
-        match self {
-            Self::OneVsSet(m) => m.predict_batch(xs),
-            Self::WOsvm(m) => m.predict_batch(xs),
-            Self::WSvm(m) => m.predict_batch(xs),
-            Self::PiSvm(m) => m.predict_batch(xs),
-            Self::Osnn(m) => m.predict_batch(xs),
-        }
-    }
-}
-
 /// A fitted baseline serving through the production stack: implements
 /// [`CollectiveModel`], so a [`hdp_osr_core::BatchServer`] can hold it
 /// exactly like CD-OSR.
 #[derive(Debug)]
 pub struct ServedBaseline {
     spec: BaselineSpec,
-    model: Fitted,
+    model: Box<dyn OpenSetClassifier>,
     dim: usize,
     /// Training item count per class, frozen at fit time — the degenerate
     /// "subclass" vocabulary of the outcome reports.
@@ -119,14 +110,14 @@ impl ServedBaseline {
     /// # Errors
     /// Propagates the baseline's training failure.
     pub fn train(spec: BaselineSpec, train: &TrainSet) -> Result<Self> {
-        let model = match &spec {
-            BaselineSpec::OneVsSet(p) => Fitted::OneVsSet(OneVsSet::train(train, p)?),
-            BaselineSpec::WOsvm(p) => Fitted::WOsvm(WOsvm::train(train, p)?),
-            BaselineSpec::WSvm(p) => Fitted::WSvm(WSvm::train(train, p)?),
-            BaselineSpec::PiSvm(p) => Fitted::PiSvm(PiSvm::train(train, p)?),
+        let model: Box<dyn OpenSetClassifier> = match &spec {
+            BaselineSpec::OneVsSet(p) => Box::new(OneVsSet::train(train, p)?),
+            BaselineSpec::WOsvm(p) => Box::new(WOsvm::train(train, p)?),
+            BaselineSpec::WSvm(p) => Box::new(WSvm::train(train, p)?),
+            BaselineSpec::PiSvm(p) => Box::new(PiSvm::train(train, p)?),
             BaselineSpec::Osnn(p) => {
                 let (points, labels) = train.flattened();
-                Fitted::Osnn(Osnn::train(&points, &labels, train.n_classes(), p)?)
+                Box::new(Osnn::train(&points, &labels, train.n_classes(), p)?)
             }
         };
         // Training succeeded, so the set is non-empty and rectangular.

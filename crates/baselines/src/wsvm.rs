@@ -135,10 +135,6 @@ impl WOsvm {
 }
 
 impl OpenSetClassifier for WOsvm {
-    fn name(&self) -> &'static str {
-        "W-OSVM"
-    }
-
     fn predict(&self, x: &[f64]) -> Prediction {
         let probs: Vec<f64> = self.caps.iter().map(|c| c.probability(x)).collect();
         let best = osr_linalg::vector::argmax(&probs).expect("≥1 class");
@@ -261,10 +257,6 @@ impl WSvm {
 }
 
 impl OpenSetClassifier for WSvm {
-    fn name(&self) -> &'static str {
-        "W-SVM"
-    }
-
     fn predict(&self, x: &[f64]) -> Prediction {
         let probs = self.posteriors(x);
         let best = osr_linalg::vector::argmax(&probs).expect("≥2 classes");

@@ -25,10 +25,7 @@ use std::time::Instant;
 
 use criterion::{measure, Summary};
 use hdp_osr_core::{BatchServer, CollectiveModel, HdpOsr, HdpOsrConfig, ServingMode};
-use osr_baselines::{
-    BaselineSpec, OneVsSetParams, OsnnParams, PiSvmParams, ServedBaseline, WOsvmParams,
-    WSvmParams,
-};
+use osr_baselines::{BaselineSpec, ServedBaseline};
 use osr_dataset::protocol::{OpenSetSplit, SplitConfig, TrainSet};
 use osr_stats::counters::{
     degraded_batches, predictive_batch_vs_one_calls, predictive_logpdf_calls,
@@ -174,14 +171,7 @@ fn run_mode(
 }
 
 fn baseline_spec(method: &str) -> Option<BaselineSpec> {
-    match method {
-        "onevset" => Some(BaselineSpec::OneVsSet(OneVsSetParams::default())),
-        "wosvm" => Some(BaselineSpec::WOsvm(WOsvmParams::default())),
-        "wsvm" => Some(BaselineSpec::WSvm(WSvmParams::default())),
-        "pisvm" => Some(BaselineSpec::PiSvm(PiSvmParams::default())),
-        "osnn" => Some(BaselineSpec::Osnn(OsnnParams::default())),
-        _ => None,
-    }
+    BaselineSpec::default_lineup().into_iter().find(|spec| spec.method() == method)
 }
 
 fn parse_method() -> String {

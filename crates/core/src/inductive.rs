@@ -21,7 +21,7 @@
 use osr_hdp::DishId;
 use osr_stats::{DishBank, Slot};
 
-use crate::decision::{ClassifyOutcome, Prediction};
+use crate::decision::{Associations, ClassifyOutcome, Prediction};
 use crate::{HdpOsr, OsrError, Result};
 
 /// One frozen mixture component (subclass) with its decision metadata.
@@ -68,29 +68,13 @@ impl FrozenModel {
             ));
         }
 
-        // Dish label map from the report: known-associated dishes carry
-        // their class, every other surviving dish is Unknown.
-        let mut labels: std::collections::BTreeMap<DishId, Prediction> = Default::default();
-        let mut weights: std::collections::BTreeMap<DishId, f64> = Default::default();
+        // The collective decision's association rule over the report's
+        // known usage: a dish no class uses is Unknown.
+        let mut assoc = Associations::default();
         for (class, group) in outcome.report.known.iter().enumerate() {
             for &(dish, count, _) in &group.subclasses {
-                // Heavier known usage wins ties across classes, mirroring
-                // `Associations::decide`.
-                let heavier = match labels.get(&dish) {
-                    Some(Prediction::Known(prev)) => {
-                        let prev_count = weights.get(&dish).copied().unwrap_or(0.0);
-                        (count as f64) > prev_count && *prev != class
-                    }
-                    _ => true,
-                };
-                if heavier {
-                    labels.insert(dish, Prediction::Known(class));
-                    weights.insert(dish, count as f64);
-                }
+                assoc.insert(dish, class, count);
             }
-        }
-        for &(dish, _, _) in outcome.report.test_known.iter().chain(&outcome.report.test_new) {
-            labels.entry(dish).or_insert(Prediction::Unknown);
         }
 
         // Rebuild per-dish posteriors from the points each dish absorbed.
@@ -128,7 +112,7 @@ impl FrozenModel {
                 let dish = FrozenDish {
                     id,
                     weight: table_weight.get(&id).copied().unwrap_or(1.0),
-                    label: labels.get(&id).copied().unwrap_or(Prediction::Unknown),
+                    label: assoc.decide(id),
                 };
                 (dish, slot)
             })

@@ -209,7 +209,7 @@ pub fn to_tsv(rows: &[MethodResult]) -> String {
 mod tests {
     use super::*;
     use crate::methods::MethodSpec;
-    use osr_baselines::OsnnParams;
+    use osr_baselines::{BaselineSpec, OsnnParams};
     use osr_dataset::synthetic;
 
     fn small_data() -> Dataset {
@@ -217,11 +217,12 @@ mod tests {
         synthetic::pendigits_config().scaled(0.03).generate(&mut rng)
     }
 
+    fn osnn(sigma: f64) -> MethodSpec {
+        MethodSpec::Baseline(BaselineSpec::Osnn(OsnnParams { sigma }))
+    }
+
     fn osnn_family() -> Vec<MethodSpec> {
-        vec![
-            MethodSpec::Osnn(OsnnParams { sigma: 0.5 }),
-            MethodSpec::Osnn(OsnnParams { sigma: 0.8 }),
-        ]
+        vec![osnn(0.5), osnn(0.8)]
     }
 
     #[test]
@@ -250,7 +251,7 @@ mod tests {
             seed: 21,
             tune: false,
         };
-        let spec = MethodSpec::Osnn(OsnnParams { sigma: 0.7 });
+        let spec = osnn(0.7);
         let par = run_trials_on(&data, &base, &spec, 3).unwrap();
         let ser = run_trials_on(&data, &base, &spec, 1).unwrap();
         assert_eq!(par.f_measures, ser.f_measures);
@@ -266,7 +267,7 @@ mod tests {
             seed: 5,
             tune: false,
         };
-        let spec = MethodSpec::Osnn(OsnnParams { sigma: 0.7 });
+        let spec = osnn(0.7);
         let a = run_trials(&data, &config, &spec).unwrap();
         let b = run_trials(&data, &config, &spec).unwrap();
         assert_eq!(a.f_measures, b.f_measures);
@@ -285,11 +286,7 @@ mod tests {
     fn closed_set_beats_open_set_for_osnn_family() {
         // Openness should not make the problem EASIER for a fixed method.
         let data = small_data();
-        let rows =
-            openness_sweep(&data, 4, &[0, 4], 3, 11, false, &[vec![MethodSpec::Osnn(
-                OsnnParams { sigma: 0.9 },
-            )]])
-            .unwrap();
+        let rows = openness_sweep(&data, 4, &[0, 4], 3, 11, false, &[vec![osnn(0.9)]]).unwrap();
         assert!(
             rows[0].f_measure.mean >= rows[1].f_measure.mean - 0.05,
             "closed {:.3} vs open {:.3}",

@@ -12,10 +12,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use hdp_osr_core::{BatchServer, CollectiveModel, HdpOsr, HdpOsrConfig};
-use osr_baselines::{
-    BaselineSpec, OneVsSetParams, OsnnParams, PiSvmParams, ServedBaseline, WOsvmParams,
-    WSvmParams,
-};
+use osr_baselines::{BaselineSpec, ServedBaseline};
 use osr_dataset::protocol::{Prediction, TrainSet};
 
 use crate::{EvalError, Result};
@@ -25,16 +22,8 @@ use crate::{EvalError, Result};
 pub enum MethodSpec {
     /// The paper's contribution.
     HdpOsr(HdpOsrConfig),
-    /// 1-vs-Set machine.
-    OneVsSet(OneVsSetParams),
-    /// W-OSVM (one-class CAP model only).
-    WOsvm(WOsvmParams),
-    /// Weibull-calibrated SVM.
-    WSvm(WSvmParams),
-    /// Probability-of-inclusion SVM.
-    PiSvm(PiSvmParams),
-    /// Nearest-neighbour distance ratio.
-    Osnn(OsnnParams),
+    /// One of the five baselines.
+    Baseline(BaselineSpec),
 }
 
 impl MethodSpec {
@@ -42,11 +31,7 @@ impl MethodSpec {
     pub fn name(&self) -> &'static str {
         match self {
             Self::HdpOsr(_) => "HDP-OSR",
-            Self::OneVsSet(_) => "1-vs-Set",
-            Self::WOsvm(_) => "W-OSVM",
-            Self::WSvm(_) => "W-SVM",
-            Self::PiSvm(_) => "PI-SVM",
-            Self::Osnn(_) => "OSNN",
+            Self::Baseline(spec) => spec.name(),
         }
     }
 
@@ -57,18 +42,13 @@ impl MethodSpec {
     /// Wraps any training failure with the method name.
     pub fn fit_collective(&self, train: &TrainSet) -> Result<Box<dyn CollectiveModel>> {
         let wrap = |e: String| EvalError::Method(format!("{}: {e}", self.name()));
-        let baseline = |spec: BaselineSpec| -> Result<Box<dyn CollectiveModel>> {
-            Ok(Box::new(ServedBaseline::train(spec, train).map_err(|e| wrap(e.to_string()))?))
-        };
         match self {
             Self::HdpOsr(cfg) => {
                 Ok(Box::new(HdpOsr::fit(cfg, train).map_err(|e| wrap(e.to_string()))?))
             }
-            Self::OneVsSet(p) => baseline(BaselineSpec::OneVsSet(*p)),
-            Self::WOsvm(p) => baseline(BaselineSpec::WOsvm(*p)),
-            Self::WSvm(p) => baseline(BaselineSpec::WSvm(*p)),
-            Self::PiSvm(p) => baseline(BaselineSpec::PiSvm(*p)),
-            Self::Osnn(p) => baseline(BaselineSpec::Osnn(*p)),
+            Self::Baseline(spec) => {
+                Ok(Box::new(ServedBaseline::train(*spec, train).map_err(|e| wrap(e.to_string()))?))
+            }
         }
     }
 
@@ -142,20 +122,15 @@ impl MethodSpec {
     /// The default specification of every method in the paper's comparison,
     /// in figure-legend order.
     pub fn paper_lineup() -> Vec<MethodSpec> {
-        vec![
-            Self::OneVsSet(OneVsSetParams::default()),
-            Self::WOsvm(WOsvmParams::default()),
-            Self::WSvm(WSvmParams::default()),
-            Self::PiSvm(PiSvmParams::default()),
-            Self::Osnn(OsnnParams::default()),
-            Self::HdpOsr(HdpOsrConfig::default()),
-        ]
+        let baselines = BaselineSpec::default_lineup().into_iter().map(Self::Baseline);
+        baselines.chain([Self::HdpOsr(HdpOsrConfig::default())]).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osr_baselines::OsnnParams;
     use osr_stats::sampling;
 
     fn blob(rng: &mut StdRng, cx: f64, cy: f64, n: usize) -> Vec<Vec<f64>> {
@@ -216,7 +191,7 @@ mod tests {
     #[test]
     fn failures_carry_the_method_name() {
         let empty = TrainSet { class_ids: vec![], classes: vec![] };
-        let err = MethodSpec::Osnn(OsnnParams::default())
+        let err = MethodSpec::Baseline(BaselineSpec::Osnn(OsnnParams::default()))
             .run_trial(&empty, &[], 0, 0)
             .unwrap_err();
         assert!(matches!(err, EvalError::Method(ref m) if m.starts_with("OSNN")));

@@ -13,7 +13,9 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use hdp_osr_core::HdpOsrConfig;
-use osr_baselines::{OneVsSetParams, OsnnParams, PiSvmParams, WOsvmParams, WSvmParams};
+use osr_baselines::{
+    BaselineSpec, OneVsSetParams, OsnnParams, PiSvmParams, WOsvmParams, WSvmParams,
+};
 use osr_dataset::protocol::ValidationSplit;
 
 use crate::methods::MethodSpec;
@@ -35,13 +37,17 @@ impl Grids {
         let mut candidates = Vec::new();
 
         // 1-vs-Set: "default setting in the code provided by the authors".
-        candidates.push(vec![MethodSpec::OneVsSet(OneVsSetParams::default())]);
+        let one_vs_set = BaselineSpec::OneVsSet(OneVsSetParams::default());
+        candidates.push(vec![MethodSpec::Baseline(one_vs_set)]);
 
         // W-OSVM: ν sweep, δ_τ fixed at 0.001.
         candidates.push(
             [0.1, 0.05, 0.2]
                 .iter()
-                .map(|&nu| MethodSpec::WOsvm(WOsvmParams { nu, ..Default::default() }))
+                .map(|&nu| {
+                    let params = WOsvmParams { nu, ..Default::default() };
+                    MethodSpec::Baseline(BaselineSpec::WOsvm(params))
+                })
                 .collect(),
         );
 
@@ -52,7 +58,8 @@ impl Grids {
                 .iter()
                 .flat_map(|&delta_r| {
                     [1.0, 0.5, 4.0].iter().map(move |&c| {
-                        MethodSpec::WSvm(WSvmParams { c, delta_r, ..Default::default() })
+                        let params = WSvmParams { c, delta_r, ..Default::default() };
+                        MethodSpec::Baseline(BaselineSpec::WSvm(params))
                     })
                 })
                 .collect(),
@@ -65,7 +72,8 @@ impl Grids {
                 .iter()
                 .flat_map(|&delta| {
                     [1.0, 0.5, 4.0].iter().map(move |&c| {
-                        MethodSpec::PiSvm(PiSvmParams { c, delta, ..Default::default() })
+                        let params = PiSvmParams { c, delta, ..Default::default() };
+                        MethodSpec::Baseline(BaselineSpec::PiSvm(params))
                     })
                 })
                 .collect(),
@@ -76,7 +84,7 @@ impl Grids {
         candidates.push(
             [0.8, 0.3, 0.5, 0.6, 0.7, 0.9]
                 .iter()
-                .map(|&sigma| MethodSpec::Osnn(OsnnParams { sigma }))
+                .map(|&sigma| MethodSpec::Baseline(BaselineSpec::Osnn(OsnnParams { sigma })))
                 .collect(),
         );
 
@@ -165,6 +173,10 @@ mod tests {
     use osr_dataset::protocol::{OpenSetSplit, SplitConfig};
     use osr_dataset::synthetic;
 
+    fn osnn(sigma: f64) -> MethodSpec {
+        MethodSpec::Baseline(BaselineSpec::Osnn(OsnnParams { sigma }))
+    }
+
     fn validation() -> ValidationSplit {
         let mut rng = StdRng::seed_from_u64(3);
         let data = synthetic::pendigits_config().scaled(0.03).generate(&mut rng);
@@ -175,15 +187,14 @@ mod tests {
     #[test]
     fn tuning_picks_a_reasonable_osnn_sigma() {
         let val = validation();
-        let sigmas: Vec<MethodSpec> = [0.01, 0.5, 0.7, 0.9]
-            .iter()
-            .map(|&sigma| MethodSpec::Osnn(OsnnParams { sigma }))
-            .collect();
+        let sigmas: Vec<MethodSpec> = [0.01, 0.5, 0.7, 0.9].into_iter().map(osnn).collect();
         let tuned = tune_method(&sigmas, &val, 1).unwrap();
         // σ = 0.01 rejects nearly everything — terrible closed-set F, so it
         // must not win.
         match tuned.spec {
-            MethodSpec::Osnn(p) => assert!(p.sigma > 0.1, "picked degenerate σ = {}", p.sigma),
+            MethodSpec::Baseline(BaselineSpec::Osnn(p)) => {
+                assert!(p.sigma > 0.1, "picked degenerate σ = {}", p.sigma)
+            }
             other => panic!("wrong family: {other:?}"),
         }
         assert!(tuned.f_closed > 0.5, "closed F {:.3}", tuned.f_closed);
@@ -194,12 +205,10 @@ mod tests {
         let val = validation();
         // First candidate has an invalid σ and fails to train; the second
         // must still win.
-        let candidates = vec![
-            MethodSpec::Osnn(OsnnParams { sigma: -1.0 }),
-            MethodSpec::Osnn(OsnnParams { sigma: 0.7 }),
-        ];
+        let candidates = vec![osnn(-1.0), osnn(0.7)];
         let tuned = tune_method(&candidates, &val, 1).unwrap();
-        assert!(matches!(tuned.spec, MethodSpec::Osnn(p) if p.sigma == 0.7));
+        let winner = tuned.spec;
+        assert!(matches!(winner, MethodSpec::Baseline(BaselineSpec::Osnn(p)) if p.sigma == 0.7));
     }
 
     #[test]
@@ -211,7 +220,7 @@ mod tests {
     #[test]
     fn tuning_with_all_failing_candidates_errors() {
         let val = validation();
-        let candidates = vec![MethodSpec::Osnn(OsnnParams { sigma: 2.0 })];
+        let candidates = vec![osnn(2.0)];
         assert!(tune_method(&candidates, &val, 0).is_err());
     }
 
@@ -219,8 +228,7 @@ mod tests {
     fn tuning_scores_equal_two_separate_fits() {
         let val = validation();
         let hdp = MethodSpec::HdpOsr(HdpOsrConfig { iterations: 5, ..Default::default() });
-        let osnn = MethodSpec::Osnn(OsnnParams { sigma: 0.7 });
-        for spec in [hdp, osnn] {
+        for spec in [hdp, osnn(0.7)] {
             // A lone candidate is index 0, so its RNG is seeded with `seed`.
             let tuned = tune_method(&[spec], &val, 9).unwrap();
             let mut rng = StdRng::seed_from_u64(9);

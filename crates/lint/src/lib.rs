@@ -3,8 +3,8 @@
 //! The serving stack stakes correctness on invariants no compiler checks:
 //! bit-identical golden traces across worker counts, panic-isolated
 //! no-unwrap serving paths, `(seed, index)`-derived RNGs everywhere. This
-//! crate machine-enforces them as a CI gate (`scripts/verify.sh` runs
-//! `cargo run -p osr-lint -- --format json` and fails on violations).
+//! crate machine-enforces them as a test gate: `tests/workspace_clean.rs`
+//! runs [`run`] over the repository and fails on any violation.
 //!
 //! Design constraints, in order:
 //!

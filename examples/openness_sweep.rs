@@ -10,7 +10,7 @@ use hdp_osr::core::HdpOsrConfig;
 use hdp_osr::dataset::synthetic::pendigits_config;
 use hdp_osr::eval::experiment::{openness_sweep, to_tsv};
 use hdp_osr::eval::methods::MethodSpec;
-use osr_baselines::{OsnnParams, PiSvmParams, WSvmParams};
+use osr_baselines::{BaselineSpec, OsnnParams, PiSvmParams, WSvmParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,9 +22,9 @@ fn main() {
     // fast; the reproduction binaries in `crates/bench` run the full
     // validation grid search instead.
     let families: Vec<Vec<MethodSpec>> = vec![
-        vec![MethodSpec::WSvm(WSvmParams::default())],
-        vec![MethodSpec::PiSvm(PiSvmParams::default())],
-        vec![MethodSpec::Osnn(OsnnParams::default())],
+        vec![MethodSpec::Baseline(BaselineSpec::WSvm(WSvmParams::default()))],
+        vec![MethodSpec::Baseline(BaselineSpec::PiSvm(PiSvmParams::default()))],
+        vec![MethodSpec::Baseline(BaselineSpec::Osnn(OsnnParams::default()))],
         vec![MethodSpec::HdpOsr(HdpOsrConfig { iterations: 20, ..Default::default() })],
     ];
 

@@ -6,7 +6,7 @@ use hdp_osr::dataset::csv::{read_csv, write_csv};
 use hdp_osr::dataset::protocol::{OpenSetSplit, SplitConfig};
 use hdp_osr::eval::methods::MethodSpec;
 use hdp_osr::eval::metrics::OpenSetConfusion;
-use osr_baselines::OsnnParams;
+use osr_baselines::{BaselineSpec, OsnnParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Cursor;
@@ -42,7 +42,7 @@ fn csv_to_open_set_scores() {
     // σ = 0.5: the four centers form a square, so an unknown corner sits at
     // distance ratio ~0.7 between the two known corners — the default σ of
     // 0.8 would (correctly per Eq. 3, wrongly per ground truth) accept it.
-    let spec = MethodSpec::Osnn(OsnnParams { sigma: 0.5 });
+    let spec = MethodSpec::Baseline(BaselineSpec::Osnn(OsnnParams { sigma: 0.5 }));
     let preds = spec.run_trial(&split.train, &split.test.points, 1, 0).unwrap();
     let c = OpenSetConfusion::from_slices(&preds, &split.test.truth);
     assert!(c.f_measure() > 0.9, "F = {:.3}", c.f_measure());
