@@ -16,8 +16,6 @@
 //! volume in the remaining directions, so the open-space risk never reaches
 //! zero (Fig. 1's classes ?2/?3 stay misclassified).
 
-use serde::{Deserialize, Serialize};
-
 use osr_dataset::protocol::{Prediction, TrainSet};
 use osr_svm::{BinarySvm, Kernel, SvmParams};
 
@@ -25,7 +23,7 @@ use crate::{validate_training, OpenSetClassifier, Result};
 
 /// 1-vs-Set hyperparameters ("the default setting in the code provided by
 /// the authors", §4.1.2).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OneVsSetParams {
     /// Soft-margin C of the underlying linear SVM.
     pub c: f64,
@@ -46,7 +44,7 @@ impl Default for OneVsSetParams {
 }
 
 /// One class's slab: the shared linear SVM scores bounded to `[δ_A, δ_B]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Slab {
     svm: BinarySvm,
     delta_a: f64,
@@ -64,7 +62,7 @@ impl Slab {
 }
 
 /// The trained 1-vs-Set machine (one slab per known class).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OneVsSet {
     slabs: Vec<Slab>,
 }

@@ -7,14 +7,12 @@
 //! label; otherwise it sits ambiguously between classes and is rejected as
 //! unknown.
 
-use serde::{Deserialize, Serialize};
-
 use osr_dataset::protocol::Prediction;
 
 use crate::{validate_training, OpenSetClassifier, Result};
 
 /// OSNN hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsnnParams {
     /// Distance-ratio threshold σ ∈ (0, 1); the only parameter the method
     /// needs (optimized on the validation simulations in the paper).
@@ -28,7 +26,7 @@ impl Default for OsnnParams {
 }
 
 /// A trained (memorized) OSNN model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Osnn {
     points: Vec<Vec<f64>>,
     labels: Vec<usize>,

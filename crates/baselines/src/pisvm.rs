@@ -9,8 +9,6 @@
 //! clears the threshold δ (grid-searched over 10⁻⁷…10⁻¹ in the paper) and
 //! rejected otherwise.
 
-use serde::{Deserialize, Serialize};
-
 use osr_dataset::protocol::{Prediction, TrainSet};
 use osr_stats::weibull::{TailSide, WeibullFit};
 use osr_svm::{BinarySvm, Kernel, SvmParams};
@@ -18,7 +16,7 @@ use osr_svm::{BinarySvm, Kernel, SvmParams};
 use crate::{validate_training, OpenSetClassifier, Result};
 
 /// P_I-SVM hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PiSvmParams {
     /// Binary C-SVC soft margin.
     pub c: f64,
@@ -37,7 +35,7 @@ impl Default for PiSvmParams {
 }
 
 /// One class's inclusion model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct InclusionModel {
     svm: BinarySvm,
     calibrator: Option<WeibullFit>,
@@ -62,7 +60,7 @@ impl InclusionModel {
 }
 
 /// Trained P_I-SVM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PiSvm {
     models: Vec<InclusionModel>,
     delta: f64,

@@ -24,7 +24,6 @@
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use hdp_osr_core::collective::{
     AttemptError, CollectiveModel, CollectiveSession, ModelCapabilities,
@@ -40,7 +39,7 @@ use crate::{
 
 /// A fully parameterized baseline, ready to train into a [`ServedBaseline`]:
 /// the one table of a baseline's identity (trace tag and figure legend).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum BaselineSpec {
     /// 1-vs-Set machine.
     OneVsSet(OneVsSetParams),

@@ -13,8 +13,6 @@
 //!   one-class conditioner ι_y and accepted only above δ_R (paper Eq. 2,
 //!   with δ_R either grid-searched or set to `0.5 × openness`).
 
-use serde::{Deserialize, Serialize};
-
 use osr_dataset::protocol::{Prediction, TrainSet};
 use osr_stats::weibull::{TailSide, WeibullFit};
 use osr_svm::{BinarySvm, Kernel, OneClassSvm, SvmParams};
@@ -29,7 +27,7 @@ const MIN_TAIL: usize = 8;
 
 /// An EVT calibrator with a degenerate fallback for pathological score sets
 /// (e.g. all identical), so grid searches never abort mid-sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Calibrator {
     Evt(WeibullFit),
     /// Step calibrator at a threshold: probability 1 above, 0 below
@@ -64,7 +62,7 @@ impl Calibrator {
 }
 
 /// Shared per-class one-class CAP model with Weibull calibration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct OneClassCap {
     svm: OneClassSvm,
     calibrator: Calibrator,
@@ -90,7 +88,7 @@ impl OneClassCap {
 // ---------------------------------------------------------------------------
 
 /// W-OSVM hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WOsvmParams {
     /// One-class ν.
     pub nu: f64,
@@ -107,7 +105,7 @@ impl Default for WOsvmParams {
 }
 
 /// Trained W-OSVM (one-class CAP model per class).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WOsvm {
     caps: Vec<OneClassCap>,
     delta_tau: f64,
@@ -152,7 +150,7 @@ impl OpenSetClassifier for WOsvm {
 
 /// W-SVM hyperparameters (§4.1.2: C and γ grid-searched, δ_τ fixed at
 /// 0.001, δ_R grid-searched in 10⁻⁷…10⁻¹ or set to 0.5 × openness).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WSvmParams {
     /// Binary C-SVC soft margin.
     pub c: f64,
@@ -173,7 +171,7 @@ impl Default for WSvmParams {
 }
 
 /// One class's calibrated binary CAP model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct BinaryCap {
     svm: BinarySvm,
     /// `P_η`: Weibull inclusion model on positive scores.
@@ -183,7 +181,7 @@ struct BinaryCap {
 }
 
 /// Trained W-SVM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WSvm {
     caps: Vec<OneClassCap>,
     binaries: Vec<BinaryCap>,

@@ -10,9 +10,11 @@
 //! the file with the paper's protocol (60 % of each chosen known class to
 //! training; held-out knowns plus every sample of the chosen unknown classes
 //! to testing), runs the requested method over `--trials` randomized splits,
-//! and reports micro-F-measure and open-set accuracy.
+//! and reports micro-F-measure and open-set accuracy. Every method that
+//! succeeds prints its row; the tool exits 1 if any requested method failed.
 
 use hdp_osr_core::HdpOsrConfig;
+use osr_baselines::BaselineSpec;
 use osr_dataset::csv::read_csv_file;
 use osr_dataset::protocol::SplitConfig;
 use osr_eval::experiment::{run_trials, ExperimentConfig};
@@ -69,12 +71,41 @@ fn parse_args() -> Args {
 }
 
 fn usage() -> ! {
+    let names: Vec<String> = listed_methods().iter().map(method_flag).collect();
     eprintln!(
         "usage: osr --data FILE.csv [--method NAME] [--known N] [--unknown N]\n\
          \x20          [--trials N] [--seed N] [--iters N] [--list]\n\
-         methods: hdp-osr | 1-vs-set | w-osvm | w-svm | pi-svm | osnn | all"
+         methods: {} | all",
+        names.join(" | ")
     );
     std::process::exit(2)
+}
+
+/// The paper's lineup in `--list` order: the default (HDP-OSR) first, then
+/// the baselines in figure-legend order.
+fn listed_methods() -> Vec<MethodSpec> {
+    let mut lineup = MethodSpec::paper_lineup();
+    lineup.sort_by_key(|spec| !matches!(spec, MethodSpec::HdpOsr(_)));
+    lineup
+}
+
+/// The `--method` value naming `spec`: its figure-legend name, lower-cased.
+fn method_flag(spec: &MethodSpec) -> String {
+    spec.name().to_lowercase()
+}
+
+/// The `--list` description of `spec`.
+fn describe(spec: &MethodSpec) -> &'static str {
+    match spec {
+        MethodSpec::HdpOsr(_) => "the paper's collective-decision model (default)",
+        MethodSpec::Baseline(baseline) => match baseline {
+            BaselineSpec::OneVsSet(_) => "linear slab machine (Scheirer et al. 2013)",
+            BaselineSpec::WOsvm(_) => "one-class SVM + Weibull calibration",
+            BaselineSpec::WSvm(_) => "Weibull-calibrated SVM (Scheirer et al. 2014)",
+            BaselineSpec::PiSvm(_) => "probability-of-inclusion SVM (Jain et al. 2014)",
+            BaselineSpec::Osnn(_) => "nearest-neighbour distance ratio (Júnior et al. 2017)",
+        },
+    }
 }
 
 /// The `(known, unknown)` class split out of `n_classes`. A zero request
@@ -97,13 +128,10 @@ fn class_budget(
 fn main() {
     let args = parse_args();
     if args.list {
-        println!("hdp-osr   the paper's collective-decision model (default)");
-        println!("1-vs-set  linear slab machine (Scheirer et al. 2013)");
-        println!("w-osvm    one-class SVM + Weibull calibration");
-        println!("w-svm     Weibull-calibrated SVM (Scheirer et al. 2014)");
-        println!("pi-svm    probability-of-inclusion SVM (Jain et al. 2014)");
-        println!("osnn      nearest-neighbour distance ratio (Júnior et al. 2017)");
-        println!("all       run every method");
+        for spec in listed_methods() {
+            println!("{:<10}{}", method_flag(&spec), describe(&spec));
+        }
+        println!("{:<10}run every method", "all");
         return;
     }
     let Some(path) = args.data else { usage() };
@@ -142,8 +170,7 @@ fn main() {
         args.seed
     );
 
-    // `--method` is a figure-legend name, lower-cased; the lineup's order is
-    // the order `all` runs in.
+    // The lineup's order is the order `all` runs in.
     let lineup = MethodSpec::paper_lineup().into_iter().map(|spec| match spec {
         MethodSpec::HdpOsr(cfg) => {
             MethodSpec::HdpOsr(HdpOsrConfig { iterations: args.iters, ..cfg })
@@ -151,13 +178,14 @@ fn main() {
         other => other,
     });
     let methods: Vec<MethodSpec> = lineup
-        .filter(|spec| args.method == "all" || spec.name().to_lowercase() == args.method)
+        .filter(|spec| args.method == "all" || method_flag(spec) == args.method)
         .collect();
     if methods.is_empty() {
         eprintln!("unknown method {:?}; try --list", args.method);
         std::process::exit(2)
     }
 
+    let mut failed = false;
     println!("method\tf_measure\tf_std\taccuracy\tacc_std\ttrials");
     for spec in methods {
         match run_trials(&data, &config, &spec) {
@@ -174,8 +202,14 @@ fn main() {
                     f.n
                 );
             }
-            Err(e) => eprintln!("{}: failed: {e}", spec.name()),
+            Err(e) => {
+                eprintln!("{}: failed: {e}", spec.name());
+                failed = true;
+            }
         }
+    }
+    if failed {
+        std::process::exit(1)
     }
 }
 

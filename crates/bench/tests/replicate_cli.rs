@@ -1,5 +1,6 @@
-//! The `replicate` runner rejects bad flag values with its usage message
-//! and exit code 2, before any experiment starts.
+//! The `replicate` runner end to end: its Table 2 at `--quick` scale is
+//! pinned byte for byte, and it rejects bad flag values with its usage
+//! message and exit code 2, before any experiment starts.
 
 use std::process::Command;
 
@@ -16,4 +17,31 @@ fn scale_that_is_not_finite_and_positive_exits_with_usage() {
         assert!(stderr.contains("usage: replicate"), "--scale {bad}: {stderr}");
         assert!(out.stdout.is_empty(), "--scale {bad} printed results");
     }
+}
+
+/// Stdout of `replicate table2 --quick`: the PENDIGITS discovery table and
+/// its Eq. 11 estimate. The same bytes in debug and release builds.
+const TABLE2_QUICK: &str = r#"# PENDIGITS — new class discovery under HDP-OSR
+# known classes (original ids): [1, 3, 6, 2, 9]; unknown classes: [5, 8, 7, 4, 0]
+Group          # Subclass  Subclasses (id: %)
+Class1                  2  S109: 75.76%  S108: 24.24%
+Class2                  3  S4: 51.52%  S110: 27.27%  S111: 21.21%
+Class3                  4  S112: 48.48%  S114: 27.27%  S113: 22.73%  S115: 1.52%
+Class4                  2  S117: 75.76%  S116: 24.24%
+Class5                  2  S118: 83.08%  S119: 16.92%
+Testing-Set            16  Known subclasses (#: 12) 44.34% | New subclasses (#: 4) 55.66%
+Estimated unknown categories (Eq. 11): Δ = 2
+
+# |S_known| = 13, |S_unknown| = 4, J-1 = 5, true unknown classes = 5
+# paper: Δ = 4 with 5 true unknown classes (USPS), Δ ≈ 4 (PENDIGITS)
+"#;
+
+#[test]
+fn table2_quick_stdout_is_pinned() {
+    let out = Command::new(env!("CARGO_BIN_EXE_replicate"))
+        .args(["table2", "--quick"])
+        .output()
+        .expect("spawn replicate");
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), TABLE2_QUICK);
 }

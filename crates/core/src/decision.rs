@@ -76,7 +76,7 @@ impl std::fmt::Display for ServedVia {
 }
 
 /// Full output of [`crate::HdpOsr::classify_detailed`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClassifyOutcome {
     /// One prediction per test point.
     pub predictions: Vec<Prediction>,

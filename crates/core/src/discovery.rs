@@ -11,13 +11,11 @@
 //! Δ = ⌊ |S_unknown| / (|S_known| / (J − 1)) + 0.5 ⌋
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use osr_hdp::DishId;
 
 /// Subclass composition of one group (a known class or the test set):
 /// the dishes it uses after ϱ-pruning, with their within-group proportions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroupSubclasses {
     /// Display name ("Class1", …, "Testing-Set").
     pub name: String,
@@ -34,7 +32,7 @@ impl GroupSubclasses {
 }
 
 /// The Tables 1–2 report: per-group subclass structure plus the Δ estimate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubclassReport {
     /// One entry per known class, in training-class order.
     pub known: Vec<GroupSubclasses>,

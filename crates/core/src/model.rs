@@ -4,7 +4,6 @@
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use osr_dataset::protocol::TrainSet;
 use osr_hdp::{HdpConfig, Points, PosteriorSnapshot};
@@ -17,7 +16,7 @@ use crate::serving::{sweep_fault_delay, ServingMode, WarmState};
 use crate::{OsrError, Result};
 
 /// Configuration of HDP-OSR (§4.1.2 defaults).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HdpOsrConfig {
     /// β — the NIW mean pseudo-count κ₀. Paper: 1.
     pub beta: f64,

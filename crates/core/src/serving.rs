@@ -58,7 +58,6 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use osr_dataset::protocol::TrainSet;
 use osr_hdp::{DishId, GroupSummary, Hdp, Points, PosteriorSnapshot, SweepTrace};
@@ -75,7 +74,7 @@ use crate::observability::{batch_trace_id, BatchTrace, FitReport, TraceRecord, T
 use crate::{OsrError, Result};
 
 /// How a fitted model answers [`HdpOsr::classify`] calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServingMode {
     /// Fit-once/serve-many (the default): `fit` runs the training burn-in
     /// once and checkpoints it; every batch is served warm from a private

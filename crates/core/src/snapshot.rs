@@ -32,8 +32,6 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use serde::Serialize;
-
 use osr_hdp::{HdpConfig, PosteriorSnapshot};
 use osr_stats::snapshot::{
     Dec, Enc, SnapResult, SnapshotError, SnapshotFile, SnapshotWriter,
@@ -56,7 +54,7 @@ pub const SEC_CORE_CONFIG: u32 = 64;
 /// [`SnapshotStore::inspect`] and returned from [`SnapshotStore::save`].
 /// The `format_version` field always carries [`SNAPSHOT_FORMAT_VERSION`]
 /// for files this build wrote.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
     /// Container format version ([`SNAPSHOT_FORMAT_VERSION`]).
     pub format_version: u32,

@@ -9,12 +9,11 @@
 //! non-axis-aligned clusters.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use osr_stats::sampling;
 
 /// One Gaussian subcluster with diagonal-plus-low-rank covariance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComponentSpec {
     /// Component mean.
     pub mean: Vec<f64>,
@@ -48,7 +47,7 @@ impl ComponentSpec {
 }
 
 /// A full class: weighted mixture of subclusters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GmmClassSpec {
     /// Mixture weights (positive, summing to 1).
     pub weights: Vec<f64>,
@@ -75,7 +74,7 @@ impl GmmClassSpec {
 }
 
 /// Parameters controlling how a random class spec is drawn.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClassSpecConfig {
     /// Feature dimension.
     pub dim: usize,

@@ -22,8 +22,6 @@ pub mod gmm;
 pub mod protocol;
 pub mod synthetic;
 
-use serde::{Deserialize, Serialize};
-
 /// Errors produced while building datasets or splits.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DatasetError {
@@ -68,7 +66,7 @@ pub type Result<T> = std::result::Result<T, DatasetError>;
 
 /// A fully labeled multi-class dataset (the "universe" an open-set problem is
 /// carved out of).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Human-readable name ("LETTER", "USPS", …).
     pub name: String,

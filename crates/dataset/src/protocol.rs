@@ -12,7 +12,6 @@
 //!   threshold searches are trained on `F` and scored on `V`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use osr_stats::sampling;
 
@@ -31,7 +30,7 @@ pub fn openness(n_train: usize, n_target: usize, n_test: usize) -> f64 {
 }
 
 /// Ground truth of a test sample in an open-set evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GroundTruth {
     /// Sample of a known class: the index **into the training class list**
     /// (not the original dataset id).
@@ -42,7 +41,7 @@ pub enum GroundTruth {
 
 /// Open-set prediction for one test sample — the shared output type of
 /// HDP-OSR and every baseline, scored against [`GroundTruth`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Prediction {
     /// Index into the training class list (`TrainSet::class_ids` order).
     Known(usize),
@@ -64,7 +63,7 @@ impl Prediction {
 
 /// Training data: the known classes, kept per-class because HDP-OSR models
 /// each class as its own HDP group.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainSet {
     /// Original dataset ids of the known classes (parallel to `classes`).
     pub class_ids: Vec<usize>,
@@ -106,7 +105,7 @@ impl TrainSet {
 }
 
 /// Test data with ground truth for scoring.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TestSet {
     /// Test feature vectors.
     pub points: Vec<Vec<f64>>,
@@ -134,7 +133,7 @@ impl TestSet {
 }
 
 /// Configuration of an open-set train/test split (protocol steps 1–3).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SplitConfig {
     /// Number of known classes `N` selected for training.
     pub n_known: usize,
@@ -158,7 +157,7 @@ impl SplitConfig {
 }
 
 /// One sampled open-set recognition problem.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpenSetSplit {
     /// Training data over the known classes.
     pub train: TrainSet,
@@ -243,7 +242,7 @@ impl OpenSetSplit {
 
 /// The fitting/validation partition used for threshold selection
 /// (protocol steps 4–6, Fig. 3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ValidationSplit {
     /// Fitting set `F`: 60 % of each simulation-"known" class.
     pub fitting: TrainSet,

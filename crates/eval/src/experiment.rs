@@ -13,7 +13,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use hdp_osr_core::fan_out;
 use osr_dataset::protocol::{OpenSetSplit, SplitConfig, ValidationSplit};
@@ -26,7 +25,7 @@ use crate::tuning::tune_method;
 use crate::{EvalError, Result};
 
 /// Runner configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExperimentConfig {
     /// Open-set split shape (known/unknown class counts, train fraction).
     pub split: SplitConfig,
@@ -47,7 +46,7 @@ impl ExperimentConfig {
 }
 
 /// Aggregated result of one method at one openness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MethodResult {
     /// Method name (figure legend).
     pub method: String,
@@ -62,7 +61,7 @@ pub struct MethodResult {
 }
 
 /// Per-trial raw scores (exposed for tests and detailed reports).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrialScores {
     /// One F-measure per trial.
     pub f_measures: Vec<f64>,
@@ -111,6 +110,7 @@ pub fn run_method(
 /// one worker per available CPU (at most one per trial).
 ///
 /// # Errors
+/// Rejects `config.trials == 0`, which has no scores to aggregate.
 /// Propagates the first trial failure; a trial that panics fails as an
 /// [`EvalError::Method`] naming the trial.
 pub fn run_trials(
@@ -118,6 +118,9 @@ pub fn run_trials(
     config: &ExperimentConfig,
     spec: &MethodSpec,
 ) -> Result<TrialScores> {
+    if config.trials == 0 {
+        return Err(EvalError::InvalidConfig("trials must be ≥ 1".into()));
+    }
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(config.trials);
     run_trials_on(data, config, spec, workers)
 }
@@ -315,5 +318,9 @@ mod tests {
             tune: false,
         };
         assert!(run_method(&data, &config, &osnn_family()).is_err());
+        assert!(matches!(
+            run_trials(&data, &config, &osnn_family()[0]),
+            Err(EvalError::InvalidConfig(_))
+        ));
     }
 }

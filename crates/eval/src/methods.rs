@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use hdp_osr_core::{BatchServer, CollectiveModel, HdpOsr, HdpOsrConfig};
 use osr_baselines::{BaselineSpec, ServedBaseline};
@@ -18,7 +17,7 @@ use osr_dataset::protocol::{Prediction, TrainSet};
 use crate::{EvalError, Result};
 
 /// A fully parameterized method, ready to train.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum MethodSpec {
     /// The paper's contribution.
     HdpOsr(HdpOsrConfig),

@@ -8,12 +8,10 @@
 //!   either the correct classification or 'rejection' if the testing sample
 //!   is from an unknown category."
 
-use serde::{Deserialize, Serialize};
-
 use osr_dataset::protocol::{GroundTruth, Prediction};
 
 /// Pooled confusion counts over the known classes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpenSetConfusion {
     /// Known sample predicted as its own class.
     pub tp: usize,

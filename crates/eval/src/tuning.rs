@@ -10,7 +10,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use hdp_osr_core::HdpOsrConfig;
 use osr_baselines::{
@@ -23,7 +22,7 @@ use crate::metrics::micro_f_measure;
 use crate::Result;
 
 /// Candidate grids for every method.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Grids {
     /// Candidates per method, each a complete [`MethodSpec`].
     pub candidates: Vec<Vec<MethodSpec>>,
@@ -105,7 +104,7 @@ impl Grids {
 }
 
 /// Outcome of tuning one method.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TunedMethod {
     /// The winning specification.
     pub spec: MethodSpec,

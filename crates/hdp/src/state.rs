@@ -9,8 +9,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use osr_stats::snapshot::{Dec, Enc, SnapResult};
 use osr_stats::{BlockStats, DishBank, NiwParams, Slot};
 
@@ -23,7 +21,7 @@ use crate::Points;
 pub type DishId = usize;
 
 /// Sampler configuration (§4.1.2 values as defaults).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HdpConfig {
     /// Gamma prior (shape, rate) on the top-level concentration γ.
     /// Paper: Gamma(100, 1), chosen large to discourage dish sharing between
@@ -444,7 +442,7 @@ impl HdpState {
 }
 
 /// Public read-only summary of one dish.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DishSummary {
     /// Stable dish id (the paper's subclass label `S_k`).
     pub id: DishId,
@@ -457,7 +455,7 @@ pub struct DishSummary {
 }
 
 /// Public read-only summary of one group's composition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroupSummary {
     /// Group index.
     pub group: usize,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{LinalgError, Matrix, Result};
 
 /// Cholesky factorization `A = L L'` of a symmetric positive-definite matrix.
@@ -10,7 +8,7 @@ use crate::{LinalgError, Matrix, Result};
 /// observation in or out of a mixture component is a rank-1
 /// [`update`](Self::update) / [`downdate`](Self::downdate) of that factor —
 /// O(d²) instead of refactorizing at O(d³).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
     /// Lower-triangular factor, stored dense with zeros above the diagonal.
     l: Matrix,

@@ -1,14 +1,12 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Row-major dense matrix of `f64`.
 ///
 /// Sized for the workloads in this workspace (covariance/scatter matrices up
 /// to a few hundred rows), so all operations are straightforward
 /// cache-friendly triple loops rather than blocked kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

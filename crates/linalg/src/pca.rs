@@ -1,22 +1,15 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{LinalgError, Matrix, Result, SymEigen};
 
 /// Principal component analysis fitted on a sample of points.
 ///
 /// The paper projects the 256-dimensional USPS features onto the subspace
-/// retaining 95 % of the variance (39 dimensions); [`Pca::fit_retaining`]
-/// reproduces exactly that selection rule, and [`Pca::fit`] supports a fixed
-/// component count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// retaining 95 % of the variance (39 dimensions); the USPS replica keeps
+/// those 39 components with [`Pca::fit`].
+#[derive(Debug, Clone)]
 pub struct Pca {
     mean: Vec<f64>,
     /// `k × d` projection matrix: rows are principal axes.
     components: Matrix,
-    /// Variance captured by each kept component, descending.
-    explained: Vec<f64>,
-    /// Total variance of the training sample (sum of all eigenvalues).
-    total_variance: f64,
 }
 
 impl Pca {
@@ -27,33 +20,6 @@ impl Pca {
     /// [`LinalgError::EmptyInput`] when `points` is empty, plus any
     /// eigensolver failure.
     pub fn fit(points: &[&[f64]], k: usize) -> Result<Self> {
-        let (mean, eig, total) = Self::prepare(points)?;
-        let k = k.min(eig.values.len());
-        Ok(Self::assemble(mean, &eig, k, total))
-    }
-
-    /// Fit keeping the smallest number of components whose cumulative
-    /// variance reaches `fraction` (e.g. `0.95`) of the total.
-    ///
-    /// # Errors
-    /// Same as [`Pca::fit`].
-    pub fn fit_retaining(points: &[&[f64]], fraction: f64) -> Result<Self> {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0, 1]");
-        let (mean, eig, total) = Self::prepare(points)?;
-        let mut k = 0;
-        let mut acc = 0.0;
-        let target = fraction * total;
-        while k < eig.values.len() && (acc < target || k == 0) {
-            acc += eig.values[k].max(0.0);
-            k += 1;
-            if acc >= target {
-                break;
-            }
-        }
-        Ok(Self::assemble(mean, &eig, k, total))
-    }
-
-    fn prepare(points: &[&[f64]]) -> Result<(Vec<f64>, SymEigen, f64)> {
         if points.is_empty() {
             return Err(LinalgError::EmptyInput);
         }
@@ -64,20 +30,14 @@ impl Pca {
         let mean = crate::vector::mean(points).expect("non-empty");
         let cov = Matrix::covariance(points, dim);
         let eig = SymEigen::decompose(&cov)?;
-        let total: f64 = eig.values.iter().map(|v| v.max(0.0)).sum();
-        Ok((mean, eig, total))
-    }
-
-    fn assemble(mean: Vec<f64>, eig: &SymEigen, k: usize, total: f64) -> Self {
-        let d = mean.len();
-        let mut components = Matrix::zeros(k, d);
+        let k = k.min(eig.values.len());
+        let mut components = Matrix::zeros(k, dim);
         for c in 0..k {
-            for r in 0..d {
+            for r in 0..dim {
                 components[(c, r)] = eig.vectors[(r, c)];
             }
         }
-        let explained = eig.values[..k].to_vec();
-        Self { mean, components, explained, total_variance: total }
+        Ok(Self { mean, components })
     }
 
     /// Number of retained components.
@@ -86,24 +46,10 @@ impl Pca {
         self.components.rows()
     }
 
-    /// Input dimension expected by [`transform`](Self::transform).
-    #[inline]
-    pub fn input_dim(&self) -> usize {
-        self.mean.len()
-    }
-
-    /// Fraction of total variance captured by the retained components.
-    pub fn explained_fraction(&self) -> f64 {
-        if self.total_variance <= 0.0 {
-            return 1.0;
-        }
-        self.explained.iter().map(|v| v.max(0.0)).sum::<f64>() / self.total_variance
-    }
-
     /// Project a single point into the principal subspace.
     ///
     /// # Panics
-    /// Panics when `x.len() != self.input_dim()`.
+    /// Panics when `x` does not have the fitted dimension.
     pub fn transform(&self, x: &[f64]) -> Vec<f64> {
         let centered = crate::vector::sub(x, &self.mean);
         self.components.matvec(&centered)
@@ -112,19 +58,6 @@ impl Pca {
     /// Project a batch of points.
     pub fn transform_all(&self, points: &[&[f64]]) -> Vec<Vec<f64>> {
         points.iter().map(|p| self.transform(p)).collect()
-    }
-
-    /// Map a projected point back into the original space (lossy when
-    /// `n_components < input_dim`).
-    pub fn inverse_transform(&self, z: &[f64]) -> Vec<f64> {
-        assert_eq!(z.len(), self.n_components(), "inverse_transform: dimension mismatch");
-        let mut x = self.mean.clone();
-        for (c, &zc) in z.iter().enumerate() {
-            for (xi, comp) in x.iter_mut().zip(self.components.row(c)) {
-                *xi += zc * comp;
-            }
-        }
-        x
     }
 }
 
@@ -153,20 +86,11 @@ mod tests {
     #[test]
     fn planar_data_needs_two_components_for_full_variance() {
         let pts = planar_cloud();
-        let pca = Pca::fit_retaining(&as_refs(&pts), 0.999).unwrap();
-        assert_eq!(pca.n_components(), 2);
-        assert!(pca.explained_fraction() > 0.999);
-    }
-
-    #[test]
-    fn transform_then_inverse_recovers_planar_points() {
-        let pts = planar_cloud();
-        let pca = Pca::fit(&as_refs(&pts), 2).unwrap();
-        for p in pts.iter().take(10) {
-            let back = pca.inverse_transform(&pca.transform(p));
-            for (b, e) in back.iter().zip(p) {
-                assert!((b - e).abs() < 1e-8, "reconstruction drift: {b} vs {e}");
-            }
+        let refs = as_refs(&pts);
+        let pca = Pca::fit(&refs, 3).unwrap();
+        // The third axis is normal to the plane: nothing projects onto it.
+        for z in pca.transform_all(&refs) {
+            assert!(z[2].abs() < 1e-8, "off-plane coordinate {}", z[2]);
         }
     }
 
@@ -191,13 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn retaining_zero_fraction_keeps_one_component() {
-        let pts = planar_cloud();
-        let pca = Pca::fit_retaining(&as_refs(&pts), 0.0).unwrap();
-        assert_eq!(pca.n_components(), 1);
-    }
-
-    #[test]
     fn empty_input_is_an_error() {
         assert!(matches!(Pca::fit(&[], 2), Err(LinalgError::EmptyInput)));
     }
@@ -205,9 +122,11 @@ mod tests {
     #[test]
     fn explained_variances_are_descending() {
         let pts = planar_cloud();
-        let pca = Pca::fit(&as_refs(&pts), 3).unwrap();
-        for w in pca.explained.windows(2) {
-            assert!(w[0] >= w[1] - 1e-12);
-        }
+        let refs = as_refs(&pts);
+        let z = Pca::fit(&refs, 3).unwrap().transform_all(&refs);
+        // The projection is centered, so each axis's sum of squares is its
+        // explained variance times (n − 1).
+        let var = |c: usize| z.iter().map(|p| p[c] * p[c]).sum::<f64>();
+        assert!(var(0) >= var(1) && var(1) >= var(2));
     }
 }

@@ -45,7 +45,7 @@ pub fn median(xs: &[f64]) -> Option<f64> {
 
 /// Mean and standard deviation of a set of trial results, the form every
 /// figure in the paper reports (line + error bar).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeanStd {
     /// Arithmetic mean over trials.
     pub mean: f64,

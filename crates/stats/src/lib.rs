@@ -7,8 +7,8 @@
 //! * [`sampling`] — RNG-driven draws from normal / gamma / beta / Dirichlet /
 //!   categorical distributions (all hand-rolled on top of `rand`'s uniform
 //!   source, since the workspace deliberately avoids `rand_distr`),
-//! * [`mvn`] — multivariate normal and multivariate Student-t log-densities
-//!   plus Cholesky-based MVN sampling,
+//! * [`mvn`] — the multivariate Student-t log-density, the NIW posterior
+//!   predictive that the [`niw`] oracle evaluates and the bank kernels match,
 //! * [`bank`] — the struct-of-arrays [`DishBank`] of NIW posteriors with
 //!   precomputed predictive constants and the two fused predictive kernels
 //!   (one-vs-all collective scoring, batch-vs-one block predictives) that

@@ -1,27 +1,11 @@
-//! Multivariate normal and multivariate Student-t log-densities, plus
-//! Cholesky-based Gaussian sampling. The Student-t density is the posterior
-//! predictive of the Normal–Inverse-Wishart family and therefore the single
-//! most frequently evaluated function in the whole HDP sampler.
+//! The multivariate Student-t log-density: the posterior predictive of the
+//! Normal–Inverse-Wishart family. [`crate::NiwPosterior`], the scalar test
+//! oracle, evaluates it directly; the [`crate::DishBank`] kernels fold its
+//! constants per dish and must match it bit for bit.
 
-use rand::Rng;
-
-use osr_linalg::{vector, Cholesky, Matrix};
+use osr_linalg::{vector, Cholesky};
 
 use crate::special::ln_gamma;
-use crate::{Result, StatsError};
-
-/// Log-density of `N(mu, Sigma)` at `x`, given a pre-factored covariance.
-///
-/// # Panics
-/// Panics on dimension mismatch between `x`, `mu` and the factorization.
-pub fn mvn_logpdf(x: &[f64], mu: &[f64], cov_chol: &Cholesky) -> f64 {
-    let d = mu.len();
-    assert_eq!(x.len(), d, "mvn_logpdf: x dimension mismatch");
-    assert_eq!(cov_chol.dim(), d, "mvn_logpdf: covariance dimension mismatch");
-    let diff = vector::sub(x, mu);
-    let maha = cov_chol.inv_quad_form(&diff);
-    -0.5 * (d as f64 * (2.0 * std::f64::consts::PI).ln() + cov_chol.log_det() + maha)
-}
 
 /// Log-density of the multivariate Student-t with `df` degrees of freedom,
 /// location `mu`, and scale matrix factored as `scale_chol`, evaluated at
@@ -54,85 +38,10 @@ pub fn mvt_logpdf_scaled(
         - 0.5 * (df + dd) * (1.0 + maha / df).ln()
 }
 
-/// Log-density of the multivariate Student-t (unscaled convenience wrapper).
-pub fn mvt_logpdf(x: &[f64], mu: &[f64], scale_chol: &Cholesky, df: f64) -> f64 {
-    mvt_logpdf_scaled(x, mu, scale_chol, 0.0, df)
-}
-
-/// Sampler for `N(mu, Sigma)` with a cached Cholesky factor.
-#[derive(Debug, Clone)]
-pub struct MvnSampler {
-    mu: Vec<f64>,
-    chol: Cholesky,
-}
-
-impl MvnSampler {
-    /// Build a sampler from mean and covariance.
-    ///
-    /// # Errors
-    /// Fails when `cov` is not positive definite.
-    pub fn new(mu: Vec<f64>, cov: &Matrix) -> Result<Self> {
-        if cov.rows() != mu.len() {
-            return Err(StatsError::InvalidParameter(format!(
-                "covariance is {}x{} but mean has dimension {}",
-                cov.rows(),
-                cov.cols(),
-                mu.len()
-            )));
-        }
-        let chol = Cholesky::factor(cov)?;
-        Ok(Self { mu, chol })
-    }
-
-    /// Dimension of the distribution.
-    pub fn dim(&self) -> usize {
-        self.mu.len()
-    }
-
-    /// Draw one sample: `mu + L z` with `z` standard normal.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        let d = self.dim();
-        let z: Vec<f64> = (0..d).map(|_| crate::sampling::standard_normal(rng)).collect();
-        let l = self.chol.factor_l();
-        let mut x = self.mu.clone();
-        for r in 0..d {
-            for c in 0..=r {
-                x[r] += l[(r, c)] * z[c];
-            }
-        }
-        x
-    }
-
-    /// Log-density at `x`.
-    pub fn logpdf(&self, x: &[f64]) -> f64 {
-        mvn_logpdf(x, &self.mu, &self.chol)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn standard_mvn_logpdf_at_origin() {
-        let chol = Cholesky::factor(&Matrix::identity(3)).unwrap();
-        let lp = mvn_logpdf(&[0.0; 3], &[0.0; 3], &chol);
-        let expect = -1.5 * (2.0 * std::f64::consts::PI).ln();
-        assert!((lp - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mvn_logpdf_univariate_matches_formula() {
-        let sigma2 = 2.5;
-        let chol = Cholesky::factor(&Matrix::from_rows(&[vec![sigma2]])).unwrap();
-        let (x, mu) = (1.3, 0.4);
-        let lp = mvn_logpdf(&[x], &[mu], &chol);
-        let expect = -0.5
-            * ((2.0 * std::f64::consts::PI * sigma2).ln() + (x - mu) * (x - mu) / sigma2);
-        assert!((lp - expect).abs() < 1e-12);
-    }
+    use osr_linalg::Matrix;
 
     #[test]
     fn mvt_converges_to_mvn_for_large_df() {
@@ -140,8 +49,10 @@ mod tests {
         let chol = Cholesky::factor(&cov).unwrap();
         let x = [0.7, -0.4];
         let mu = [0.1, 0.2];
-        let t = mvt_logpdf(&x, &mu, &chol, 1e7);
-        let n = mvn_logpdf(&x, &mu, &chol);
+        let t = mvt_logpdf_scaled(&x, &mu, &chol, 0.0, 1e7);
+        // Normal log-density under the same covariance.
+        let maha = chol.inv_quad_form(&vector::sub(&x, &mu));
+        let n = -0.5 * (2.0 * (2.0 * std::f64::consts::PI).ln() + chol.log_det() + maha);
         assert!((t - n).abs() < 1e-4, "t({t}) should approach normal({n})");
     }
 
@@ -150,7 +61,7 @@ mod tests {
         // Standard t with 3 dof at x = 1: logpdf = ln Γ(2) - ln Γ(1.5)
         //   - 0.5 ln(3π) - 2 ln(1 + 1/3)
         let chol = Cholesky::factor(&Matrix::identity(1)).unwrap();
-        let lp = mvt_logpdf(&[1.0], &[0.0], &chol, 3.0);
+        let lp = mvt_logpdf_scaled(&[1.0], &[0.0], &chol, 0.0, 3.0);
         let expect = ln_gamma(2.0)
             - ln_gamma(1.5)
             - 0.5 * (3.0 * std::f64::consts::PI).ln()
@@ -169,61 +80,7 @@ mod tests {
         let mu = [0.0, 0.5];
         let df = 5.0;
         let fast = mvt_logpdf_scaled(&x, &mu, &chol_psi, c.ln(), df);
-        let direct = mvt_logpdf(&x, &mu, &chol_scaled, df);
+        let direct = mvt_logpdf_scaled(&x, &mu, &chol_scaled, 0.0, df);
         assert!((fast - direct).abs() < 1e-10, "{fast} vs {direct}");
-    }
-
-    #[test]
-    fn sampler_moments_match_parameters() {
-        let mu = vec![1.0, -2.0];
-        let cov = Matrix::from_rows(&[vec![2.0, 0.6], vec![0.6, 1.0]]);
-        let s = MvnSampler::new(mu.clone(), &cov).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let n = 20_000;
-        let mut mean = [0.0; 2];
-        let mut cov_acc = [[0.0; 2]; 2];
-        let draws: Vec<Vec<f64>> = (0..n).map(|_| s.sample(&mut rng)).collect();
-        for d in &draws {
-            mean[0] += d[0];
-            mean[1] += d[1];
-        }
-        mean[0] /= n as f64;
-        mean[1] /= n as f64;
-        for d in &draws {
-            for i in 0..2 {
-                for j in 0..2 {
-                    cov_acc[i][j] += (d[i] - mean[i]) * (d[j] - mean[j]);
-                }
-            }
-        }
-        for row in &mut cov_acc {
-            for v in row.iter_mut() {
-                *v /= (n - 1) as f64;
-            }
-        }
-        assert!((mean[0] - 1.0).abs() < 0.05 && (mean[1] + 2.0).abs() < 0.05);
-        assert!((cov_acc[0][0] - 2.0).abs() < 0.1);
-        assert!((cov_acc[0][1] - 0.6).abs() < 0.05);
-        assert!((cov_acc[1][1] - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn sampler_rejects_shape_mismatch() {
-        let cov = Matrix::identity(3);
-        assert!(MvnSampler::new(vec![0.0; 2], &cov).is_err());
-    }
-
-    #[test]
-    fn logpdf_integrates_to_one_on_grid() {
-        // Crude 1-d Riemann check that normalization is right.
-        let chol = Cholesky::factor(&Matrix::from_rows(&[vec![0.7]])).unwrap();
-        let step = 0.01;
-        let mut acc = 0.0;
-        let mut x = -8.0;
-        while x <= 8.0 {
-            acc += mvn_logpdf(&[x], &[0.3], &chol).exp() * step;
-            x += step;
-        }
-        assert!((acc - 1.0).abs() < 1e-3, "integral = {acc}");
     }
 }

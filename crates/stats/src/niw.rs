@@ -24,8 +24,6 @@
 //! kernels the bank-equivalence suite, the property tests and the benches
 //! compare against this type bit for bit.
 
-use serde::{Deserialize, Serialize};
-
 use osr_linalg::{vector, Cholesky, LinalgError, Matrix};
 
 use crate::mvn::mvt_logpdf_scaled;
@@ -33,7 +31,7 @@ use crate::special::{ln_gamma, ln_multigamma};
 use crate::{Result, StatsError};
 
 /// Hyperparameters of the NIW prior (the paper's base distribution `H`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NiwParams {
     /// Prior mean μ₀ (paper: mean of the training samples).
     pub mu0: Vec<f64>,
@@ -193,20 +191,6 @@ impl NiwPosterior {
     #[inline]
     pub fn mean(&self) -> &[f64] {
         &self.mu
-    }
-
-    /// Posterior expectation of the component covariance,
-    /// `E[Σ] = Ψₙ / (νₙ − d − 1)` (defined for `νₙ > d + 1`; returns `None`
-    /// otherwise).
-    pub fn expected_cov(&self) -> Option<Matrix> {
-        let d = self.dim() as f64;
-        let denom = self.nu - d - 1.0;
-        if denom <= 0.0 {
-            return None;
-        }
-        let mut psi = self.psi_chol.reconstruct();
-        psi.scale_in_place(1.0 / denom);
-        Some(psi)
     }
 
     /// Absorb one observation (O(d²)).
@@ -544,16 +528,6 @@ mod tests {
             x += step;
         }
         assert!((acc - 1.0).abs() < 5e-3, "predictive integral = {acc}");
-    }
-
-    #[test]
-    fn expected_cov_requires_enough_dof() {
-        let p = params2(); // nu0 = 4, d = 2 ⇒ ν − d − 1 = 1 > 0
-        let post = NiwPosterior::from_prior(&p);
-        assert!(post.expected_cov().is_some());
-        let tight =
-            NiwParams::new(vec![0.0, 0.0], 1.0, 2.5, Matrix::identity(2)).unwrap();
-        assert!(NiwPosterior::from_prior(&tight).expected_cov().is_none());
     }
 
     #[test]

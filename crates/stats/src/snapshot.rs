@@ -365,13 +365,6 @@ impl Enc {
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(u8::from(v));
     }
-
-    /// Append a length-prefixed UTF-8 string (u16 length).
-    pub fn put_str(&mut self, s: &str) {
-        let len = s.len().min(u16::MAX as usize) as u16;
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(&s.as_bytes()[..len as usize]);
-    }
 }
 
 /// The `f64` whose exact bit pattern is the 8 little-endian bytes `c`.
@@ -814,7 +807,6 @@ mod tests {
         enc.put_f64(1.5);
         enc.put_usize(7);
         enc.put_bool(true);
-        enc.put_str("hello");
         let mut w = SnapshotWriter::new("cdosr", 16);
         w.section(1, enc.into_bytes());
         w.section(2, vec![9, 9, 9]);
@@ -835,7 +827,6 @@ mod tests {
         assert_eq!(dec.f64("x").unwrap(), 1.5);
         assert_eq!(dec.usize("n").unwrap(), 7);
         assert!(dec.bool("b").unwrap());
-        assert_eq!(dec.str("s").unwrap(), "hello");
         dec.finish("payload").unwrap();
         assert_eq!(file.section(2).unwrap(), &[9, 9, 9]);
         assert!(matches!(file.section(3), Err(SnapshotError::MissingSection { section: 3 })));

@@ -57,11 +57,6 @@ pub fn digamma(x: f64) -> f64 {
                 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0))))
 }
 
-/// Log of the beta function `B(a, b)`.
-pub fn ln_beta(a: f64, b: f64) -> f64 {
-    ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
-}
-
 /// Multivariate log-gamma `ln Γ_d(a)`, the normalizer of the Wishart family:
 /// `Γ_d(a) = π^{d(d-1)/4} ∏_{j=1}^{d} Γ(a + (1 - j)/2)`.
 ///
@@ -88,18 +83,6 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
         return m; // empty, all -inf, or contains +inf/NaN — propagate.
     }
     m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
-}
-
-/// Convert unnormalized log-weights to a normalized probability vector.
-///
-/// Entries of `-inf` map to probability zero. Returns all-zero when every
-/// entry is `-inf`.
-pub fn normalize_log_weights(log_w: &[f64]) -> Vec<f64> {
-    let z = log_sum_exp(log_w);
-    if !z.is_finite() {
-        return vec![0.0; log_w.len()];
-    }
-    log_w.iter().map(|w| (w - z).exp()).collect()
 }
 
 #[cfg(test)]
@@ -167,13 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn ln_beta_symmetry_and_value() {
-        assert!((ln_beta(2.0, 3.0) - ln_beta(3.0, 2.0)).abs() < 1e-14);
-        // B(2,3) = 1/12
-        assert!((ln_beta(2.0, 3.0) - (1.0f64 / 12.0).ln()).abs() < 1e-12);
-    }
-
-    #[test]
     fn multigamma_reduces_to_gamma_in_1d() {
         for &a in &[0.7, 1.5, 10.0] {
             assert!((ln_multigamma(1, a) - ln_gamma(a)).abs() < 1e-13);
@@ -197,20 +173,5 @@ mod tests {
         assert!((v - (1000.0 + 2.0f64.ln())).abs() < 1e-10);
         // ln(e^0 + e^0) = ln 2
         assert!((log_sum_exp(&[0.0, 0.0]) - 2.0f64.ln()).abs() < 1e-14);
-    }
-
-    #[test]
-    fn normalize_log_weights_sums_to_one() {
-        let p = normalize_log_weights(&[-1.0, 0.0, 2.5, f64::NEG_INFINITY]);
-        let sum: f64 = p.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        assert_eq!(p[3], 0.0);
-        assert!(p[2] > p[1] && p[1] > p[0]);
-    }
-
-    #[test]
-    fn normalize_log_weights_all_neg_inf_is_zero_vector() {
-        let p = normalize_log_weights(&[f64::NEG_INFINITY; 3]);
-        assert_eq!(p, vec![0.0; 3]);
     }
 }

@@ -8,13 +8,11 @@
 //! converge to a generalized extreme value distribution, and for bounded
 //! tails that is the Weibull family.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, StatsError};
 
 /// Two-parameter Weibull distribution with shape `k > 0` and scale
 /// `lambda > 0`, supported on `x ≥ 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Weibull {
     /// Shape parameter `k`.
     pub shape: f64,
@@ -52,23 +50,6 @@ impl Weibull {
             return 1.0;
         }
         (-(x / self.scale).powf(self.shape)).exp()
-    }
-
-    /// Probability density function (0 for `x < 0`).
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        if x == 0.0 {
-            // Density at the origin: 0 for k > 1, 1/λ for k = 1, +inf for k < 1.
-            return match self.shape.partial_cmp(&1.0) {
-                Some(std::cmp::Ordering::Greater) => 0.0,
-                Some(std::cmp::Ordering::Equal) => 1.0 / self.scale,
-                _ => f64::INFINITY,
-            };
-        }
-        let z = x / self.scale;
-        (self.shape / self.scale) * z.powf(self.shape - 1.0) * (-z.powf(self.shape)).exp()
     }
 
     /// Quantile function (inverse CDF) for `p ∈ (0, 1)`.
@@ -160,7 +141,7 @@ impl Weibull {
 
 /// Direction of the tail handed to [`WeibullFit::fit_tail`]: whether small or
 /// large scores are "extreme".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailSide {
     /// Fit the *low* end — used for the positive-class inclusion model
     /// (scores of positives closest to the decision boundary).
@@ -184,7 +165,7 @@ pub enum TailSide {
 ///   ≈ 0 inside the negative bulk and → 1 for scores beyond its maximum,
 ///   i.e. the probability that `s` no longer looks negative. This is
 ///   W-SVM's reverse-Weibull model P_ψ for the negative classes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeibullFit {
     weibull: Weibull,
     /// Offset subtracted from raw scores before the Weibull is applied.
@@ -273,11 +254,13 @@ mod tests {
             let x = w.quantile(p);
             assert!((w.cdf(x) - p).abs() < 1e-12, "quantile/cdf roundtrip at p={p}");
         }
-        // pdf is the derivative of cdf.
+        // The cdf's derivative is the Weibull density (k/λ)(x/λ)^(k−1) e^(−(x/λ)^k).
         let x = 1.4;
         let h = 1e-6;
         let num = (w.cdf(x + h) - w.cdf(x - h)) / (2.0 * h);
-        assert!((w.pdf(x) - num).abs() < 1e-6);
+        let z = x / w.scale;
+        let pdf = (w.shape / w.scale) * z.powf(w.shape - 1.0) * (-z.powf(w.shape)).exp();
+        assert!((pdf - num).abs() < 1e-6);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use osr_linalg::Matrix;
 use osr_stats::sampling::{try_categorical_log, try_categorical_log_scratch};
-use osr_stats::special::{ln_gamma, log_sum_exp, normalize_log_weights};
+use osr_stats::special::{ln_gamma, log_sum_exp};
 use osr_stats::weibull::{TailSide, Weibull, WeibullFit};
 use osr_stats::{NiwParams, NiwPosterior};
 use proptest::prelude::*;
@@ -97,16 +97,6 @@ proptest! {
         let a = log_sum_exp(&xs) + shift;
         let b = log_sum_exp(&shifted);
         prop_assert!((a - b).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normalized_log_weights_form_distribution(
-        xs in prop::collection::vec(-40.0..40.0f64, 1..12),
-    ) {
-        let p = normalize_log_weights(&xs);
-        let sum: f64 = p.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9);
-        prop_assert!(p.iter().all(|&x| (0.0..=1.0 + 1e-12).contains(&x)));
     }
 
     #[test]

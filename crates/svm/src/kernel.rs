@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 /// Kernel functions for the SVM solvers.
 ///
 /// The grid searches in the paper (§4.1.2) sweep the RBF `gamma`; the
 /// 1-vs-Set machine is linear by construction (its slab geometry only makes
 /// sense in the primal feature space).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
     /// `K(x, y) = ⟨x, y⟩`.
     Linear,

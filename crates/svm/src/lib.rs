@@ -8,9 +8,11 @@
 //!   using maximal-violating-pair working-set selection (LIBSVM's WSS-1),
 //! * [`OneClassSvm`] — Schölkopf's one-class ν-SVM, same SMO core with the
 //!   `Σα = 1` equality constraint,
-//! * [`Kernel`] — linear, RBF and polynomial kernels,
-//! * [`OneVsRest`] — the one-vs-rest multiclass wrapper W-SVM and P_I-SVM
-//!   use, exposing raw per-class decision values for EVT calibration.
+//! * [`Kernel`] — linear, RBF and polynomial kernels.
+//!
+//! The one-vs-rest stages of 1-vs-Set, W-SVM and P_I-SVM train one
+//! [`BinarySvm`] per class themselves, because each fits its open-space
+//! boundary (a slab or a Weibull model) on that class's own training scores.
 //!
 //! Decision values are exact dual evaluations (no probability squashing);
 //! the open-set baselines apply their own Weibull calibration downstream.
@@ -19,12 +21,10 @@
 #![deny(unsafe_code)]
 
 mod kernel;
-mod multiclass;
 mod oneclass;
 mod smo;
 
 pub use kernel::Kernel;
-pub use multiclass::OneVsRest;
 pub use oneclass::{OneClassParams, OneClassSvm};
 pub use smo::{BinarySvm, SvmParams};
 

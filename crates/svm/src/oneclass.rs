@@ -14,13 +14,11 @@
 //! the training distribution; `ν` upper-bounds the fraction of training
 //! outliers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::Kernel;
 use crate::{Result, SvmError};
 
 /// Hyperparameters of the one-class ν-SVM.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OneClassParams {
     /// Outlier fraction bound ν ∈ (0, 1).
     pub nu: f64,
@@ -40,7 +38,7 @@ impl OneClassParams {
 }
 
 /// A trained one-class ν-SVM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OneClassSvm {
     kernel: Kernel,
     support: Vec<Vec<f64>>,

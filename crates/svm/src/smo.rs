@@ -12,13 +12,11 @@
 //! otherwise, so training never needs more than O(n²) memory and degrades
 //! gracefully on large problems.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::Kernel;
 use crate::{Result, SvmError};
 
 /// Hyperparameters of the C-SVC solver.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SvmParams {
     /// Soft-margin penalty C (> 0). The paper grid-searches
     /// `C ∈ {2⁻⁵, …, 2⁵}`.
@@ -77,7 +75,7 @@ impl KernelCache<'_> {
 }
 
 /// A trained binary C-SVC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinarySvm {
     kernel: Kernel,
     /// Support vectors (training points with `α_i > 0`).
