@@ -20,7 +20,7 @@
 //! cargo bench -p osr-bench --bench predictive
 //! ```
 
-use criterion::{measure, Summary};
+use osr_bench::timing::{measure, write_report, Summary};
 use osr_linalg::Matrix;
 use osr_stats::{sampling, DishBank, NiwParams, NiwPosterior};
 use rand::rngs::StdRng;
@@ -67,15 +67,13 @@ struct Report {
     dims: Vec<DimReport>,
 }
 
-fn ns(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e9
-}
-
 fn kernel_stats(scalar: Summary, banked: Summary) -> KernelStats {
+    let scalar_median_ns = scalar.median.as_secs_f64() * 1e9;
+    let banked_median_ns = banked.median.as_secs_f64() * 1e9;
     KernelStats {
-        scalar_median_ns: ns(scalar.median),
-        banked_median_ns: ns(banked.median),
-        speedup_median: ns(scalar.median) / ns(banked.median).max(1e-9),
+        scalar_median_ns,
+        banked_median_ns,
+        speedup_median: scalar_median_ns / banked_median_ns.max(1e-9),
         samples: scalar.samples.min(banked.samples),
     }
 }
@@ -121,21 +119,17 @@ fn bench_dim(dim: usize) -> DimReport {
         assert_eq!(got.to_bits(), post.predictive_logpdf(&probe).to_bits());
     }
 
-    let scalar_all = measure(SAMPLES, |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for post in &legacy {
-                acc += post.predictive_logpdf(black_box(&probe));
-            }
-            acc
-        })
+    let scalar_all = measure(SAMPLES, || {
+        let mut acc = 0.0;
+        for post in &legacy {
+            acc += post.predictive_logpdf(black_box(&probe));
+        }
+        acc
     });
-    let banked_all = measure(SAMPLES, |b| {
-        b.iter(|| {
-            scores.clear();
-            bank.score_all(black_box(&slots), black_box(&probe), &mut scratch, &mut scores);
-            scores.last().copied()
-        })
+    let banked_all = measure(SAMPLES, || {
+        scores.clear();
+        bank.score_all(black_box(&slots), black_box(&probe), &mut scratch, &mut scores);
+        scores.last().copied()
     });
 
     let batch_vs_one_by_block = BLOCKS
@@ -153,12 +147,10 @@ fn bench_dim(dim: usize) -> DimReport {
                 (banked_lp - chain_lp).abs() <= 1e-9 * chain_lp.abs().max(1.0),
                 "block {size}: ratio kernel {banked_lp} strayed from chain rule {chain_lp}"
             );
-            let scalar = measure(SAMPLES, |b| {
-                b.iter(|| legacy[0].clone().block_predictive_logpdf(black_box(&refs)))
-            });
-            let banked = measure(SAMPLES, |b| {
-                b.iter(|| bank.block_predictive(black_box(slots[0]), black_box(&refs)))
-            });
+            let scalar =
+                measure(SAMPLES, || legacy[0].clone().block_predictive_logpdf(black_box(&refs)));
+            let banked =
+                measure(SAMPLES, || bank.block_predictive(black_box(slots[0]), black_box(&refs)));
             BlockReport { block: size, kernel: kernel_stats(scalar, banked) }
         })
         .collect();
@@ -190,9 +182,5 @@ fn main() {
             );
         }
     }
-    let json = serde_json::to_string_pretty(&report).expect("serializable report");
-    println!("{json}");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_predictive.json");
-    std::fs::write(path, json + "\n").expect("write BENCH_predictive.json");
-    eprintln!("-> {path}");
+    write_report("BENCH_predictive.json", &report);
 }

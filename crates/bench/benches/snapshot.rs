@@ -23,9 +23,9 @@
 //! cargo bench -p osr-bench --bench snapshot
 //! ```
 
-use criterion::{measure, BatchSize};
 use hdp_osr_core::snapshot::{decode_model, encode_model};
 use hdp_osr_core::{HdpOsr, HdpOsrConfig, ServingMode, SnapshotStore};
+use osr_bench::timing::{measure, measure_batched, write_report};
 use osr_dataset::protocol::{OpenSetSplit, SplitConfig, TrainSet};
 use osr_stats::sampling;
 use osr_stats::snapshot::{SnapshotFile, SNAPSHOT_FORMAT_VERSION};
@@ -67,10 +67,6 @@ struct Report {
     snapshot_format_version: u32,
     seed: u64,
     scenes: Vec<SceneReport>,
-}
-
-fn us(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e6
 }
 
 /// `n` well-separated classes of 2-D blobs on a circle of radius 8.
@@ -129,15 +125,13 @@ fn bench_scene(name: &'static str, train: &TrainSet, config: &HdpOsrConfig) -> S
     let reloaded = store.load().expect("initial load");
     assert_eq!(encode_model(&reloaded).expect("re-encode"), bytes);
 
-    let encode = measure(CPU_SAMPLES, |b| b.iter(|| encode_model(black_box(&model)).unwrap()));
-    let read = measure(CPU_SAMPLES, |b| b.iter(|| std::fs::read(black_box(&path)).unwrap()));
-    let parse = measure(CPU_SAMPLES, |b| b.iter(|| SnapshotFile::parse(black_box(&bytes)).is_ok()));
-    let decode = measure(CPU_SAMPLES, |b| b.iter(|| decode_model(black_box(&bytes)).unwrap()));
-    let free = measure(CPU_SAMPLES, |b| {
-        b.iter_batched(|| decode_model(&bytes).unwrap(), std::mem::drop, BatchSize::SmallInput)
-    });
-    let save = measure(DISK_SAMPLES, |b| b.iter(|| store.save(black_box(&model)).unwrap()));
-    let load = measure(DISK_SAMPLES, |b| b.iter(|| store.load().unwrap()));
+    let encode = measure(CPU_SAMPLES, || encode_model(black_box(&model)).unwrap());
+    let read = measure(CPU_SAMPLES, || std::fs::read(black_box(&path)).unwrap());
+    let parse = measure(CPU_SAMPLES, || SnapshotFile::parse(black_box(&bytes)).is_ok());
+    let decode = measure(CPU_SAMPLES, || decode_model(black_box(&bytes)).unwrap());
+    let free = measure_batched(CPU_SAMPLES, || decode_model(&bytes).unwrap(), std::mem::drop);
+    let save = measure(DISK_SAMPLES, || store.save(black_box(&model)).unwrap());
+    let load = measure(DISK_SAMPLES, || store.load().unwrap());
     let _ = std::fs::remove_file(&path);
 
     SceneReport {
@@ -146,13 +140,13 @@ fn bench_scene(name: &'static str, train: &TrainSet, config: &HdpOsrConfig) -> S
         dim: model.dim(),
         n_dishes,
         bytes_on_disk: info.bytes,
-        encode_median_us: us(encode.median),
-        save_median_us: us(save.median),
-        read_median_us: us(read.median),
-        parse_median_us: us(parse.median),
-        decode_median_us: us(decode.median),
-        drop_median_us: us(free.median),
-        load_median_us: us(load.median),
+        encode_median_us: encode.median.as_secs_f64() * 1e6,
+        save_median_us: save.median.as_secs_f64() * 1e6,
+        read_median_us: read.median.as_secs_f64() * 1e6,
+        parse_median_us: parse.median.as_secs_f64() * 1e6,
+        decode_median_us: decode.median.as_secs_f64() * 1e6,
+        drop_median_us: free.median.as_secs_f64() * 1e6,
+        load_median_us: load.median.as_secs_f64() * 1e6,
         cpu_samples: [read, parse, decode, free]
             .iter()
             .fold(encode.samples, |n, s| n.min(s.samples)),
@@ -191,9 +185,5 @@ fn main() {
             s.load_median_us,
         );
     }
-    let json = serde_json::to_string_pretty(&report).expect("serializable report");
-    println!("{json}");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json");
-    std::fs::write(path, json + "\n").expect("write BENCH_snapshot.json");
-    eprintln!("-> {path}");
+    write_report("BENCH_snapshot.json", &report);
 }

@@ -412,6 +412,26 @@ pub fn run_figure(sweep: &Sweep, opts: &Options) {
     // One classified batch per (method, openness, trial); the rate also
     // absorbs tuning overhead when --no-tune is not set.
     stats.report(experiment, rows.len() * opts.trials);
+    // Per-trial HDP-OSR outcomes go to stderr, so stdout stays the figure.
+    // An unknown class absorbed whole shows as a large `unknowns_accepted`,
+    // a known cluster rejected as a large `knowns_rejected`.
+    for row in rows.iter().filter(|r| matches!(r.spec, MethodSpec::HdpOsr(_))) {
+        for (trial, outcome) in row.outcomes.iter().enumerate() {
+            let c = &outcome.confusion;
+            eprintln!(
+                "[{experiment}] {} openness {:.1}% trial {trial}: tp {} fp {} fn_ {} \
+                 tn_rejected {} unknowns_accepted {} knowns_rejected {}",
+                row.method,
+                row.openness * 100.0,
+                c.tp,
+                c.fp,
+                c.fn_,
+                c.tn_rejected,
+                outcome.unknowns_accepted,
+                outcome.knowns_rejected
+            );
+        }
+    }
 
     println!("{}", osr_eval::experiment::to_tsv(&rows));
     for figure in &sweep.figures {

@@ -2,7 +2,9 @@
 //!
 //! `src/bin/replicate.rs` runs every figure, table and ablation, and
 //! `src/bin/osr.rs` runs the methods on a CSV file; shared sweep plumbing is
-//! in [`harness`]. Criterion microbenches live in `benches/`.
+//! in [`harness`]. The per-layer benches in `benches/` time through
+//! [`timing`] and write the committed `BENCH_*.json` reports.
 
 pub mod chart;
 pub mod harness;
+pub mod timing;

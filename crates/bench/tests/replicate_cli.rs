@@ -1,5 +1,5 @@
-//! The `replicate` runner end to end: its Table 2 at `--quick` scale is
-//! pinned byte for byte, and it rejects bad flag values with its usage
+//! The `replicate` runner end to end: its Tables 1 and 2 at `--quick` scale
+//! are pinned byte for byte, and it rejects bad flag values with its usage
 //! message and exit code 2, before any experiment starts.
 
 use std::process::Command;
@@ -17,6 +17,39 @@ fn scale_that_is_not_finite_and_positive_exits_with_usage() {
         assert!(stderr.contains("usage: replicate"), "--scale {bad}: {stderr}");
         assert!(out.stdout.is_empty(), "--scale {bad} printed results");
     }
+}
+
+/// Stdout of `replicate <experiment> --quick`, which must exit cleanly.
+fn quick_stdout(experiment: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_replicate"))
+        .args([experiment, "--quick"])
+        .output()
+        .expect("spawn replicate");
+    assert!(out.status.success(), "{out:?}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// Stdout of `replicate table1 --quick`: the USPS discovery table, the one
+/// replication path at d = 39 (USPS after PCA), and its Eq. 11 estimate,
+/// Δ = 4 as in the paper. The same bytes in debug and release builds.
+const TABLE1_QUICK: &str = r#"# USPS — new class discovery under HDP-OSR
+# known classes (original ids): [1, 3, 6, 2, 9]; unknown classes: [5, 8, 7, 4, 0]
+Group          # Subclass  Subclasses (id: %)
+Class1                  1  S46: 100.00%
+Class2                  1  S47: 100.00%
+Class3                  2  S49: 54.55%  S48: 45.45%
+Class4                  1  S50: 100.00%
+Class5                  1  S51: 100.00%
+Testing-Set            11  Known subclasses (#: 6) 28.43% | New subclasses (#: 5) 71.57%
+Estimated unknown categories (Eq. 11): Δ = 4
+
+# |S_known| = 6, |S_unknown| = 5, J-1 = 5, true unknown classes = 5
+# paper: Δ = 4 with 5 true unknown classes (USPS), Δ ≈ 4 (PENDIGITS)
+"#;
+
+#[test]
+fn table1_quick_stdout_is_pinned() {
+    assert_eq!(quick_stdout("table1"), TABLE1_QUICK);
 }
 
 /// Stdout of `replicate table2 --quick`: the PENDIGITS discovery table and
@@ -38,10 +71,5 @@ Estimated unknown categories (Eq. 11): Δ = 2
 
 #[test]
 fn table2_quick_stdout_is_pinned() {
-    let out = Command::new(env!("CARGO_BIN_EXE_replicate"))
-        .args(["table2", "--quick"])
-        .output()
-        .expect("spawn replicate");
-    assert!(out.status.success(), "{out:?}");
-    assert_eq!(String::from_utf8_lossy(&out.stdout), TABLE2_QUICK);
+    assert_eq!(quick_stdout("table2"), TABLE2_QUICK);
 }

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hdp_osr_core::fan_out;
-use osr_dataset::protocol::{OpenSetSplit, SplitConfig, ValidationSplit};
+use osr_dataset::protocol::{GroundTruth, OpenSetSplit, Prediction, SplitConfig, ValidationSplit};
 use osr_dataset::Dataset;
 use osr_stats::descriptive::MeanStd;
 
@@ -56,6 +56,8 @@ pub struct MethodResult {
     pub f_measure: MeanStd,
     /// Open-set recognition accuracy over trials.
     pub accuracy: MeanStd,
+    /// One outcome per evaluation trial, in trial order.
+    pub outcomes: Vec<TrialOutcome>,
     /// The specification that produced these numbers (post-tuning).
     pub spec: MethodSpec,
 }
@@ -67,6 +69,36 @@ pub struct TrialScores {
     pub f_measures: Vec<f64>,
     /// One accuracy per trial.
     pub accuracies: Vec<f64>,
+    /// One outcome per trial.
+    pub outcomes: Vec<TrialOutcome>,
+}
+
+/// One trial's open-set outcome: its pooled confusion, plus the two ways an
+/// open-set decision fails that the confusion pools with other errors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrialOutcome {
+    /// The trial's confusion; its F-measure and accuracy are the trial's.
+    pub confusion: OpenSetConfusion,
+    /// Unknown test points accepted as some known class (part of `fp`).
+    pub unknowns_accepted: usize,
+    /// Known test points predicted Unknown (part of `fn_`).
+    pub knowns_rejected: usize,
+}
+
+impl TrialOutcome {
+    /// Score one trial's predictions against its ground truth.
+    fn score(preds: &[Prediction], truth: &[GroundTruth]) -> Self {
+        let confusion = OpenSetConfusion::from_slices(preds, truth);
+        let (mut unknowns_accepted, mut knowns_rejected) = (0, 0);
+        for pair in preds.iter().zip(truth) {
+            match pair {
+                (Prediction::Known(_), GroundTruth::Unknown) => unknowns_accepted += 1,
+                (Prediction::Unknown, GroundTruth::Known(_)) => knowns_rejected += 1,
+                _ => {}
+            }
+        }
+        Self { confusion, unknowns_accepted, knowns_rejected }
+    }
 }
 
 /// Tune (optionally) and evaluate one method family.
@@ -102,6 +134,7 @@ pub fn run_method(
         openness: config.split.openness(),
         f_measure: MeanStd::from_values(&scores.f_measures),
         accuracy: MeanStd::from_values(&scores.accuracies),
+        outcomes: scores.outcomes,
         spec,
     })
 }
@@ -135,26 +168,27 @@ fn run_trials_on(
     workers: usize,
 ) -> Result<TrialScores> {
     let trials: Vec<usize> = (0..config.trials).collect();
-    let results = fan_out(&trials, workers, |_, &trial| -> Result<(f64, f64)> {
+    let results = fan_out(&trials, workers, |_, &trial| -> Result<TrialOutcome> {
         // Trial seeds are disjoint from the tuning seed by construction.
         let mut rng =
             StdRng::seed_from_u64(config.seed.wrapping_add(0x5DEECE66D + trial as u64 * 0x2545F4914F6CDD1D));
         let split = OpenSetSplit::sample(data, &config.split, &mut rng)?;
         let preds = spec.train_and_predict(&split.train, &split.test.points, &mut rng)?;
-        let c = OpenSetConfusion::from_slices(&preds, &split.test.truth);
-        Ok((c.f_measure(), c.accuracy()))
+        Ok(TrialOutcome::score(&preds, &split.test.truth))
     });
 
     let mut f_measures = Vec::with_capacity(config.trials);
     let mut accuracies = Vec::with_capacity(config.trials);
+    let mut outcomes = Vec::with_capacity(config.trials);
     for (trial, r) in results.into_iter().enumerate() {
-        let (f, a) = r.unwrap_or_else(|panic| {
+        let outcome = r.unwrap_or_else(|panic| {
             Err(EvalError::Method(format!("{}: trial {trial} panicked: {panic}", spec.name())))
         })?;
-        f_measures.push(f);
-        accuracies.push(a);
+        f_measures.push(outcome.confusion.f_measure());
+        accuracies.push(outcome.confusion.accuracy());
+        outcomes.push(outcome);
     }
-    Ok(TrialScores { f_measures, accuracies })
+    Ok(TrialScores { f_measures, accuracies, outcomes })
 }
 
 /// Run a full openness sweep: for each unknown-class count, tune + evaluate
@@ -259,6 +293,17 @@ mod tests {
         let ser = run_trials_on(&data, &base, &spec, 1).unwrap();
         assert_eq!(par.f_measures, ser.f_measures);
         assert_eq!(par.accuracies, ser.accuracies);
+        assert_eq!(par.outcomes, ser.outcomes);
+        assert_eq!(par.outcomes.len(), base.trials);
+        // Each trial's confusion gives back that trial's scores, and the two
+        // open-set failure counts are parts of its pooled fp and fn_.
+        for ((outcome, &f), &a) in par.outcomes.iter().zip(&par.f_measures).zip(&par.accuracies) {
+            let c = outcome.confusion;
+            assert_eq!(c.f_measure().to_bits(), f.to_bits());
+            assert_eq!(c.accuracy().to_bits(), a.to_bits());
+            assert!(outcome.unknowns_accepted <= c.fp, "{outcome:?}");
+            assert!(outcome.knowns_rejected <= c.fn_, "{outcome:?}");
+        }
     }
 
     #[test]

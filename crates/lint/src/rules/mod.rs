@@ -40,7 +40,6 @@ pub const RULE_NAMES: &[&str] = &[
 /// `unsafe` is tolerated there with a `// SAFETY:` comment; every other
 /// rule skips them — they mirror upstream APIs, not our invariants.
 pub const VENDORED_CRATES: &[&str] = &[
-    "criterion",
     "crossbeam",
     "parking_lot",
     "proptest",

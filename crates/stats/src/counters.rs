@@ -15,7 +15,8 @@
 //! `OnceLock` so the hot path never touches the registry lock. Plain event
 //! counters are declared once in the `counters!` table below, which
 //! expands each row into its registry-name constant, its record function
-//! and its getter.
+//! and, where something outside the registry reads the total by function,
+//! its getter.
 //!
 //! The predictive total counts dish scores, whichever path computes them:
 //! the fused bank kernels fold their per-dish evaluations into it, and a
@@ -39,16 +40,16 @@ fn cached(cell: &'static OnceLock<Counter>, name: &str) -> &'static Counter {
     cell.get_or_init(|| global().counter(name))
 }
 
-/// One row per event counter: the registry-name constant, a function that
-/// records one event, and a getter for the process-wide total.
+/// One row per event counter: the registry-name constant and a function
+/// that records one event. An optional `=> getter` after the record function
+/// adds a getter for the process-wide total; other readers go through
+/// [`global`]`().snapshot()` by name.
 macro_rules! counters {
     ($(
         $(#[$name_doc:meta])*
         $name:ident = $key:literal;
         $(#[$record_doc:meta])*
-        $record_vis:vis fn $record:ident;
-        $(#[$get_doc:meta])*
-        pub fn $get:ident;
+        $record_vis:vis fn $record:ident $(=> $get:ident)?;
     )*) => {$(
         $(#[$name_doc])*
         pub const $name: &str = $key;
@@ -60,11 +61,13 @@ macro_rules! counters {
             cached(&CELL, $name).inc();
         }
 
-        $(#[$get_doc])*
-        pub fn $get() -> u64 {
-            static CELL: OnceLock<Counter> = OnceLock::new();
-            cached(&CELL, $name).get()
-        }
+        $(
+            #[doc = concat!("Total `", $key, "` events since process start.")]
+            pub fn $get() -> u64 {
+                static CELL: OnceLock<Counter> = OnceLock::new();
+                cached(&CELL, $name).get()
+            }
+        )?
     )*};
 }
 
@@ -72,46 +75,34 @@ counters! {
     /// Registry name of the posterior-predictive evaluation counter.
     PREDICTIVE_LOGPDF_CALLS = "stats.predictive_logpdf_calls";
     /// Record one scalar posterior-predictive evaluation.
-    pub(crate) fn record_predictive_logpdf;
-    /// Total posterior-predictive evaluations since process start.
-    pub fn predictive_logpdf_calls;
+    pub(crate) fn record_predictive_logpdf => predictive_logpdf_calls;
 
     /// Registry name of the serve-retry counter.
     SERVE_RETRIES = "serving.retries";
     /// Record one serve-attempt retry (an attempt launched after a divergent
     /// previous attempt on the same batch).
-    pub fn record_serve_retry;
-    /// Total serve-attempt retries since process start.
-    pub fn serve_retries;
+    pub fn record_serve_retry => serve_retries;
 
     /// Registry name of the degraded-batch counter.
     DEGRADED_BATCHES = "serving.degraded_batches";
     /// Record one batch answered via degraded frozen inference.
-    pub fn record_degraded_batch;
-    /// Total batches answered via degraded frozen inference since process start.
-    pub fn degraded_batches;
+    pub fn record_degraded_batch => degraded_batches;
 
     /// Registry name of the durable-snapshot save counter.
     SNAPSHOT_SAVES = "snapshot.saves";
     /// Record one durable snapshot persisted to disk.
-    pub fn record_snapshot_save;
-    /// Total durable snapshot saves since process start.
-    pub fn snapshot_saves;
+    pub fn record_snapshot_save => snapshot_saves;
 
     /// Registry name of the durable-snapshot load counter (successful decodes).
     SNAPSHOT_LOADS = "snapshot.loads";
     /// Record one durable snapshot successfully loaded and decoded.
     pub fn record_snapshot_load;
-    /// Total successful durable snapshot loads since process start.
-    pub fn snapshot_loads;
 
     /// Registry name of the durable-snapshot load-failure counter (typed decode
     /// or I/O errors surfaced to the caller).
     SNAPSHOT_LOAD_FAILURES = "snapshot.load_failures";
     /// Record one durable snapshot load that failed with a typed error.
-    pub fn record_snapshot_load_failure;
-    /// Total durable snapshot load failures since process start.
-    pub fn snapshot_load_failures;
+    pub fn record_snapshot_load_failure => snapshot_load_failures;
 
     /// Registry name of the durable-recovery counter (batches answered by
     /// reloading the last-good on-disk snapshot after in-memory state was lost
@@ -119,25 +110,19 @@ counters! {
     DURABLE_RECOVERIES = "serving.durable_recoveries";
     /// Record one batch answered by recovering the model from the last-good
     /// on-disk snapshot.
-    pub fn record_durable_recovery;
-    /// Total durable recoveries since process start.
-    pub fn durable_recoveries;
+    pub fn record_durable_recovery => durable_recoveries;
 
     /// Registry name of the front-end enqueue counter (singleton requests
     /// admitted into a tenant queue).
     FRONTEND_ENQUEUED = "frontend.enqueued";
     /// Record one singleton request admitted into a front-end tenant queue.
     pub fn record_frontend_enqueued;
-    /// Total front-end enqueues since process start.
-    pub fn frontend_enqueued;
 
     /// Registry name of the front-end size-flush counter (micro-batches flushed
     /// because a tenant queue reached `max_batch`).
     FRONTEND_FLUSHES_SIZE = "frontend.flushes_size";
     /// Record one micro-batch flushed because its tenant queue filled up.
     pub fn record_frontend_flush_size;
-    /// Total size-triggered front-end flushes since process start.
-    pub fn frontend_flushes_size;
 
     /// Registry name of the front-end deadline-flush counter (micro-batches
     /// flushed because the oldest queued request hit the latency SLO).
@@ -145,32 +130,24 @@ counters! {
     /// Record one micro-batch flushed because its oldest request hit the SLO
     /// deadline.
     pub fn record_frontend_flush_deadline;
-    /// Total deadline-triggered front-end flushes since process start.
-    pub fn frontend_flushes_deadline;
 
     /// Registry name of the front-end shed counter (requests rejected with a
     /// typed overload error instead of joining a full tenant queue).
     FRONTEND_SHED = "frontend.shed";
     /// Record one request shed with a typed overload error.
-    pub fn record_frontend_shed;
-    /// Total front-end sheds since process start.
-    pub fn frontend_shed;
+    pub fn record_frontend_shed => frontend_shed;
 
     /// Registry name of the model-registry cold-load counter (tenants whose
     /// warm model was materialized from the durable snapshot store on demand).
     FRONTEND_COLD_LOADS = "frontend.cold_loads";
     /// Record one tenant model cold-loaded from the durable snapshot store.
-    pub fn record_frontend_cold_load;
-    /// Total registry cold loads since process start.
-    pub fn frontend_cold_loads;
+    pub fn record_frontend_cold_load => frontend_cold_loads;
 
     /// Registry name of the model-registry eviction counter (warm models
     /// dropped by the LRU bound to admit another tenant).
     FRONTEND_EVICTIONS = "frontend.evictions";
     /// Record one warm model evicted by the registry's LRU bound.
-    pub fn record_frontend_eviction;
-    /// Total registry evictions since process start.
-    pub fn frontend_evictions;
+    pub fn record_frontend_eviction => frontend_evictions;
 }
 
 /// Registry name of the one-observation-vs-all-dishes kernel counter
@@ -242,14 +219,10 @@ pub fn set_frontend_queue_depth(depth: f64) {
     frontend_queue_depth_handle().set(depth);
 }
 
-/// Most recently published front-end queue depth.
-pub fn frontend_queue_depth() -> f64 {
-    frontend_queue_depth_handle().get()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricValue;
 
     #[test]
     fn counter_is_monotone_under_records() {
@@ -285,7 +258,7 @@ mod tests {
         assert!(delta.counter(FRONTEND_SHED) >= 1);
         assert!(delta.counter(FRONTEND_COLD_LOADS) >= 1);
         assert!(delta.counter(FRONTEND_EVICTIONS) >= 1);
-        assert_eq!(frontend_queue_depth(), 3.0);
+        assert_eq!(delta.get(FRONTEND_QUEUE_DEPTH), Some(&MetricValue::Gauge(3.0)));
     }
 
     #[test]

@@ -36,9 +36,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q --document-private
 
 # The replication runner end to end at smoke scale (one figure pair), so a
 # broken experiment fails the gate. Stdout is not checked here; the serving
-# summaries on stderr stay visible. The `table2 --quick` discovery table is
-# pinned byte for byte by crates/bench/tests/replicate_cli.rs in the test
-# pass above.
+# summaries on stderr stay visible. The `table1 --quick` and `table2 --quick`
+# discovery tables are pinned byte for byte by
+# crates/bench/tests/replicate_cli.rs in the test pass above.
 cargo run --release -q -p osr-bench --bin replicate -- pendigits --quick > /dev/null
 
 # The golden, fault-injection and snapshot suites once more at release
