@@ -190,8 +190,8 @@ fn main() {
     for spec in methods {
         match run_trials(&data, &config, &spec) {
             Ok(scores) => {
-                let f = MeanStd::from_values(&scores.f_measures);
-                let a = MeanStd::from_values(&scores.accuracies);
+                let f = MeanStd::from_values(&scores.f_measures());
+                let a = MeanStd::from_values(&scores.accuracies());
                 println!(
                     "{}\t{:.4}\t{:.4}\t{:.4}\t{:.4}\t{}",
                     spec.name(),

@@ -65,12 +65,20 @@ pub struct MethodResult {
 /// Per-trial raw scores (exposed for tests and detailed reports).
 #[derive(Debug, Clone)]
 pub struct TrialScores {
-    /// One F-measure per trial.
-    pub f_measures: Vec<f64>,
-    /// One accuracy per trial.
-    pub accuracies: Vec<f64>,
     /// One outcome per trial.
     pub outcomes: Vec<TrialOutcome>,
+}
+
+impl TrialScores {
+    /// One F-measure per trial, from its confusion.
+    pub fn f_measures(&self) -> Vec<f64> {
+        self.outcomes.iter().map(|o| o.confusion.f_measure()).collect()
+    }
+
+    /// One accuracy per trial, from its confusion.
+    pub fn accuracies(&self) -> Vec<f64> {
+        self.outcomes.iter().map(|o| o.confusion.accuracy()).collect()
+    }
 }
 
 /// One trial's open-set outcome: its pooled confusion, plus the two ways an
@@ -132,8 +140,8 @@ pub fn run_method(
     Ok(MethodResult {
         method: spec.name().to_string(),
         openness: config.split.openness(),
-        f_measure: MeanStd::from_values(&scores.f_measures),
-        accuracy: MeanStd::from_values(&scores.accuracies),
+        f_measure: MeanStd::from_values(&scores.f_measures()),
+        accuracy: MeanStd::from_values(&scores.accuracies()),
         outcomes: scores.outcomes,
         spec,
     })
@@ -177,18 +185,16 @@ fn run_trials_on(
         Ok(TrialOutcome::score(&preds, &split.test.truth))
     });
 
-    let mut f_measures = Vec::with_capacity(config.trials);
-    let mut accuracies = Vec::with_capacity(config.trials);
-    let mut outcomes = Vec::with_capacity(config.trials);
-    for (trial, r) in results.into_iter().enumerate() {
-        let outcome = r.unwrap_or_else(|panic| {
-            Err(EvalError::Method(format!("{}: trial {trial} panicked: {panic}", spec.name())))
-        })?;
-        f_measures.push(outcome.confusion.f_measure());
-        accuracies.push(outcome.confusion.accuracy());
-        outcomes.push(outcome);
-    }
-    Ok(TrialScores { f_measures, accuracies, outcomes })
+    let outcomes = results
+        .into_iter()
+        .enumerate()
+        .map(|(trial, r)| {
+            r.unwrap_or_else(|panic| {
+                Err(EvalError::Method(format!("{}: trial {trial} panicked: {panic}", spec.name())))
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok(TrialScores { outcomes })
 }
 
 /// Run a full openness sweep: for each unknown-class count, tune + evaluate
@@ -291,13 +297,14 @@ mod tests {
         let spec = osnn(0.7);
         let par = run_trials_on(&data, &base, &spec, 3).unwrap();
         let ser = run_trials_on(&data, &base, &spec, 1).unwrap();
-        assert_eq!(par.f_measures, ser.f_measures);
-        assert_eq!(par.accuracies, ser.accuracies);
+        assert_eq!(par.f_measures(), ser.f_measures());
+        assert_eq!(par.accuracies(), ser.accuracies());
         assert_eq!(par.outcomes, ser.outcomes);
         assert_eq!(par.outcomes.len(), base.trials);
         // Each trial's confusion gives back that trial's scores, and the two
         // open-set failure counts are parts of its pooled fp and fn_.
-        for ((outcome, &f), &a) in par.outcomes.iter().zip(&par.f_measures).zip(&par.accuracies) {
+        let (fs, accs) = (par.f_measures(), par.accuracies());
+        for ((outcome, &f), &a) in par.outcomes.iter().zip(&fs).zip(&accs) {
             let c = outcome.confusion;
             assert_eq!(c.f_measure().to_bits(), f.to_bits());
             assert_eq!(c.accuracy().to_bits(), a.to_bits());
@@ -318,7 +325,7 @@ mod tests {
         let spec = osnn(0.7);
         let a = run_trials(&data, &config, &spec).unwrap();
         let b = run_trials(&data, &config, &spec).unwrap();
-        assert_eq!(a.f_measures, b.f_measures);
+        assert_eq!(a.f_measures(), b.f_measures());
     }
 
     #[test]

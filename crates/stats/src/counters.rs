@@ -137,16 +137,17 @@ counters! {
     /// Record one request shed with a typed overload error.
     pub fn record_frontend_shed => frontend_shed;
 
-    /// Registry name of the model-registry cold-load counter (tenants whose
-    /// warm model was materialized from the durable snapshot store on demand).
+    /// Registry name of the model-registry cold-load counter (tenant models
+    /// materialized from the durable snapshot store on demand, whether or
+    /// not the registry then kept them resident).
     FRONTEND_COLD_LOADS = "frontend.cold_loads";
     /// Record one tenant model cold-loaded from the durable snapshot store.
     pub fn record_frontend_cold_load => frontend_cold_loads;
 
     /// Registry name of the model-registry eviction counter (warm models
-    /// dropped by the LRU bound to admit another tenant).
+    /// dropped by the capacity bound to admit another tenant).
     FRONTEND_EVICTIONS = "frontend.evictions";
-    /// Record one warm model evicted by the registry's LRU bound.
+    /// Record one warm model evicted by the registry's capacity bound.
     pub fn record_frontend_eviction => frontend_evictions;
 }
 

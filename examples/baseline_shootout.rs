@@ -47,8 +47,8 @@ fn main() {
         };
         // Step 8: evaluate the tuned spec on fresh randomized splits.
         let scores = run_trials(&data, &eval_cfg, &tuned.spec).expect("evaluation trials");
-        let f = MeanStd::from_values(&scores.f_measures);
-        let a = MeanStd::from_values(&scores.accuracies);
+        let f = MeanStd::from_values(&scores.f_measures());
+        let a = MeanStd::from_values(&scores.accuracies());
         println!(
             "{:<10} {:>10.4} {:>10.4} | {:>18} {:>18}",
             tuned.spec.name(),
