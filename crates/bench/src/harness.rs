@@ -201,10 +201,21 @@ impl ServingStats {
 
 /// Run a Tables 1–2 new-class-discovery experiment: 5 known + 5 unknown
 /// classes, HDP-OSR only, printing the subclass decomposition and the Eq. 11
-/// estimate Δ.
+/// estimate Δ on stdout, and how well the new subclasses recover the true
+/// unknown classes on stderr:
+///
+/// ```text
+/// [table] discovery: matched accuracy A over U unknown points (R rejected), S new subclasses; known accuracy K, HNA H
+/// ```
+///
+/// A is [`osr_eval::metrics::matched_accuracy`] of the rejected unknowns'
+/// dishes against their true classes (an accepted unknown is a miss), K the
+/// share of known test points given their own class, and H their
+/// [`osr_eval::metrics::hna`].
 pub fn run_discovery(table: &str, data: &Dataset, opts: &Options) {
-    use hdp_osr_core::{HdpOsr, HdpOsrConfig};
+    use hdp_osr_core::{HdpOsr, HdpOsrConfig, Prediction};
     use osr_dataset::protocol::{OpenSetSplit, SplitConfig};
+    use osr_eval::metrics::{hna, matched_accuracy, OpenSetConfusion};
 
     eprintln!(
         "[{table}] {}: 5 known + 5 unknown classes, seed {}, scale {}, {} sweeps",
@@ -233,6 +244,24 @@ pub fn run_discovery(table: &str, data: &Dataset, opts: &Options) {
         .classify_detailed(&split.test.points, &mut rng)
         .unwrap_or_else(|e| die(format!("classification on {} failed: {e:?}", data.name)));
     stats.report(table, 1);
+
+    let head = split.test.len() - split.unknown_labels.len();
+    let clusters: Vec<Option<usize>> = out.predictions[head..]
+        .iter()
+        .zip(&out.test_dishes[head..])
+        .map(|(p, &dish)| (*p == Prediction::Unknown).then_some(dish))
+        .collect();
+    let matched = matched_accuracy(&clusters, &split.unknown_labels);
+    // Recall is known-class accuracy: every known point is a TP or an FN.
+    let known = OpenSetConfusion::from_slices(&out.predictions, &split.test.truth).recall();
+    eprintln!(
+        "[{table}] discovery: matched accuracy {matched:.3} over {} unknown points \
+         ({} rejected), {} new subclasses; known accuracy {known:.3}, HNA {:.3}",
+        clusters.len(),
+        clusters.iter().flatten().count(),
+        out.report.n_new_subclasses(),
+        hna(known, matched),
+    );
 
     // Annotate each known group with its original class id, as the paper
     // does ("Class1 ('2')").

@@ -1,5 +1,6 @@
 //! The `replicate` runner end to end: its Tables 1 and 2 at `--quick` scale
-//! are pinned byte for byte, and it rejects bad flag values with its usage
+//! are pinned byte for byte, with the stderr line scoring each table's
+//! discovery, and it rejects bad flag values with its usage
 //! message and exit code 2, before any experiment starts.
 
 use std::process::Command;
@@ -19,14 +20,21 @@ fn scale_that_is_not_finite_and_positive_exits_with_usage() {
     }
 }
 
-/// Stdout of `replicate <experiment> --quick`, which must exit cleanly.
-fn quick_stdout(experiment: &str) -> String {
+/// Stdout of `replicate <experiment> --quick`, which must exit cleanly, and
+/// the stderr line that scores its discovery.
+fn quick_run(experiment: &str) -> (String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_replicate"))
         .args([experiment, "--quick"])
         .output()
         .expect("spawn replicate");
     assert!(out.status.success(), "{out:?}");
-    String::from_utf8_lossy(&out.stdout).into_owned()
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let prefix = format!("[{experiment}] discovery: ");
+    let discovery = stderr
+        .lines()
+        .find(|l| l.starts_with(&prefix))
+        .unwrap_or_else(|| panic!("no discovery line on stderr: {stderr}"));
+    (String::from_utf8_lossy(&out.stdout).into_owned(), discovery.to_string())
 }
 
 /// Stdout of `replicate table1 --quick`: the USPS discovery table, the one
@@ -47,9 +55,16 @@ Estimated unknown categories (Eq. 11): Δ = 4
 # paper: Δ = 4 with 5 true unknown classes (USPS), Δ ≈ 4 (PENDIGITS)
 "#;
 
+/// Every unknown point is rejected and the five new subclasses are the five
+/// unknown classes.
+const TABLE1_QUICK_DISCOVERY: &str = "[table1] discovery: matched accuracy 1.000 over 365 unknown \
+     points (365 rejected), 5 new subclasses; known accuracy 1.000, HNA 1.000";
+
 #[test]
 fn table1_quick_stdout_is_pinned() {
-    assert_eq!(quick_stdout("table1"), TABLE1_QUICK);
+    let (stdout, discovery) = quick_run("table1");
+    assert_eq!(stdout, TABLE1_QUICK);
+    assert_eq!(discovery, TABLE1_QUICK_DISCOVERY);
 }
 
 /// Stdout of `replicate table2 --quick`: the PENDIGITS discovery table and
@@ -69,7 +84,14 @@ Estimated unknown categories (Eq. 11): Δ = 2
 # paper: Δ = 4 with 5 true unknown classes (USPS), Δ ≈ 4 (PENDIGITS)
 "#;
 
+/// Four new subclasses for five unknown classes, and 121 unknowns accepted
+/// as known.
+const TABLE2_QUICK_DISCOVERY: &str = "[table2] discovery: matched accuracy 0.565 over 550 unknown \
+     points (429 rejected), 4 new subclasses; known accuracy 0.995, HNA 0.721";
+
 #[test]
 fn table2_quick_stdout_is_pinned() {
-    assert_eq!(quick_stdout("table2"), TABLE2_QUICK);
+    let (stdout, discovery) = quick_run("table2");
+    assert_eq!(stdout, TABLE2_QUICK);
+    assert_eq!(discovery, TABLE2_QUICK_DISCOVERY);
 }

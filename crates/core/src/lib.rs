@@ -40,7 +40,6 @@ mod decision;
 pub mod discovery;
 pub mod frontend;
 pub mod inductive;
-pub mod kmeans;
 mod model;
 pub mod observability;
 pub mod registry;
@@ -57,7 +56,6 @@ pub use frontend::{
     Response,
 };
 pub use inductive::FrozenModel;
-pub use kmeans::{kmeans, refine_unknown_classes, KMeansResult, RefinedUnknownClass};
 pub use model::{HdpOsr, HdpOsrConfig};
 pub use observability::{
     batch_trace_id, BatchTrace, FitReport, FlushTrace, FlushTrigger, JsonlSink, RingSink,

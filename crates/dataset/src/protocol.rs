@@ -165,6 +165,10 @@ pub struct OpenSetSplit {
     pub test: TestSet,
     /// Original dataset ids of the unknown classes present in the test set.
     pub unknown_class_ids: Vec<usize>,
+    /// True class of each unknown test point, as a position in
+    /// `unknown_class_ids`. The unknown points are the tail of `test`, so
+    /// entry `i` labels test point `test.len() - unknown_labels.len() + i`.
+    pub unknown_labels: Vec<usize>,
     /// Openness of the resulting problem.
     pub openness: f64,
 }
@@ -224,10 +228,12 @@ impl OpenSetSplit {
                 test_truth.push(GroundTruth::Known(known_idx));
             }
         }
-        for &class in unknown {
+        let mut unknown_labels = Vec::new();
+        for (unknown_idx, &class) in unknown.iter().enumerate() {
             for i in data.class_indices(class) {
                 test_points.push(data.points[i].clone());
                 test_truth.push(GroundTruth::Unknown);
+                unknown_labels.push(unknown_idx);
             }
         }
 
@@ -235,6 +241,7 @@ impl OpenSetSplit {
             train: TrainSet { class_ids: known.to_vec(), classes },
             test: TestSet { points: test_points, truth: test_truth },
             unknown_class_ids: unknown.to_vec(),
+            unknown_labels,
             openness: config.openness(),
         })
     }
@@ -375,6 +382,30 @@ mod tests {
             .map(|(i, &cid)| data.class_indices(cid).len() - split.train.classes[i].len())
             .sum();
         assert_eq!(known_test, expect_known);
+    }
+
+    #[test]
+    fn unknown_labels_split_the_unknown_tail_by_class() {
+        let data = small_dataset();
+        let mut rng = StdRng::seed_from_u64(4);
+        let split = OpenSetSplit::sample(&data, &SplitConfig::new(4, 3), &mut rng).unwrap();
+
+        let n_unknown = split.unknown_labels.len();
+        assert_eq!(n_unknown, split.test.n_unknown());
+        let head = split.test.len() - n_unknown;
+        assert!(split.test.truth[head..].iter().all(|t| *t == GroundTruth::Unknown));
+        // The tail holds each unknown class whole, in `unknown_class_ids`
+        // order, and its labels name that class's position.
+        let mut expected_points = Vec::new();
+        let mut expected_labels = Vec::new();
+        for (pos, &class) in split.unknown_class_ids.iter().enumerate() {
+            for i in data.class_indices(class) {
+                expected_points.push(data.points[i].clone());
+                expected_labels.push(pos);
+            }
+        }
+        assert_eq!(split.unknown_labels, expected_labels);
+        assert_eq!(split.test.points[head..], expected_points[..]);
     }
 
     #[test]

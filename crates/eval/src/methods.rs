@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hdp_osr_core::{BatchServer, CollectiveModel, HdpOsr, HdpOsrConfig};
+use hdp_osr_core::{derive_batch_seed, BatchServer, CollectiveModel, HdpOsr, HdpOsrConfig};
 use osr_baselines::{BaselineSpec, ServedBaseline};
 use osr_dataset::protocol::{Prediction, TrainSet};
 
@@ -102,7 +102,8 @@ impl MethodSpec {
         }
     }
 
-    /// Deterministic helper: derive a fresh RNG for `(seed, trial)` and run
+    /// Deterministic helper: seed a fresh RNG with
+    /// [`derive_batch_seed`]`(seed, trial)` and run
     /// [`train_and_predict`](Self::train_and_predict) with it.
     ///
     /// # Errors
@@ -112,9 +113,9 @@ impl MethodSpec {
         train: &TrainSet,
         test: &[Vec<f64>],
         seed: u64,
-        trial: u64,
+        trial: usize,
     ) -> Result<Vec<Prediction>> {
-        let mut rng = StdRng::seed_from_u64(seed ^ trial.wrapping_mul(0x9E3779B97F4A7C15));
+        let mut rng = StdRng::seed_from_u64(derive_batch_seed(seed, trial));
         self.train_and_predict(train, test, &mut rng)
     }
 

@@ -7,6 +7,11 @@
 //! * **open-set recognition accuracy** — "a correct response should be
 //!   either the correct classification or 'rejection' if the testing sample
 //!   is from an unknown category."
+//! * **matched accuracy** and **HNA** — how well the rejected points'
+//!   clusters recover the true unknown classes (Tables 1–2's discovery,
+//!   scored as OpenGCD scores novel-class discovery).
+
+use std::collections::BTreeMap;
 
 use osr_dataset::protocol::{GroundTruth, Prediction};
 
@@ -105,6 +110,67 @@ pub fn micro_f_measure(preds: &[Prediction], truth: &[GroundTruth]) -> f64 {
 /// Convenience: open-set accuracy of a prediction run.
 pub fn open_set_accuracy(preds: &[Prediction], truth: &[GroundTruth]) -> f64 {
     OpenSetConfusion::from_slices(preds, truth).accuracy()
+}
+
+/// Most true classes [`matched_accuracy`] accepts: its exact matching is a
+/// DP over subsets of the classes, so the cost doubles with each class.
+const MAX_MATCHED_CLASSES: usize = 16;
+
+/// Matched clustering accuracy: the share of points whose cluster is the
+/// one matched to their true class, under the best one-to-one matching
+/// between clusters and classes (the Hungarian-matched accuracy OpenGCD
+/// reports on novel classes).
+///
+/// `clusters[i]` is point `i`'s cluster, or `None` when the model did not
+/// reject it; such a point is a miss under every matching. `classes[i]` is
+/// its true class, a dense index. Clusters left unmatched (more clusters
+/// than classes, or an over-split class) count as misses too, so a class
+/// split over several clusters scores only its largest matched part. The
+/// matching is exact: a DP over subsets of the classes, one cluster at a
+/// time. An empty input scores 1.0, like the other metrics here.
+///
+/// # Panics
+/// Panics on length mismatch, or on more than 16 classes.
+pub fn matched_accuracy(clusters: &[Option<usize>], classes: &[usize]) -> f64 {
+    assert_eq!(clusters.len(), classes.len(), "matched accuracy: length mismatch");
+    let n_classes = classes.iter().max().map_or(0, |&c| c + 1);
+    assert!(
+        n_classes <= MAX_MATCHED_CLASSES,
+        "matched accuracy: {n_classes} classes exceed {MAX_MATCHED_CLASSES}"
+    );
+    if classes.is_empty() {
+        return 1.0;
+    }
+    let mut counts: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (&cluster, &class) in clusters.iter().zip(classes) {
+        if let Some(cluster) = cluster {
+            counts.entry(cluster).or_insert_with(|| vec![0; n_classes])[class] += 1;
+        }
+    }
+    // best[mask]: most points the clusters seen so far can match using
+    // only the classes in `mask`, each at most once.
+    let mut best = vec![0usize; 1 << n_classes];
+    for row in counts.values() {
+        let before = best.clone();
+        for (mask, &matched) in before.iter().enumerate() {
+            for (class, &hits) in row.iter().enumerate() {
+                let taken = mask | (1 << class);
+                if taken != mask {
+                    best[taken] = best[taken].max(matched + hits);
+                }
+            }
+        }
+    }
+    best.iter().max().copied().unwrap_or(0) as f64 / classes.len() as f64
+}
+
+/// HNA: the harmonic mean of known-class accuracy and the unknown classes'
+/// [`matched_accuracy`]; 0.0 when both are 0.
+pub fn hna(known: f64, unknown: f64) -> f64 {
+    if known + unknown == 0.0 {
+        return 0.0;
+    }
+    2.0 * known * unknown / (known + unknown)
 }
 
 #[cfg(test)]
@@ -208,5 +274,107 @@ mod tests {
         let c = OpenSetConfusion::from_slices(&preds, &truth);
         assert_eq!(micro_f_measure(&preds, &truth), c.f_measure());
         assert_eq!(open_set_accuracy(&preds, &truth), c.accuracy());
+    }
+
+    #[test]
+    fn perfect_clustering_scores_one() {
+        let clusters = [Some(0), Some(0), Some(1), Some(2), Some(2)];
+        let classes = [0, 0, 1, 2, 2];
+        assert_eq!(matched_accuracy(&clusters, &classes), 1.0);
+    }
+
+    #[test]
+    fn relabelling_the_clusters_leaves_the_score_unchanged() {
+        let classes = [0, 0, 0, 1, 1, 2, 2, 2];
+        let clusters = [Some(4), Some(4), Some(9), Some(9), Some(9), Some(1), Some(1), Some(4)];
+        let relabelled = clusters.map(|c| c.map(|c| 100 - c));
+        let score = matched_accuracy(&clusters, &classes);
+        assert_eq!(matched_accuracy(&relabelled, &classes), score);
+        // Best matching: 4 → class 0 (2), 9 → class 1 (2), 1 → class 2 (2).
+        assert_eq!(score, 6.0 / 8.0);
+    }
+
+    #[test]
+    fn an_over_split_class_counts_only_its_largest_cluster() {
+        let clusters = [Some(0), Some(0), Some(0), Some(1), Some(2), Some(2)];
+        let classes = [0, 0, 0, 0, 1, 1];
+        assert_eq!(matched_accuracy(&clusters, &classes), 5.0 / 6.0);
+    }
+
+    #[test]
+    fn unrejected_points_count_as_misses() {
+        let clusters = [Some(0), None, Some(1), None];
+        let classes = [0, 0, 1, 1];
+        assert_eq!(matched_accuracy(&clusters, &classes), 0.5);
+        assert_eq!(matched_accuracy(&[None, None], &[0, 1]), 0.0);
+    }
+
+    #[test]
+    fn more_clusters_than_classes_leaves_some_unmatched() {
+        let clusters = [Some(0), Some(1), Some(2), Some(3), Some(3)];
+        let classes = [0, 0, 0, 1, 1];
+        // One cluster per class: class 0 keeps one of its three singletons.
+        assert_eq!(matched_accuracy(&clusters, &classes), 3.0 / 5.0);
+    }
+
+    #[test]
+    fn matching_is_one_to_one_not_greedy() {
+        // Greedy gives cluster 0 to class 0 (3 hits), leaving cluster 1 no
+        // class-1 point to match; the best matching swaps them.
+        let clusters = [Some(0), Some(0), Some(0), Some(0), Some(0), Some(1), Some(1), Some(1)];
+        let classes = [0, 0, 0, 1, 1, 0, 0, 0];
+        assert_eq!(matched_accuracy(&clusters, &classes), 5.0 / 8.0);
+    }
+
+    /// Best matching by trying every class for every cluster in turn.
+    fn brute_force(counts: &[Vec<usize>], taken: &mut Vec<bool>) -> usize {
+        let Some((row, rest)) = counts.split_first() else { return 0 };
+        let mut best = brute_force(rest, taken);
+        for class in 0..taken.len() {
+            if !taken[class] {
+                taken[class] = true;
+                best = best.max(row[class] + brute_force(rest, taken));
+                taken[class] = false;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn subset_dp_matches_brute_force() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        for _ in 0..200 {
+            let n_classes = rng.gen_range(1..5);
+            let n_clusters = rng.gen_range(1..6);
+            let n = rng.gen_range(1..40);
+            let classes: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n_classes)).collect();
+            let clusters: Vec<Option<usize>> = (0..n)
+                .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(0..n_clusters)))
+                .collect();
+            let n_classes = classes.iter().max().map_or(0, |&c| c + 1);
+            let mut counts = vec![vec![0; n_classes]; n_clusters];
+            for (&cluster, &class) in clusters.iter().zip(&classes) {
+                if let Some(cluster) = cluster {
+                    counts[cluster][class] += 1;
+                }
+            }
+            let expected = brute_force(&counts, &mut vec![false; n_classes]) as f64 / n as f64;
+            assert_eq!(matched_accuracy(&clusters, &classes), expected, "{clusters:?} {classes:?}");
+        }
+    }
+
+    #[test]
+    fn empty_discovery_is_vacuously_perfect() {
+        assert_eq!(matched_accuracy(&[], &[]), 1.0);
+    }
+
+    #[test]
+    fn hna_is_the_harmonic_mean() {
+        assert!((hna(1.0, 0.5) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((hna(0.8, 0.8) - 0.8).abs() < 1e-12);
+        assert_eq!(hna(0.9, 0.0), 0.0);
+        assert_eq!(hna(0.0, 0.0), 0.0);
     }
 }

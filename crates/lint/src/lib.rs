@@ -38,40 +38,17 @@ use diagnostics::Report;
 
 /// Run the full lint over the workspace at `root`.
 ///
-/// With `changed_only`, only files touched since `git merge-base HEAD
-/// main` are scanned (the cross-file fault-site rule still runs whenever
-/// either of its two files is in the changed set). Falls back to a full
-/// scan when git or the merge base is unavailable.
-///
 /// # Errors
 /// Propagates I/O failures reading the source tree.
-pub fn run(root: &Path, changed_only: bool) -> io::Result<Report> {
-    let sources = workspace::collect_sources(root)?;
-    let changed = if changed_only { workspace::changed_files(root) } else { None };
-    let in_scope = |path: &str| match &changed {
-        Some(list) => list.iter().any(|c| c == path),
-        None => true,
-    };
-
+pub fn run(root: &Path) -> io::Result<Report> {
     let mut report = Report::default();
     let mut faults_scanned = None;
     let mut registry_raw = None;
-    let mut fault_rule_due = false;
 
-    for (path, text) in &sources {
+    for (path, text) in &workspace::collect_sources(root)? {
         let scanned = scanner::scan(text);
-        if path == rules::FAULT_SITES_FILE {
-            fault_rule_due |= in_scope(path);
-        }
         if path == rules::FAULT_REGISTRY_FILE {
             registry_raw = Some(text.clone());
-            fault_rule_due |= in_scope(path);
-        }
-        if !in_scope(path) {
-            if path == rules::FAULT_SITES_FILE {
-                faults_scanned = Some(scanned);
-            }
-            continue;
         }
         report.files_scanned += 1;
         let pragmas = pragma::collect(&scanned, path);
@@ -90,20 +67,18 @@ pub fn run(root: &Path, changed_only: bool) -> io::Result<Report> {
         }
     }
 
-    if fault_rule_due {
-        if let Some(faults) = &faults_scanned {
-            let pragmas = pragma::collect(faults, rules::FAULT_SITES_FILE);
-            for diag in rules::fault_sites::check(
-                rules::FAULT_SITES_FILE,
-                faults,
-                rules::FAULT_REGISTRY_FILE,
-                registry_raw.as_deref(),
-            ) {
-                if pragmas.allows(&diag.rule, diag.line) {
-                    report.allowed += 1;
-                } else {
-                    report.violations.push(diag);
-                }
+    if let Some(faults) = &faults_scanned {
+        let pragmas = pragma::collect(faults, rules::FAULT_SITES_FILE);
+        for diag in rules::fault_sites::check(
+            rules::FAULT_SITES_FILE,
+            faults,
+            rules::FAULT_REGISTRY_FILE,
+            registry_raw.as_deref(),
+        ) {
+            if pragmas.allows(&diag.rule, diag.line) {
+                report.allowed += 1;
+            } else {
+                report.violations.push(diag);
             }
         }
     }
@@ -122,7 +97,7 @@ mod tests {
         // crates/ subtree, no src/ violations — but `src` here is the lint
         // source itself, which must be clean.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-        let report = run(root, false).expect("scan own crate");
+        let report = run(root).expect("scan own crate");
         assert!(
             report.violations.is_empty(),
             "osr-lint must pass its own rules: {:?}",

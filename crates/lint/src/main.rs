@@ -1,7 +1,7 @@
 //! CLI entry point for `osr-lint`.
 //!
 //! ```text
-//! osr-lint [--root DIR] [--format human|json] [--changed-only]
+//! osr-lint [--root DIR] [--format human|json]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error.
@@ -12,7 +12,6 @@ use std::process::ExitCode;
 struct Args {
     root: Option<PathBuf>,
     format: Format,
-    changed_only: bool,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -21,10 +20,10 @@ enum Format {
     Json,
 }
 
-const USAGE: &str = "usage: osr-lint [--root DIR] [--format human|json] [--changed-only]";
+const USAGE: &str = "usage: osr-lint [--root DIR] [--format human|json]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args { root: None, format: Format::Human, changed_only: false };
+    let mut args = Args { root: None, format: Format::Human };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -40,7 +39,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     other => return Err(format!("unknown format `{other}`")),
                 };
             }
-            "--changed-only" => args.changed_only = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
@@ -77,7 +75,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let report = match osr_lint::run(&root, args.changed_only) {
+    let report = match osr_lint::run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("osr-lint: failed to scan {}: {e}", root.display());

@@ -1,4 +1,4 @@
-//! Workspace walking and the `--changed-only` file filter.
+//! Workspace walking.
 //!
 //! The walker enumerates the same tree `cargo` builds: the root package's
 //! `src`/`tests`/`examples`/`benches` plus every `crates/<name>` member's
@@ -9,7 +9,6 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 /// Directories scanned inside the workspace root itself.
 const ROOT_DIRS: &[&str] = &["src", "tests", "examples", "benches"];
@@ -66,35 +65,6 @@ fn relative_slash(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     let s = rel.to_string_lossy().replace('\\', "/");
     s
-}
-
-/// The files changed since `git merge-base HEAD main` (committed or not),
-/// workspace-relative. `None` when git is unavailable or there is no
-/// usable merge base — callers should fall back to a full scan.
-pub fn changed_files(root: &Path) -> Option<Vec<String>> {
-    let base = git(root, &["merge-base", "HEAD", "main"])?;
-    let base = base.trim();
-    if base.is_empty() {
-        return None;
-    }
-    let diff = git(root, &["diff", "--name-only", base])?;
-    let mut files: Vec<String> = diff.lines().map(str::to_string).collect();
-    // Untracked files are changes too (a brand-new violation must not hide
-    // from the fast path).
-    if let Some(untracked) = git(root, &["ls-files", "--others", "--exclude-standard"]) {
-        files.extend(untracked.lines().map(str::to_string));
-    }
-    files.sort();
-    files.dedup();
-    Some(files)
-}
-
-fn git(root: &Path, args: &[&str]) -> Option<String> {
-    let out = Command::new("git").args(args).current_dir(root).output().ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    String::from_utf8(out.stdout).ok()
 }
 
 /// Locate the workspace root: the nearest ancestor of `start` whose

@@ -19,7 +19,7 @@ fn fixture_root() -> std::path::PathBuf {
 
 #[test]
 fn fixture_tree_json_matches_golden() {
-    let report = osr_lint::run(&fixture_root(), false).expect("scan fixture tree");
+    let report = osr_lint::run(&fixture_root()).expect("scan fixture tree");
     let got = report.render_json();
     let want = include_str!("golden_report.json");
     assert_eq!(got.trim(), want.trim(), "fixture report drifted from the golden file");
@@ -27,7 +27,7 @@ fn fixture_tree_json_matches_golden() {
 
 #[test]
 fn fixture_tree_counts() {
-    let report = osr_lint::run(&fixture_root(), false).expect("scan fixture tree");
+    let report = osr_lint::run(&fixture_root()).expect("scan fixture tree");
     assert_eq!(report.files_scanned, 16);
     assert_eq!(report.violations.len(), 26);
     assert_eq!(report.allowed, 7, "four trailing allows + three allow-file suppressions");
@@ -35,15 +35,15 @@ fn fixture_tree_counts() {
 
 #[test]
 fn report_is_deterministic_across_runs() {
-    let a = osr_lint::run(&fixture_root(), false).expect("first scan");
-    let b = osr_lint::run(&fixture_root(), false).expect("second scan");
+    let a = osr_lint::run(&fixture_root()).expect("first scan");
+    let b = osr_lint::run(&fixture_root()).expect("second scan");
     assert_eq!(a.render_json(), b.render_json());
     assert_eq!(a.render_human(), b.render_human());
 }
 
 #[test]
 fn human_rendering_carries_spans_and_rules() {
-    let report = osr_lint::run(&fixture_root(), false).expect("scan fixture tree");
+    let report = osr_lint::run(&fixture_root()).expect("scan fixture tree");
     let human = report.render_human();
     assert!(human.contains("crates/core/src/serving.rs:4: [panic-path]"));
     assert!(human.contains("crates/stats/src/faults.rs:8: [fault-site-registration]"));
