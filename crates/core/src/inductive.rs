@@ -162,7 +162,7 @@ impl FrozenModel {
 
     /// `ln m_·k + f_k(x)` for every frozen dish, in `dishes` order, and
     /// `ln γ + f_H(x)` for a brand-new one: one fused pass over the bank
-    /// plus its cached prior.
+    /// plus its base-measure slot.
     fn log_weights(&self, x: &[f64]) -> (Vec<f64>, f64) {
         let d = self.bank.dim();
         let mut scratch = vec![0.0; (self.slots.len() + 1) * d];

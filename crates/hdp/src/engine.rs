@@ -66,7 +66,7 @@ impl HdpState {
     /// table with probability ∝ `n_jt · f_k(x)` or at a new table with
     /// probability ∝ `α₀ · p(x)`, where `p(x)` marginalizes the new table's
     /// dish over the global menu. The base-measure term comes from the
-    /// bank's prior constants ([`osr_stats::DishBank::score_prior`]), and
+    /// bank's base-measure slot ([`osr_stats::DishBank::score_prior`]), and
     /// all candidate buffers live in the state-owned scratch — the move
     /// allocates nothing.
     pub(crate) fn seat_item<R: Rng + ?Sized>(&mut self, j: usize, i: usize, rng: &mut R) {

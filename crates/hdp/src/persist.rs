@@ -16,16 +16,16 @@
 //!
 //! Everything else is derived in one place, [`read_sections`]: each item's
 //! seat from the member lists, each dish's table and item counts from the
-//! tables, its bank slot from its rank among the live ids, and the
-//! predictive constants, caches and live-dish index through the code paths
-//! a freshly trained sampler uses. A derived value cannot disagree with
-//! the fact it is derived from, so the audit only has to reject what the
-//! sampler itself never produces: a member out of range or listed twice,
-//! an item listed nowhere, an empty table, a table serving a retired dish,
-//! and a live dish no table serves. The seat-move counter is not stored
-//! (only its per-sweep delta is read). Writing canonical state only is
-//! what makes save → load → re-save byte-identical and a reloaded replica
-//! bit-equal to the original.
+//! tables, its bank slot from its rank among the live ids
+//! ([`DishBank::decoded_slot`]), and the predictive constants, caches and
+//! live-dish index through the code paths a freshly trained sampler uses.
+//! A derived value cannot disagree with the fact it is derived from, so the
+//! audit only has to reject what the sampler itself never produces: a
+//! member out of range or listed twice, an item listed nowhere, an empty
+//! table, a table serving a retired dish, and a live dish no table serves.
+//! The seat-move counter is not stored (only its per-sweep delta is read).
+//! Writing canonical state only is what makes save → load → re-save
+//! byte-identical and a reloaded replica bit-equal to the original.
 //!
 //! Deliberately named `persist`, not `snapshot`: the workspace lint scopes
 //! its `snapshot-versioned` rule to `*/snapshot.rs` files, which are the
@@ -272,7 +272,8 @@ mod tests {
         let (decoded, decoded_config) = decode(&bytes).unwrap();
         assert_eq!(decoded.groups, state.groups);
         assert_eq!(decoded.assignment, state.assignment);
-        assert_eq!(decoded.bank.n_slots(), state.n_dishes());
+        // The live dishes plus the base measure's slot.
+        assert_eq!(decoded.bank.n_slots(), state.n_dishes() + 1);
         assert_eq!(decoded.seat_moves, 0);
         assert_eq!(encode(&decoded, &decoded_config), bytes);
 

@@ -200,17 +200,18 @@ impl DishMenu {
         }
     }
 
-    /// Inverse of [`Self::encode_into`]: the `k`-th live id occupies bank
-    /// slot `k` and starts with no tables, for the seating decoder to
-    /// count through [`Self::n_tables_mut`]. One byte per id bounds the id
-    /// count by the payload, so a hostile length cannot demand an
-    /// unbounded allocation.
+    /// Inverse of [`Self::encode_into`]: the `k`-th live id occupies the
+    /// bank slot [`DishBank::decode_from`] gives the `k`-th dish
+    /// ([`DishBank::decoded_slot`]) and starts with no tables, for the
+    /// seating decoder to count through [`Self::n_tables_mut`]. One byte
+    /// per id bounds the id count by the payload, so a hostile length
+    /// cannot demand an unbounded allocation.
     pub fn decode_from(dec: &mut Dec<'_>) -> SnapResult<Self> {
         let n_ids = dec.count(1, "dish menu length")?;
         let mut menu = Self { dishes: Vec::with_capacity(n_ids), ..Self::default() };
         for _ in 0..n_ids {
             if dec.bool("dish live flag")? {
-                menu.push(menu.n_live());
+                menu.push(DishBank::decoded_slot(menu.n_live()));
             } else {
                 menu.dishes.push(None);
             }

@@ -3,49 +3,16 @@
 //! The bank-layout predictive evaluation (`osr-stats::bank`) runs two fused
 //! kernels — one observation against every dish, and a batch of
 //! observations against one dish — whose inner loops are small dense
-//! triangular solves and reductions. The helpers here are written so the
-//! compiler can autovectorize them: fixed-width 4-lane chunks with a scalar
-//! tail, no bounds checks in the steady state, no allocation.
+//! triangular solves and rank-1 updates over column-packed factors. The
+//! helpers here are written so the compiler can autovectorize them:
+//! fixed-width 4-lane chunks with a scalar tail, no bounds checks in the
+//! steady state, no allocation.
 //!
-//! **Bit-compatibility contract.** Floating-point addition is not
-//! associative, so the helpers fall into two classes:
-//!
-//! * *Reassociating* ([`dot4`]): four independent accumulators, combined at
-//!   the end. Faster on wide cores but **not** bit-identical to the
-//!   sequential [`crate::vector::dot`]. Never use these where results feed
-//!   the golden-trace suite; the predictive micro-bench compares both forms
-//!   so the cost of the sequential order stays visible.
-//! * *Elementwise* ([`axpy4`], [`fused_solve_lower_packed`],
-//!   [`fused_solve_lower_cols`], [`givens_update_col`],
-//!   [`givens_downdate_col`]): every output element is produced by the
-//!   exact operation sequence of its scalar counterpart, so results are
-//!   bit-identical — unrolling independent elements changes instruction
-//!   scheduling, never rounding.
-
-/// Dot product with four independent accumulators (reassociated).
-///
-/// **Not** bit-identical to [`crate::vector::dot`] — see the module docs.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn dot4(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot4: length mismatch {} vs {}", a.len(), b.len());
-    let mut acc = [0.0f64; 4];
-    let mut chunks_a = a.chunks_exact(4);
-    let mut chunks_b = b.chunks_exact(4);
-    for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-        acc[0] += ca[0] * cb[0];
-        acc[1] += ca[1] * cb[1];
-        acc[2] += ca[2] * cb[2];
-        acc[3] += ca[3] * cb[3];
-    }
-    let mut tail = 0.0;
-    for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        tail += x * y;
-    }
-    (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail
-}
+//! **Bit-compatibility contract.** Every helper is *elementwise*: each
+//! output element is produced by the exact operation sequence of its scalar
+//! counterpart, so results are bit-identical — unrolling independent
+//! elements changes instruction scheduling, never rounding. No helper
+//! reassociates a sum, so none can move the golden traces.
 
 /// `y += alpha * x`, unrolled in 4-wide lanes.
 ///
@@ -66,77 +33,6 @@ pub fn axpy4(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
     for (xi, yi) in cx.remainder().iter().zip(cy.into_remainder()) {
         *yi += alpha * xi;
-    }
-}
-
-/// Fused forward substitution on a packed lower-triangular factor:
-/// solves `L y = (x − mu)` without materializing the difference vector.
-///
-/// `l_packed` stores the rows of `L` contiguously (row `i` contributes its
-/// `i + 1` entries at offset `i (i + 1) / 2`). The operation sequence per
-/// output element is exactly that of the dense in-place solve
-/// (`Cholesky::solve_lower(&vector::sub(x, mu))`): subtract the already
-/// solved prefix in ascending `k` order, then divide by the diagonal — so
-/// the result is bit-identical to the unfused scalar path.
-///
-/// The dish bank stores factors column-packed and uses
-/// [`fused_solve_lower_cols`]; this row-packed form is the reference the
-/// column form is tested against.
-///
-/// # Panics
-/// Panics when the slice lengths are inconsistent with `x.len()` = d and
-/// `l_packed.len()` = d(d+1)/2.
-#[inline]
-pub fn fused_solve_lower_packed(l_packed: &[f64], x: &[f64], mu: &[f64], y: &mut [f64]) {
-    let d = x.len();
-    assert_eq!(mu.len(), d, "fused_solve_lower_packed: mu dimension mismatch");
-    assert_eq!(y.len(), d, "fused_solve_lower_packed: output dimension mismatch");
-    assert_eq!(l_packed.len(), d * (d + 1) / 2, "fused_solve_lower_packed: bad packed length");
-    let mut off = 0;
-    for i in 0..d {
-        let row = &l_packed[off..off + i];
-        let diag = l_packed[off + i];
-        let (solved, rest) = y.split_at_mut(i);
-        let mut acc = x[i] - mu[i];
-        for (l, s) in row.iter().zip(solved.iter()) {
-            acc -= l * s;
-        }
-        rest[0] = acc / diag;
-        off += i + 1;
-    }
-}
-
-/// Column-packed forward substitution: solves `L y = (x − mu)` with `L`
-/// stored column-major (column `j` contributes its `d − j` entries, diagonal
-/// first, at offset `j d − j (j − 1) / 2`).
-///
-/// Column order turns the inner loop into a contiguous [`axpy4`] over the
-/// tail of the right-hand side, which is what lets the compiler vectorize
-/// it — and it is still **bit-identical** to the row-oriented solve: each
-/// accumulator `y_i` receives the subtractions `l_ik · y_k` in the same
-/// ascending-`k` order (`b − l·y` and `b + (−y)·l` round identically), then
-/// divides by the same diagonal.
-///
-/// # Panics
-/// Panics when the slice lengths are inconsistent with `x.len()` = d and
-/// `l_cols.len()` = d(d+1)/2.
-#[inline]
-pub fn fused_solve_lower_cols(l_cols: &[f64], x: &[f64], mu: &[f64], y: &mut [f64]) {
-    let d = x.len();
-    assert_eq!(mu.len(), d, "fused_solve_lower_cols: mu dimension mismatch");
-    assert_eq!(y.len(), d, "fused_solve_lower_cols: output dimension mismatch");
-    assert_eq!(l_cols.len(), d * (d + 1) / 2, "fused_solve_lower_cols: bad packed length");
-    for ((yi, &xi), &mi) in y.iter_mut().zip(x).zip(mu) {
-        *yi = xi - mi;
-    }
-    let mut off = 0;
-    for j in 0..d {
-        let col = &l_cols[off..off + (d - j)];
-        let (head, tail) = y.split_at_mut(j + 1);
-        let yj = head[j] / col[0];
-        head[j] = yj;
-        axpy4(-yj, &col[1..], tail);
-        off += d - j;
     }
 }
 
@@ -201,21 +97,9 @@ pub fn givens_downdate_col(col: &mut [f64], w: &mut [f64], c: f64, s: f64) {
 mod tests {
     use super::*;
     use crate::vector;
-    use crate::{Cholesky, Matrix};
 
     fn seq(n: usize, f: impl Fn(usize) -> f64) -> Vec<f64> {
         (0..n).map(f).collect()
-    }
-
-    #[test]
-    fn dot4_matches_sequential_to_tolerance() {
-        for n in [0, 1, 3, 4, 7, 8, 13, 64] {
-            let a = seq(n, |i| (i as f64 * 0.37).sin());
-            let b = seq(n, |i| (i as f64 * 0.71).cos());
-            let fast = dot4(&a, &b);
-            let slow = vector::dot(&a, &b);
-            assert!((fast - slow).abs() < 1e-12 * slow.abs().max(1.0), "n={n}: {fast} vs {slow}");
-        }
     }
 
     #[test]
@@ -228,72 +112,6 @@ mod tests {
             vector::axpy(0.123456789, &x, &mut y1);
             for (a, b) in y4.iter().zip(&y1) {
                 assert_eq!(a.to_bits(), b.to_bits(), "axpy4 drifted at n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_solve_is_bit_identical_to_dense_path() {
-        for d in 1..8usize {
-            // A diagonally dominant SPD matrix gives a well-conditioned factor.
-            let mut a = Matrix::identity(d);
-            for i in 0..d {
-                for j in 0..d {
-                    a[(i, j)] += 0.1 / (1.0 + (i as f64 - j as f64).abs());
-                }
-                a[(i, i)] += d as f64;
-            }
-            let chol = Cholesky::factor(&a).unwrap();
-            let l = chol.factor_l();
-            let mut packed = Vec::new();
-            for i in 0..d {
-                for k in 0..=i {
-                    packed.push(l[(i, k)]);
-                }
-            }
-            let x = seq(d, |i| (i as f64 * 0.77).sin() * 2.0);
-            let mu = seq(d, |i| (i as f64 * 0.31).cos());
-            let mut fused = vec![0.0; d];
-            fused_solve_lower_packed(&packed, &x, &mu, &mut fused);
-            let dense = chol.solve_lower(&vector::sub(&x, &mu));
-            for (f, s) in fused.iter().zip(&dense) {
-                assert_eq!(f.to_bits(), s.to_bits(), "fused solve drifted at d={d}");
-            }
-        }
-    }
-
-    #[test]
-    fn column_solve_is_bit_identical_to_row_solve() {
-        for d in 1..10usize {
-            let mut a = Matrix::identity(d);
-            for i in 0..d {
-                for j in 0..d {
-                    a[(i, j)] += 0.1 / (1.0 + (i as f64 - j as f64).abs());
-                }
-                a[(i, i)] += d as f64;
-            }
-            let chol = Cholesky::factor(&a).unwrap();
-            let l = chol.factor_l();
-            let mut rows = Vec::new();
-            for i in 0..d {
-                for k in 0..=i {
-                    rows.push(l[(i, k)]);
-                }
-            }
-            let mut cols = Vec::new();
-            for j in 0..d {
-                for i in j..d {
-                    cols.push(l[(i, j)]);
-                }
-            }
-            let x = seq(d, |i| (i as f64 * 0.77).sin() * 2.0);
-            let mu = seq(d, |i| (i as f64 * 0.31).cos());
-            let mut by_row = vec![0.0; d];
-            let mut by_col = vec![0.0; d];
-            fused_solve_lower_packed(&rows, &x, &mu, &mut by_row);
-            fused_solve_lower_cols(&cols, &x, &mu, &mut by_col);
-            for (r, c) in by_row.iter().zip(&by_col) {
-                assert_eq!(r.to_bits(), c.to_bits(), "column solve drifted at d={d}");
             }
         }
     }
@@ -329,18 +147,5 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "downdate drifted at n={n}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn dot4_panics_on_length_mismatch() {
-        let _ = dot4(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad packed length")]
-    fn fused_solve_rejects_bad_packed_length() {
-        let mut y = [0.0; 2];
-        fused_solve_lower_packed(&[1.0], &[0.0, 0.0], &[0.0, 0.0], &mut y);
     }
 }

@@ -13,9 +13,9 @@
 //!   project the USPS replica to 39 dimensions exactly as the paper does),
 //! * [`vector`] — free functions over `&[f64]` slices (dot products, norms,
 //!   distances) shared by every crate in the workspace,
-//! * [`lanes`] — explicit-width f64 lane helpers (4-wide dot/axpy and the
-//!   fused packed triangular solve) backing the vectorized predictive
-//!   kernels of the dish bank.
+//! * [`lanes`] — explicit-width f64 lane helpers (a 4-wide axpy and the
+//!   Givens column rotations) backing the vectorized predictive kernels of
+//!   the dish bank.
 //!
 //! All routines are deterministic and panic-free on well-formed input;
 //! failure modes that depend on the *values* (e.g. a non-positive-definite

@@ -28,5 +28,6 @@ impl DishBank {
 
 fn lowrank_log_det(chol: &[f64], helmert: &[f64]) -> f64 {
     let lanes = helmert.to_vec();
-    chol[0] + lanes.len() as f64
+    let gram: Vec<f64> = Vec::with_capacity(lanes.len());
+    chol[0] + lanes.len() as f64 + gram.len() as f64
 }

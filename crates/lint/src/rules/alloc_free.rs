@@ -2,13 +2,15 @@
 //! allocation-free and clock-free.
 //!
 //! The whole point of the struct-of-arrays posterior layout is that the hot
-//! kernels — `score_all`/`score_prior` (one observation vs. every dish),
-//! the `block_predictive*` family (a batch vs. one dish) with its
+//! kernels — `score_all`/`score_prior` (one observation vs. every dish,
+//! through their shared `solve_lanes`/`lane_logpdf` bodies), the
+//! `block_predictive*` family (a batch vs. one dish) with its
 //! determinant-lemma helpers `lowrank_log_det`/`fill_helmert`, and the
 //! rank-m `attach_block`/`detach_block` state updates — run on
-//! caller-provided or bank-owned scratch. A stray `Vec::new()`, `vec![...]`, `.clone()`,
-//! `.to_vec()` or `.collect()` inside either kernel silently reintroduces
-//! the per-evaluation heap traffic the refactor removed, and nothing in the
+//! caller-provided or bank-owned scratch. A stray `Vec::new()`,
+//! `Vec::with_capacity(..)`, `vec![...]`, `.clone()`, `.to_vec()` or
+//! `.collect()` inside either kernel silently reintroduces the
+//! per-evaluation heap traffic the refactor removed, and nothing in the
 //! type system would catch it. This rule bans those tokens inside the kernel
 //! function bodies (and only there — slower convenience wrappers in the same
 //! file may allocate freely).
@@ -31,13 +33,16 @@ use crate::diagnostics::Diagnostic;
 use crate::scanner::ScannedFile;
 
 /// The hot kernel functions that must stay allocation-free: the two fused
-/// predictive shapes (plus their shared-stats and prior entry points), the
-/// block kernel's determinant-lemma helpers (the low-rank log-determinant
-/// and the Helmert columns it consumes), and the rank-m block
-/// attach/detach that the table-dish move runs per sweep.
+/// predictive shapes (plus their shared-stats and prior entry points and
+/// the per-lane solve and density the one-vs-all pair shares), the block
+/// kernel's determinant-lemma helpers (the low-rank log-determinant and the
+/// Helmert columns it consumes), and the rank-m block attach/detach that
+/// the table-dish move runs per sweep.
 const KERNEL_FNS: &[&str] = &[
     "score_all",
     "score_prior",
+    "solve_lanes",
+    "lane_logpdf",
     "block_predictive",
     "block_predictive_stats",
     "block_predictive_prior",
@@ -52,6 +57,7 @@ const KERNEL_FNS: &[&str] = &[
 /// dot-method tokens only count as calls when written `.needle()`.
 const ALLOC_TOKENS: &[(&str, bool)] = &[
     ("Vec::new", false),
+    ("Vec::with_capacity", false),
     ("vec!", false),
     ("Box::new", false),
     ("String::new", false),
@@ -223,7 +229,14 @@ impl DishBank {
 
     #[test]
     fn flags_each_banned_token() {
-        for tok in ["vec![0.0; 4]", "x.clone()", "y.to_vec()", "it.collect()", "Box::new(3)"] {
+        for tok in [
+            "vec![0.0; 4]",
+            "Vec::with_capacity(1)",
+            "x.clone()",
+            "y.to_vec()",
+            "it.collect()",
+            "Box::new(3)",
+        ] {
             let src = format!(
                 "fn block_predictive() {{\n    let _ = {tok};\n}}\n"
             );

@@ -10,7 +10,8 @@
 //! contiguous struct-of-arrays storage:
 //!
 //! ```text
-//! slot:        0        1        2        ...          (free-list reuses slots)
+//! slot:        0        1        2        ...          (free-list reuses slots ≥ 1)
+//!            prior     dish     dish
 //! mu:      [── d ──][── d ──][── d ──]                 contiguous means
 //! chol:    [─ tri ─][─ tri ─][─ tri ─]                 column-packed lower Cholesky of Ψₙ
 //! psi:     [─ tri ─][─ tri ─][─ tri ─]                 column-packed lower triangle of Ψₙ
@@ -24,8 +25,17 @@
 //! update of Ψ — walk contiguous memory with elementwise lane helpers
 //! ([`osr_linalg::lanes::givens_update_col`], [`osr_linalg::lanes::axpy4`]),
 //! and the forward substitution still visits each accumulator in the same
-//! ascending order ([`osr_linalg::lanes::fused_solve_lower_cols`]). The
-//! per-dish constants are refreshed once per add/remove (the same
+//! ascending order as the dense row-oriented solve.
+//!
+//! Slot 0 holds the **base measure**: a dish that absorbed nothing, never
+//! live and never released, whose constants come from the same
+//! `refresh_constants` as every dish's. [`alloc`](DishBank::alloc) stamps a
+//! new dish by copying it, and the base-measure entry points
+//! ([`score_prior`](DishBank::score_prior),
+//! [`block_predictive_prior`](DishBank::block_predictive_prior)) are the
+//! slot kernels run on it.
+//!
+//! The per-dish constants are refreshed once per add/remove (the same
 //! transcendental count the legacy path paid per *evaluation*), with the
 //! count-dependent transcendentals memoized in a bit-validated lattice cache
 //! (`CountConstants`); scoring reduces to the fused solve, a sequential
@@ -40,9 +50,8 @@
 //! [`crate::mvn::mvt_logpdf_scaled`], and the per-evaluation remainder
 //! preserves the legacy left-associated order, so bank scores equal the
 //! legacy scores *to the bit* (property-tested in
-//! `crates/stats/tests/bank_equivalence.rs`). The reassociating lane helper
-//! `dot4` is deliberately **not** used on this path — see the
-//! `osr_linalg::lanes` module docs.
+//! `crates/stats/tests/bank_equivalence.rs`). Every reduction on this path
+//! is sequential; no lane helper reassociates a sum.
 //!
 //! **A batch of observations vs. one dish**
 //! ([`block_predictive_stats`](DishBank::block_predictive_stats)): the
@@ -97,14 +106,14 @@
 //! states, log-likelihoods and snapshot bytes (the committed goldens did
 //! not move).
 //!
-//! Slots are dense and reused through a free-list; the sampler's stable,
-//! monotone `DishId`s live one layer up (`osr-hdp`) and map onto slots, so
-//! retirement never moves another dish's data. Slots are storage only: the
-//! snapshot codec writes no slot number, live flag or free-list, and a
-//! decoded bank holds its dishes in slots `0..K` (see
-//! [`DishBank::encode_into`]).
+//! Dish slots are dense and reused through a free-list; the sampler's
+//! stable, monotone `DishId`s live one layer up (`osr-hdp`) and map onto
+//! slots, so retirement never moves another dish's data. Slots are storage
+//! only: the snapshot codec writes no slot number, live flag or free-list,
+//! and a decoded bank holds its `K` dishes in slots `1..=K`, the `k`-th in
+//! [`DishBank::decoded_slot`]`(k)` (see [`DishBank::encode_into`]).
 
-use osr_linalg::lanes::{axpy4, fused_solve_lower_cols, givens_downdate_col, givens_update_col};
+use osr_linalg::lanes::{axpy4, givens_downdate_col, givens_update_col};
 use osr_linalg::{vector, Cholesky, Matrix};
 
 use crate::niw::{factor_spd_with_jitter, NiwParams};
@@ -112,6 +121,10 @@ use crate::special::{ln_gamma, ln_multigamma};
 
 /// Index of a dish's storage slot inside a [`DishBank`].
 pub type Slot = usize;
+
+/// The slot holding the base measure: a dish that absorbed nothing, never
+/// live, never released, and the template [`DishBank::alloc`] stamps.
+const PRIOR: Slot = 0;
 
 /// Sufficient statistics of one observation block — everything the
 /// batch-vs-one kernel needs that does not depend on the candidate dish:
@@ -176,20 +189,8 @@ pub struct DishBank {
     /// `d (d + 1) / 2`: packed lower-triangle length per slot.
     tri: usize,
 
-    // Prior template a fresh slot is stamped from, plus the prior's own
-    // predictive constants (the base measure is scored like a dish that
-    // absorbed nothing).
-    prior_kappa: f64,
-    prior_nu: f64,
-    prior_mu: Vec<f64>,
-    prior_chol: Vec<f64>,
-    prior_psi: Vec<f64>,
-    prior_log_det: f64,
-    prior_df: f64,
-    prior_half_df_dd: f64,
-    prior_exp_ls: f64,
-    prior_base: f64,
-    // Prior terms of the closed-form log marginal likelihood.
+    // Prior terms of the closed-form log marginal likelihood (the prior's
+    // posterior state and predictive constants are slot `PRIOR`'s).
     /// `ln Γ_d(ν₀/2)`.
     prior_ln_multigamma: f64,
     /// `(ν₀/2) ln |Ψ₀|`.
@@ -197,7 +198,7 @@ pub struct DishBank {
     /// `ln κ₀`.
     prior_ln_kappa: f64,
 
-    // Per-slot posterior state (SoA).
+    // Per-slot posterior state (SoA); slot `PRIOR` is the base measure.
     n: Vec<usize>,
     kappa: Vec<f64>,
     nu: Vec<f64>,
@@ -302,71 +303,34 @@ impl CountConstants {
 }
 
 impl DishBank {
-    /// Empty bank over the base measure `params`.
+    /// Bank over the base measure `params`, holding no dish yet (slot 0 is
+    /// the base measure itself; see the module docs).
     pub fn new(params: &NiwParams) -> Self {
         let d = params.dim();
-        let dd = d as f64;
         let tri = d * (d + 1) / 2;
-        let l = params.psi0_chol().factor_l();
-        let mut prior_chol = Vec::with_capacity(tri);
-        for j in 0..d {
-            for i in j..d {
-                prior_chol.push(l[(i, j)]);
-            }
-        }
-        let psi0 = params.psi0();
-        let mut prior_psi = Vec::with_capacity(tri);
-        for j in 0..d {
-            for i in j..d {
-                prior_psi.push(psi0[(i, j)]);
-            }
-        }
-        // Prior predictive constants, by the exact sequence of
-        // `refresh_constants` on a fresh slot.
-        let mut ln_sum = 0.0;
-        let mut off = 0;
-        for j in 0..d {
-            ln_sum += prior_chol[off].ln();
-            off += d - j;
-        }
-        let prior_log_det = ln_sum * 2.0;
-        let df = params.nu0 - dd + 1.0;
-        let scale = (params.kappa0 + 1.0) / (params.kappa0 * df);
-        let els = scale.ln();
-        let log_det = prior_log_det + dd * els;
-        let prior_base = ln_gamma((df + dd) / 2.0)
-            - ln_gamma(df / 2.0)
-            - 0.5 * dd * (df * std::f64::consts::PI).ln()
-            - 0.5 * log_det;
+        let mut chol = vec![0.0; tri];
+        pack_lower(params.psi0_chol().factor_l(), &mut chol);
+        let mut psi = vec![0.0; tri];
+        pack_lower(params.psi0(), &mut psi);
         let lemma_m = lemma_max_m(d);
-        Self {
+        let mut bank = Self {
             d,
             tri,
-            prior_kappa: params.kappa0,
-            prior_nu: params.nu0,
-            prior_mu: params.mu0.clone(),
-            prior_chol,
-            prior_psi,
-            prior_log_det,
-            prior_df: df,
-            prior_half_df_dd: 0.5 * (df + dd),
-            prior_exp_ls: els.exp(),
-            prior_base,
             prior_ln_multigamma: ln_multigamma(d, params.nu0 / 2.0),
             prior_half_nu_log_det: (params.nu0 / 2.0) * params.log_det_psi0(),
             prior_ln_kappa: params.kappa0.ln(),
-            n: Vec::new(),
-            kappa: Vec::new(),
-            nu: Vec::new(),
-            mu: Vec::new(),
-            chol: Vec::new(),
-            psi: Vec::new(),
-            df: Vec::new(),
-            half_df_dd: Vec::new(),
-            exp_ls: Vec::new(),
-            base: Vec::new(),
-            log_det_chol: Vec::new(),
-            live: Vec::new(),
+            n: vec![0],
+            kappa: vec![params.kappa0],
+            nu: vec![params.nu0],
+            mu: params.mu0.clone(),
+            chol,
+            psi,
+            df: vec![0.0],
+            half_df_dd: vec![0.0],
+            exp_ls: vec![0.0],
+            base: vec![0.0],
+            log_det_chol: vec![0.0],
+            live: vec![false],
             free: Vec::new(),
             count_cache: Vec::new(),
             ln_gamma_nu: Vec::new(),
@@ -379,7 +343,9 @@ impl DishBank {
             scratch_gram: vec![0.0; lemma_m * (lemma_m + 1) / 2],
             scratch_f: vec![0.0; tri],
             scratch_stats: BlockStats::new(d),
-        }
+        };
+        bank.refresh_constants(PRIOR);
+        bank
     }
 
     /// Feature dimension `d`.
@@ -388,7 +354,7 @@ impl DishBank {
         self.d
     }
 
-    /// Number of storage slots (live plus free).
+    /// Number of storage slots (live plus free, plus the base measure's).
     #[inline]
     pub fn n_slots(&self) -> usize {
         self.live.len()
@@ -418,7 +384,8 @@ impl DishBank {
     }
 
     /// Allocate a slot initialized to the prior posterior (reusing a freed
-    /// slot when one exists) and return its index.
+    /// slot when one exists) and return its index. The new dish is a copy
+    /// of the base measure's slot.
     pub fn alloc(&mut self) -> Slot {
         let slot = match self.free.pop() {
             Some(s) => s,
@@ -439,12 +406,13 @@ impl DishBank {
                 s
             }
         };
+        let (d, tri) = (self.d, self.tri);
         self.n[slot] = 0;
-        self.kappa[slot] = self.prior_kappa;
-        self.nu[slot] = self.prior_nu;
-        self.mu[slot * self.d..(slot + 1) * self.d].copy_from_slice(&self.prior_mu);
-        self.chol[slot * self.tri..(slot + 1) * self.tri].copy_from_slice(&self.prior_chol);
-        self.psi[slot * self.tri..(slot + 1) * self.tri].copy_from_slice(&self.prior_psi);
+        self.kappa[slot] = self.kappa[PRIOR];
+        self.nu[slot] = self.nu[PRIOR];
+        self.mu.copy_within(PRIOR * d..(PRIOR + 1) * d, slot * d);
+        self.chol.copy_within(PRIOR * tri..(PRIOR + 1) * tri, slot * tri);
+        self.psi.copy_within(PRIOR * tri..(PRIOR + 1) * tri, slot * tri);
         self.live[slot] = true;
         self.refresh_constants(slot);
         slot
@@ -453,8 +421,8 @@ impl DishBank {
     /// Release a slot back to the free-list.
     ///
     /// # Panics
-    /// Panics when the slot is already free — that is a bookkeeping bug in
-    /// the caller's id → slot registry.
+    /// Panics when the slot is already free or is the base measure's — that
+    /// is a bookkeeping bug in the caller's id → slot registry.
     pub fn release(&mut self, slot: Slot) {
         assert!(self.live[slot], "DishBank::release: slot {slot} is not live");
         self.live[slot] = false;
@@ -466,7 +434,7 @@ impl DishBank {
     /// Ψₙ of each. These are the only per-dish facts whose bits depend on
     /// the fit's update history. Everything else is derived on load:
     /// [`Self::decode_from`] takes the item counts from the caller (the
-    /// seating), lays the dishes out in slots `0..K`, and rebuilds the
+    /// seating), lays the dishes out in slots `1..=K`, and rebuilds the
     /// predictive constants through the exact `refresh_constants` sequence.
     ///
     /// Slot numbers, live flags and the free-list are storage, not
@@ -484,9 +452,15 @@ impl DishBank {
         }
     }
 
-    /// Decode `counts.len()` dishes written by [`Self::encode_into`] into
-    /// slots `0..counts.len()`, dish `k` having absorbed `counts[k]`
-    /// observations, and rebuild the prior template and every derived
+    /// The slot [`Self::decode_from`] places the `k`-th decoded dish in
+    /// (`k` counts from 0, in the order [`Self::encode_into`] wrote them).
+    pub fn decoded_slot(k: usize) -> Slot {
+        PRIOR + 1 + k
+    }
+
+    /// Decode `counts.len()` dishes written by [`Self::encode_into`], dish
+    /// `k` into [`Self::decoded_slot`]`(k)` having absorbed `counts[k]`
+    /// observations, and rebuild the base measure and every derived
     /// constant from `params`.
     ///
     /// # Errors
@@ -506,24 +480,27 @@ impl DishBank {
         // allocation.
         let record = 8 * (2 + d + 2 * tri);
         let mut dec = crate::snapshot::Dec::new(dec.take(k.saturating_mul(record), "DishBank")?);
-        bank.n = counts.to_vec();
-        bank.kappa = vec![0.0; k];
-        bank.nu = vec![0.0; k];
-        bank.mu = vec![0.0; k * d];
-        bank.chol = vec![0.0; k * tri];
-        bank.psi = vec![0.0; k * tri];
-        bank.df = vec![0.0; k];
-        bank.half_df_dd = vec![0.0; k];
-        bank.exp_ls = vec![0.0; k];
-        bank.base = vec![0.0; k];
-        bank.log_det_chol = vec![0.0; k];
-        bank.live = vec![true; k];
-        for slot in 0..k {
+        // One past the last dish's slot: the base measure plus `k` dishes.
+        let slots = Self::decoded_slot(k);
+        bank.n.extend_from_slice(counts);
+        bank.kappa.resize(slots, 0.0);
+        bank.nu.resize(slots, 0.0);
+        bank.mu.resize(slots * d, 0.0);
+        bank.chol.resize(slots * tri, 0.0);
+        bank.psi.resize(slots * tri, 0.0);
+        bank.df.resize(slots, 0.0);
+        bank.half_df_dd.resize(slots, 0.0);
+        bank.exp_ls.resize(slots, 0.0);
+        bank.base.resize(slots, 0.0);
+        bank.log_det_chol.resize(slots, 0.0);
+        bank.live.resize(slots, true);
+        for dish in 0..k {
+            let slot = Self::decoded_slot(dish);
             let kappa = dec.f64("DishBank kappa")?;
             let nu = dec.f64("DishBank nu")?;
             if !(kappa.is_finite() && kappa > 0.0 && nu.is_finite()) {
                 return Err(SnapshotError::Malformed(format!(
-                    "DishBank dish {slot}: kappa = {kappa}, nu = {nu} out of domain"
+                    "DishBank dish {dish}: kappa = {kappa}, nu = {nu} out of domain"
                 )));
             }
             bank.kappa[slot] = kappa;
@@ -538,7 +515,7 @@ impl DishBank {
                 let diag = chol[off];
                 if !(diag.is_finite() && diag > 0.0) {
                     return Err(SnapshotError::Malformed(format!(
-                        "DishBank dish {slot}: factor diagonal [{j}] = {diag} \
+                        "DishBank dish {dish}: factor diagonal [{j}] = {diag} \
                          is not finite and positive"
                     )));
                 }
@@ -724,7 +701,7 @@ impl DishBank {
     fn ensure_ln_gamma_nu(&mut self, len: usize) {
         while self.ln_gamma_nu.len() < len {
             let j = self.ln_gamma_nu.len() as f64 - (self.d as f64 - 1.0);
-            self.ln_gamma_nu.push(ln_gamma((self.prior_nu + j) / 2.0));
+            self.ln_gamma_nu.push(ln_gamma((self.nu[PRIOR] + j) / 2.0));
         }
     }
 
@@ -738,7 +715,8 @@ impl DishBank {
     /// together**: a triangular solve is a serial chain of divisions, but
     /// the chains of different dishes are independent, so interleaving them
     /// lets the CPU overlap their latency. Per dish the operation sequence
-    /// is exactly [`osr_linalg::lanes::fused_solve_lower_cols`], so the
+    /// is exactly the dense solve's (each accumulator receives its
+    /// subtractions in ascending column order, then one division), so the
     /// result stays **bit-identical** to calling the legacy
     /// [`crate::NiwPosterior::predictive_logpdf`] on each slot's posterior.
     ///
@@ -746,14 +724,42 @@ impl DishBank {
     /// Panics when `x` does not have length `d` or `scratch` does not have
     /// length `slots.len() × d`.
     pub fn score_all(&self, slots: &[Slot], x: &[f64], scratch: &mut [f64], out: &mut Vec<f64>) {
-        let d = self.d;
-        assert_eq!(x.len(), d, "DishBank::score_all: dimension mismatch");
+        assert_eq!(x.len(), self.d, "DishBank::score_all: dimension mismatch");
         assert_eq!(
             scratch.len(),
-            slots.len() * d,
+            slots.len() * self.d,
             "DishBank::score_all: scratch must hold slots.len() × d lanes"
         );
         out.reserve(slots.len());
+        self.solve_lanes(slots, x, scratch);
+        for (lane, &slot) in scratch.chunks_exact(self.d).zip(slots) {
+            out.push(self.lane_logpdf(slot, lane));
+        }
+        crate::counters::record_predictive_one_vs_all(slots.len() as u64);
+    }
+
+    /// Predictive log-density of `x` under the **base measure** (a dish that
+    /// absorbed nothing): the one-vs-all kernel on the base measure's slot,
+    /// so bit-identical to [`crate::NiwPosterior::predictive_logpdf`] on a
+    /// fresh prior posterior and to a freshly allocated dish. `scratch` is
+    /// the caller's `d`-length solve buffer.
+    ///
+    /// # Panics
+    /// Panics when `x` or `scratch` do not have length `d`.
+    pub fn score_prior(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
+        assert_eq!(x.len(), self.d, "DishBank::score_prior: dimension mismatch");
+        assert_eq!(scratch.len(), self.d, "DishBank::score_prior: scratch length mismatch");
+        self.solve_lanes(&[PRIOR], x, scratch);
+        let lp = self.lane_logpdf(PRIOR, scratch);
+        crate::counters::record_predictive_one_vs_all(1);
+        lp
+    }
+
+    /// The interleaved forward substitutions of the one-vs-all kernel:
+    /// lane `k` of `scratch` (`d` entries) becomes `Lₖ⁻¹ (x − μₖ)` for the
+    /// dish at `slots[k]`.
+    fn solve_lanes(&self, slots: &[Slot], x: &[f64], scratch: &mut [f64]) {
+        let d = self.d;
         for (lane, &slot) in scratch.chunks_exact_mut(d).zip(slots) {
             let mu = &self.mu[slot * d..(slot + 1) * d];
             for ((yi, &xi), &mi) in lane.iter_mut().zip(x).zip(mu) {
@@ -772,30 +778,13 @@ impl DishBank {
             }
             off += d - j;
         }
-        for (lane, &slot) in scratch.chunks_exact(d).zip(slots) {
-            let maha = vector::dot(lane, lane) / self.exp_ls[slot];
-            let df = self.df[slot];
-            out.push(self.base[slot] - self.half_df_dd[slot] * (1.0 + maha / df).ln());
-        }
-        crate::counters::record_predictive_one_vs_all(slots.len() as u64);
     }
 
-    /// Predictive log-density of `x` under the **base measure** (a dish that
-    /// absorbed nothing) — bit-identical to
-    /// [`crate::NiwPosterior::predictive_logpdf`] on a fresh prior
-    /// posterior, evaluated from constants precomputed at construction.
-    /// `scratch` is the caller's `d`-length solve buffer.
-    ///
-    /// # Panics
-    /// Panics when `x` or `scratch` do not have length `d`.
-    pub fn score_prior(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
-        assert_eq!(x.len(), self.d, "DishBank::score_prior: dimension mismatch");
-        assert_eq!(scratch.len(), self.d, "DishBank::score_prior: scratch length mismatch");
-        fused_solve_lower_cols(&self.prior_chol, x, &self.prior_mu, scratch);
-        let maha = vector::dot(scratch, scratch) / self.prior_exp_ls;
-        let lp = self.prior_base - self.prior_half_df_dd * (1.0 + maha / self.prior_df).ln();
-        crate::counters::record_predictive_one_vs_all(1);
-        lp
+    /// The Student-t log-density of the dish at `slot` from its solved
+    /// lane (see [`Self::solve_lanes`]) and cached constants.
+    fn lane_logpdf(&self, slot: Slot, lane: &[f64]) -> f64 {
+        let maha = vector::dot(lane, lane) / self.exp_ls[slot];
+        self.base[slot] - self.half_df_dd[slot] * (1.0 + maha / self.df[slot]).ln()
     }
 
     /// Reduce a block of observations to the dish-independent sufficient
@@ -889,36 +878,11 @@ impl DishBank {
     }
 
     /// The batch-vs-one kernel against the **base measure** (Eq. 8's
-    /// new-dish factor `∏ p(x)`): identical to
-    /// [`block_predictive_stats`](Self::block_predictive_stats) on a dish
-    /// that absorbed nothing, without materializing one.
+    /// new-dish factor `∏ p(x)`):
+    /// [`block_predictive_stats`](Self::block_predictive_stats) on the base
+    /// measure's slot.
     pub fn block_predictive_prior(&mut self, stats: &BlockStats) -> f64 {
-        if stats.m == 0 {
-            crate::counters::record_predictive_batch_vs_one(0);
-            return 0.0;
-        }
-        self.ensure_ln_gamma_nu(stats.m + self.d);
-        let post = Posterior {
-            psi: &self.prior_psi,
-            chol: &self.prior_chol,
-            mu: &self.prior_mu,
-            kappa: self.prior_kappa,
-            nu: self.prior_nu,
-            n: 0,
-            log_det: self.prior_log_det,
-        };
-        let lp = block_ratio(
-            self.d,
-            post,
-            stats,
-            &self.ln_gamma_nu,
-            &mut self.scratch_dir,
-            &mut self.scratch_a,
-            &mut self.scratch_lw,
-            &mut self.scratch_gram,
-        );
-        crate::counters::record_predictive_batch_vs_one(stats.m as u64);
-        lp
+        self.block_predictive_stats(PRIOR, stats)
     }
 
     /// Absorb a whole block into the dish at `slot` in **one rank-m step**:
@@ -1082,9 +1046,9 @@ impl DishBank {
     }
 }
 
-/// The posterior a block is scored against: a live slot or the prior
-/// template. `psi`/`chol` are column-packed triangles of Ψₙ and its
-/// maintained factor, and `log_det` is `ln |Ψₙ|` of that factor.
+/// The posterior of the slot a block is scored against. `psi`/`chol` are
+/// column-packed triangles of Ψₙ and its maintained factor, and `log_det`
+/// is `ln |Ψₙ|` of that factor.
 struct Posterior<'a> {
     psi: &'a [f64],
     chol: &'a [f64],
@@ -1428,8 +1392,8 @@ mod tests {
         let p = params2();
         let mut bank = DishBank::new(&p);
         let data = pts();
-        // Three slots: slot 0 with 2 points, slot 1 released (dead, stale
-        // contents), slot 2 with 3 points. The free-list holds slot 1.
+        // Three dish slots: s0 with 2 points, s1 released (dead, stale
+        // contents), s2 with 3 points. The free-list holds s1.
         let s0 = bank.alloc();
         let s1 = bank.alloc();
         let s2 = bank.alloc();
@@ -1449,13 +1413,16 @@ mod tests {
         let mut bank2 = DishBank::decode_from(&mut dec, &p, &[2, 3]).unwrap();
         dec.finish("bank").unwrap();
 
-        // The dead slot is gone: the two live dishes sit in slots 0 and 1.
-        assert_eq!(bank2.n_slots(), 2);
+        // The dead slot is gone: the two live dishes sit in the first two
+        // decoded slots, after the base measure's.
+        let (d0, d1) = (DishBank::decoded_slot(0), DishBank::decoded_slot(1));
+        assert_eq!((d0, d1), (1, 2));
+        assert_eq!(bank2.n_slots(), 3);
         assert_eq!(bank2.n_live(), 2);
-        assert_eq!((bank2.count(0), bank2.count(1)), (2, 3));
+        assert_eq!((bank2.count(d0), bank2.count(d1)), (2, 3));
         // Predictives over the compacted bank are bit-identical.
         let probe = [0.4, -0.2];
-        for (slot, slot2) in [(s0, 0), (s2, 1)] {
+        for (slot, slot2) in [(s0, d0), (s2, d1)] {
             assert_eq!(
                 bank.predictive_one(slot, &probe).to_bits(),
                 bank2.predictive_one(slot2, &probe).to_bits()
@@ -1465,19 +1432,19 @@ mod tests {
         let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         assert_eq!(
             bank.block_predictive(s0, &refs).to_bits(),
-            bank2.block_predictive(0, &refs).to_bits()
+            bank2.block_predictive(d0, &refs).to_bits()
         );
 
         // Re-encode is byte-identical even though the source bank carried
         // a dead slot with stale bits.
         let mut enc2 = crate::snapshot::Enc::new();
-        bank2.encode_into(&[0, 1], &mut enc2);
+        bank2.encode_into(&[d0, d1], &mut enc2);
         assert_eq!(bytes, enc2.into_bytes());
 
         // A dish nucleated after the load starts from the prior in either
         // bank, whichever slot it lands in.
         let (fresh, fresh2) = (bank.alloc(), bank2.alloc());
-        assert_eq!((fresh, fresh2), (s1, 2));
+        assert_eq!((fresh, fresh2), (s1, 3));
         assert_eq!(
             bank.predictive_one(fresh, &probe).to_bits(),
             bank2.predictive_one(fresh2, &probe).to_bits()
@@ -1814,6 +1781,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not live")]
+    fn the_base_measure_slot_is_never_handed_out_or_released() {
+        let mut bank = DishBank::new(&params2());
+        assert!(!bank.is_live(PRIOR));
+        assert_ne!(bank.alloc(), PRIOR);
+        bank.release(PRIOR);
+    }
+
+    #[test]
     fn downdate_rescue_path_matches_legacy_bit_for_bit() {
         // Removing a point that was never added drives the factor outside
         // SPD and exercises the dense rescue; legacy and bank must agree on
@@ -1850,32 +1826,21 @@ mod tests {
             .collect()
     }
 
-    /// Score `stats` under `slot` (or the prior) through `block_ratio` on
-    /// test-owned scratch large enough for any block, so the lemma path can
-    /// run past the bank's own rule.
-    fn ratio_on(bank: &mut DishBank, slot: Option<Slot>, stats: &BlockStats) -> f64 {
+    /// Score `stats` under `slot` through `block_ratio` on test-owned
+    /// scratch large enough for any block, so the lemma path can run past
+    /// the bank's own rule.
+    fn ratio_on(bank: &mut DishBank, s: Slot, stats: &BlockStats) -> f64 {
         let (d, tri, m) = (bank.d, bank.tri, stats.m);
-        let n = slot.map_or(0, |s| bank.n[s]);
+        let n = bank.n[s];
         bank.ensure_ln_gamma_nu(n + m + d);
-        let post = match slot {
-            Some(s) => Posterior {
-                psi: &bank.psi[s * tri..(s + 1) * tri],
-                chol: &bank.chol[s * tri..(s + 1) * tri],
-                mu: &bank.mu[s * d..(s + 1) * d],
-                kappa: bank.kappa[s],
-                nu: bank.nu[s],
-                n,
-                log_det: bank.log_det_chol[s],
-            },
-            None => Posterior {
-                psi: &bank.prior_psi,
-                chol: &bank.prior_chol,
-                mu: &bank.prior_mu,
-                kappa: bank.prior_kappa,
-                nu: bank.prior_nu,
-                n: 0,
-                log_det: bank.prior_log_det,
-            },
+        let post = Posterior {
+            psi: &bank.psi[s * tri..(s + 1) * tri],
+            chol: &bank.chol[s * tri..(s + 1) * tri],
+            mu: &bank.mu[s * d..(s + 1) * d],
+            kappa: bank.kappa[s],
+            nu: bank.nu[s],
+            n,
+            log_det: bank.log_det_chol[s],
         };
         let (mut delta, mut a) = (vec![0.0; d], vec![0.0; tri]);
         let (mut w, mut gram) = (vec![0.0; m * d], vec![0.0; m * (m + 1) / 2]);
@@ -1952,16 +1917,15 @@ mod tests {
         crate::divergence::clear();
         for d in [2, 5, 16, 39] {
             let mut bank = DishBank::new(&params_d(d));
-            let mut targets: Vec<Option<Slot>> = Vec::new();
+            let mut targets = vec![PRIOR];
             for (k, n) in [3, 20, 120].into_iter().enumerate() {
                 let slot = bank.alloc();
                 for x in gaussian_points(&mut rng, n, d, k as f64) {
                     bank.add_obs(slot, &x);
                 }
-                targets.push(Some(slot));
+                targets.push(slot);
             }
-            targets.push(Some(bank.alloc()));
-            targets.push(None);
+            targets.push(bank.alloc());
             for m in 1..=bank.lemma_m + 1 {
                 let block = gaussian_points(&mut rng, m, d, 0.5);
                 let refs: Vec<&[f64]> = block.iter().map(Vec::as_slice).collect();
@@ -1975,11 +1939,8 @@ mod tests {
                         (a - b).abs() <= 1e-10 * b.abs(),
                         "d = {d}, m = {m}, {target:?}: lemma {a} vs fresh {b}"
                     );
-                    // The kernel entry points take the path the rule picks.
-                    let served = match target {
-                        Some(slot) => bank.block_predictive_stats(slot, &stats),
-                        None => bank.block_predictive_prior(&stats),
-                    };
+                    // The kernel entry point takes the path the rule picks.
+                    let served = bank.block_predictive_stats(target, &stats);
                     let want = if m <= bank.lemma_m { a } else { b };
                     assert_eq!(served.to_bits(), want.to_bits(), "d = {d}, m = {m}, {target:?}");
                 }

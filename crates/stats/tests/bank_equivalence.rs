@@ -52,7 +52,7 @@ fn op() -> impl Strategy<Value = Op> {
 }
 
 prop_compose! {
-    fn scripted_setup()(d in 1usize..5)(
+    fn scripted_setup()(d in 1usize..=9)(
         d in Just(d),
         mu0 in prop::collection::vec(entry(), d),
         kappa0 in 0.3..5.0f64,
@@ -147,6 +147,11 @@ proptest! {
                             "one-vs-all kernel diverged from legacy predictive"
                         );
                     }
+                    prop_assert_eq!(
+                        bank.score_prior(x, &mut scratch[..params.dim()]).to_bits(),
+                        NiwPosterior::from_prior(&params).predictive_logpdf(x).to_bits(),
+                        "base-measure kernel diverged from legacy prior predictive"
+                    );
                 }
                 // Ops addressed at dishes while none are live are no-ops.
                 _ => {}

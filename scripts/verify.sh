@@ -15,8 +15,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 # The repository benchmark is its own package outside the workspace: build
-# it here so a library API change that breaks it fails the gate.
-cargo build --offline --release --manifest-path e2ebench/Cargo.toml
+# it here so a library API change that breaks it fails the gate. `--locked`
+# makes a manifest edit that would rewrite e2ebench/Cargo.lock fail here
+# instead of silently changing the benchmark's lockfile.
+cargo build --offline --locked --release --manifest-path e2ebench/Cargo.toml
 # The root `Cargo.toml` sets `default-members` to every crate, so this one
 # pass runs every suite in the workspace: the golden traces and
 # observability suites, the bank-equivalence parity properties, the
